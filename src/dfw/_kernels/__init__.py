@@ -1,49 +1,11 @@
-"""Backend selection for the integer-matrix kernels.
+"""The integer-matrix kernels.
 
-At import time the compiled extension is preferred; set DFW_PURE=1 in the
-environment (or call use("pure")) to force the Python reference kernels.
-The two backends implement identical functions and are interchangeable;
-benchmarks/bench_kernels.py compares them.
+One implementation, in plain Python (``pure``).  The three entry points
+are bound here so that callers reach them as attributes of this package
+(``_k.hermite_cols``) and tools that rebind them, such as a tracer, see
+every call.
 """
 
-import os
+from .pure import BACKEND_NAME as BACKEND, hermite_cols, mat_mul, smith, xgcd
 
-from . import pure as _pure
-
-_compiled = None
-if not os.environ.get("DFW_PURE"):
-    try:
-        from . import _speed as _compiled  # noqa: F401
-    except ImportError:
-        _compiled = None
-
-_impl = _compiled if _compiled is not None else _pure
-
-BACKEND = _impl.BACKEND_NAME
-mat_mul = _impl.mat_mul
-hermite_cols = _impl.hermite_cols
-smith = _impl.smith
-xgcd = _pure.xgcd
-
-
-def available_backends():
-    names = ["pure"]
-    if _compiled is not None:
-        names.append(_compiled.BACKEND_NAME)
-    return names
-
-
-def use(name):
-    """Rebind the kernel functions to the named backend ('pure'/'cython')."""
-    global _impl, BACKEND, mat_mul, hermite_cols, smith
-    if name == "pure":
-        _impl = _pure
-    elif _compiled is not None and name == _compiled.BACKEND_NAME:
-        _impl = _compiled
-    else:
-        raise ValueError(f"unknown or unavailable backend {name!r}")
-    BACKEND = _impl.BACKEND_NAME
-    mat_mul = _impl.mat_mul
-    hermite_cols = _impl.hermite_cols
-    smith = _impl.smith
-    return BACKEND
+__all__ = ["BACKEND", "hermite_cols", "mat_mul", "smith", "xgcd"]

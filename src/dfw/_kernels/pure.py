@@ -2,8 +2,7 @@
 
 These three routines are the hot loops of the whole package: everything
 upstream (canonical forms, kernels of homomorphisms, homology) reduces to
-them.  The compiled backend ``dfw._kernels._speed`` mirrors this module
-function for function; keep the two in sync.
+them.
 
 Matrices are passed as lists of row lists of Python ints.  Arbitrary
 precision is non-negotiable: intermediate reduction entries routinely
@@ -46,17 +45,21 @@ def mat_mul(a, b, n, m, k):
     return out
 
 
-def hermite_cols(a, rows, cols):
-    """Column-style Hermite reduction with transform.
+def hermite_cols(a, rows, cols, transform=True):
+    """Column-style Hermite reduction, tracking the transform if asked.
 
     Returns (h, v, pivot_rows) where h and v are COLUMN-major lists,
     a @ V == H, V is unimodular, column j < len(pivot_rows) of H has its
     first nonzero entry (positive pivot) at row pivot_rows[j], entries to
     the left of a pivot in its row are reduced into [0, pivot), and all
-    columns from len(pivot_rows) on are zero.
+    columns from len(pivot_rows) on are zero.  Without transform, v is
+    None.
     """
     h = [[a[i][j] for i in range(rows)] for j in range(cols)]
-    v = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    if transform:
+        v = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    else:
+        v = None
     pivot_rows = []
     piv = 0
     for row in range(rows):
@@ -81,15 +84,21 @@ def hermite_cols(a, rows, cols):
                 break
             if j0 != piv:
                 h[piv], h[j0] = h[j0], h[piv]
-                v[piv], v[j0] = v[j0], v[piv]
+                if transform:
+                    v[piv], v[j0] = v[j0], v[piv]
             hp = h[piv]
-            vp = v[piv]
+            vp = v[piv] if transform else None
             if hp[row] < 0:
                 for i in range(row, rows):
                     hp[i] = -hp[i]
-                for i in range(cols):
-                    vp[i] = -vp[i]
+                if transform:
+                    for i in range(cols):
+                        vp[i] = -vp[i]
             p = hp[row]
+            # Column operations touch only the nonzero entries of the pivot
+            # column, which is sparse for the structured matrices of dfw.
+            hnz = [(i, hp[i]) for i in range(row, rows) if hp[i]]
+            vnz = [(i, x) for i, x in enumerate(vp) if x] if transform else None
             clean = True
             for j in range(piv + 1, cols):
                 hj = h[j]
@@ -97,30 +106,30 @@ def hermite_cols(a, rows, cols):
                 if e:
                     q = e // p
                     if q:
-                        for i in range(row, rows):
-                            hj[i] -= q * hp[i]
-                        vj = v[j]
-                        for i in range(cols):
-                            vj[i] -= q * vp[i]
+                        for i, x in hnz:
+                            hj[i] -= q * x
+                        if transform:
+                            vj = v[j]
+                            for i, x in vnz:
+                                vj[i] -= q * x
                     if hj[row]:
                         clean = False
             if clean:
                 placed = True
                 break
         if placed:
-            # Reduce entries left of the new pivot into [0, pivot).
-            hp = h[piv]
-            vp = v[piv]
-            p = hp[row]
+            # Reduce entries left of the new pivot into [0, pivot); p and
+            # hnz are those of the final, clean pass.
             for j in range(piv):
                 q = h[j][row] // p
                 if q:
                     hj = h[j]
-                    for i in range(row, rows):
-                        hj[i] -= q * hp[i]
-                    vj = v[j]
-                    for i in range(cols):
-                        vj[i] -= q * vp[i]
+                    for i, x in hnz:
+                        hj[i] -= q * x
+                    if transform:
+                        vj = v[j]
+                        for i, x in vnz:
+                            vj[i] -= q * x
             pivot_rows.append(row)
             piv += 1
     return h, v, pivot_rows

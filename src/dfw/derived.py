@@ -1,12 +1,29 @@
 """Derived-functor values computed from explicit small complexes.
 
-The first derived functor of SP^m on Q/U is the middle homology of the
-three-term complex built by functors.koszul_sp; the second derived functor
-of the super-Lie cube is the kernel of the map from the Lie-cube quotient
-into the partially reduced tensor cube; Tor comes from the total complex
-of two 2-term resolutions.  Homology groups carry cycle-representative
-matrices so chain maps induce homomorphisms, which is what the
-verification harnesses in dfw.theorems compare.
+Every derived value here is H1 of a three-term free complex
+C2 -> C1 -> C0:
+
+* L1SP^m of Q/U from the Koszul-type complex of functors.koszul_sp;
+* Tor of two quotients from the total complex of their 2-term
+  resolutions (tor_complex);
+* L2Ls3 of Q/U, the kernel of 𝓛³(Q)/𝓛³(U) -> ((Q(x)Q)/(U(x)U)) (x) Q, from
+  the mapping cone of the chain map between the two presentations
+  (superlie3_cone).
+
+There are two ways to read H1 off such a complex.
+
+The value path (homology_value, behind l1_sp, tor and l2_superlie3) uses
+only rank(d1) and the Smith diagonal of d2.  Since ker d1 is saturated,
+H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2); no kernel basis and no
+solve are built, which is where exact entries used to swell.
+
+The cycle path (middle_homology, l1_sp_data, tor_data,
+superlie3_kernel_data) builds a kernel basis of d1 and solves the
+boundaries against it.  Its groups carry cycle representatives, so chain
+maps induce homomorphisms (_homology_map); induced_l1_sp2, tor_to_l1_sp2
+and the theorem checks use it, and the tests hold the two paths against
+each other.  Neither path normalizes the presentation first, so
+presentation-independence checks compare two independent computations.
 
 Sign conventions are fixed here once: writing i for the inclusion of a
 sublattice into its ambient lattice, the Tor differential is
@@ -28,6 +45,7 @@ from .linalg import (
     kernel_basis,
     kron,
     rank,
+    smith_diagonal,
     solve_matrix,
     vstack,
 )
@@ -137,6 +155,15 @@ class HomologyData:
     complex: FreeComplex
 
 
+def homology_value(cx: FreeComplex) -> PresentedGroup:
+    """H1 of a three-term complex as a group in invariant-factor form,
+    from rank(d1) and the Smith diagonal of d2 alone."""
+    d1, d2 = cx.differentials
+    diag = [d for d in smith_diagonal(d2) if d]
+    free_rank = cx.terms[1] - rank(d1) - len(diag)
+    return PresentedGroup.from_invariants(free_rank, [d for d in diag if d > 1])
+
+
 def middle_homology(cx: FreeComplex) -> HomologyData:
     d1, d2 = cx.differentials[0], cx.differentials[1]
     cycles = kernel_basis(d1)
@@ -153,7 +180,7 @@ def l1_sp_data(m: int, p: Presentation) -> HomologyData:
 def l1_sp(m: int, p: Presentation) -> PresentedGroup:
     """First derived functor of the m-th symmetric power of the quotient,
     as the middle homology of the Koszul-type complex."""
-    return l1_sp_data(m, p).group
+    return homology_value(koszul_sp(m, p.sublattice))
 
 
 def wedge_to_tensor_matrix(r: int) -> IntMatrix:
@@ -200,6 +227,16 @@ def l1_sp2_kernel_form(p: Presentation) -> PresentedGroup:
     return alpha.source
 
 
+def _superlie3_maps(p: Presentation) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(R_A, R_B, M): the relations of 𝓛³(Q)/𝓛³(U) on the Lyndon basis,
+    those of ((Q(x)Q)/(U(x)U)) (x) Q on the word basis, and the map
+    between the two free lattices."""
+    u = p.sublattice
+    r_a = induced_map("lie3", 3, u)
+    r_b = kron(kron(u, u), IntMatrix.identity(p.ambient_rank))
+    return r_a, r_b, lie3_embedding(p.ambient_rank)
+
+
 def superlie3_kernel_data(p: Presentation) -> Tuple[PresentedGroup, Hom, Hom]:
     """Kernel of  𝓛³(Q)/𝓛³(U) -> ((Q(x)Q)/(U(x)U)) (x) Q  together with its
     inclusion and the defining map.
@@ -207,19 +244,36 @@ def superlie3_kernel_data(p: Presentation) -> Tuple[PresentedGroup, Hom, Hom]:
     Well-definedness rests on bracket expansions of the sublattice staying
     inside U (x) U (x) Q, which the Hom constructor verifies by solving.
     """
-    u = p.sublattice
-    r = p.ambient_rank
-    lie_mod = PresentedGroup(basis("lie3", 3, r).size, induced_map("lie3", 3, u))
-    ident = IntMatrix.identity(r)
-    target = PresentedGroup(r**3, kron(kron(u, u), ident))
-    h = Hom(lie_mod, target, lie3_embedding(r))
+    r_a, r_b, m = _superlie3_maps(p)
+    h = Hom(PresentedGroup(r_a.rows, r_a), PresentedGroup(r_b.rows, r_b), m)
     ker_group, incl = kernel(h)
     return ker_group, incl, h
 
 
+def superlie3_cone(p: Presentation) -> FreeComplex:
+    """Mapping cone of the chain map (W, M) from the presentation
+    R_A of 𝓛³(Q)/𝓛³(U) to the presentation R_B of ((Q(x)Q)/(U(x)U)) (x) Q:
+    d1 = [M | R_B], d2 = (R_A; -W).
+
+    R_B = (u (x) u) (x) I has independent columns, so the long exact
+    sequence of the cone makes H1 the kernel of the induced map.  By
+    naturality of the Lie embedding, M R_A = (u (x) u (x) u) emb(s) =
+    R_B W with W = (I_{s²} (x) u) emb(s); the d o d check of FreeComplex
+    verifies that identity, which is the well-definedness of the map.
+    """
+    r_a, r_b, m = _superlie3_maps(p)
+    u = p.sublattice
+    s = u.cols
+    w = kron(IntMatrix.identity(s * s), u) @ lie3_embedding(s)
+    return FreeComplex(
+        terms=(m.rows, m.cols + r_b.cols, r_a.cols),
+        differentials=(hstack(m, r_b), vstack(r_a, -w)),
+    )
+
+
 def l2_superlie3(p: Presentation) -> PresentedGroup:
     """Second derived functor of the super-Lie cube of the quotient."""
-    return superlie3_kernel_data(p)[0]
+    return homology_value(superlie3_cone(p))
 
 
 def tor_complex(pa: Presentation, pb: Presentation) -> FreeComplex:
@@ -245,7 +299,7 @@ def tor_data(pa: Presentation, pb: Presentation) -> HomologyData:
 
 def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:
     """Classical torsion product of the two quotients."""
-    return tor_data(pa, pb).group
+    return homology_value(tor_complex(pa, pb))
 
 
 def _homology_map(src: HomologyData, dst: HomologyData, middle_map: IntMatrix) -> Hom:

@@ -2,7 +2,7 @@
 
 IntMatrix is the carrier for every map in the package.  All arithmetic is
 on Python ints, so nothing rounds or overflows at any magnitude.  The
-reduction loops themselves live in dfw._kernels (compiled when available).
+reduction loops themselves live in dfw._kernels.
 """
 
 from __future__ import annotations
@@ -245,7 +245,8 @@ def column_echelon(m: IntMatrix) -> ColumnEchelon:
 
 
 def rank(m: IntMatrix) -> int:
-    return column_echelon(m).rank
+    """Rank of m, from one Hermite pass without transform."""
+    return len(_k.hermite_cols(m.to_rows(), m.rows, m.cols, False)[2])
 
 
 def column_basis(m: IntMatrix) -> IntMatrix:
@@ -361,10 +362,23 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
 @functools.lru_cache(maxsize=1024)
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
-    """Diagonal of the Smith form, skipping the transform bookkeeping."""
-    _, d, _ = _k.smith(m.to_rows(), m.rows, m.cols, False)
-    n = min(m.rows, m.cols)
-    return tuple(d[i][i] for i in range(n))
+    """Diagonal of the Smith form, without transforms.
+
+    Hermite first (Havas, Majewski and Matthews, Exp. Math. 1998): a
+    column pass leaves the k = rank(m) echelon columns B, a row pass (a
+    column pass on B^T) leaves a k x k triangular block with entries
+    reduced against its pivots, and only that block goes to the Smith
+    kernel.  Unimodular steps keep the diagonal; reducing the raw matrix
+    directly lets its entries swell.
+    """
+    h, _, piv = _k.hermite_cols(m.to_rows(), m.rows, m.cols, False)
+    k = len(piv)
+    # h is column-major, so its first k columns are the rows of B^T
+    t, _, _ = _k.hermite_cols(h[:k], k, m.rows, False)
+    # the k nonzero columns of t, read as rows: the transposed block, whose
+    # Smith diagonal is the same
+    _, d, _ = _k.smith(t[:k], k, k, False)
+    return tuple(d[i][i] for i in range(k)) + (0,) * (min(m.rows, m.cols) - k)
 
 
 def determinant(m: IntMatrix) -> int:

@@ -12,13 +12,16 @@ from dfw.derived import (
     l1_sp_data,
     l1_sp2_kernel_form,
     l2_superlie3,
+    middle_homology,
     sp2_bottom_row,
     superlie3_kernel_data,
     tor,
     tor_complex,
     tor_to_l1_sp2,
 )
+from dfw.functors import koszul_sp
 from dfw.linalg import IntMatrix, column_basis
+from dfw.theorems import _DERIVED_OPS, random_matrix, scrambled_presentation
 
 
 def pres(rank, cols):
@@ -249,3 +252,84 @@ class TestPresentationObjects:
         b = pres(1, [[4]])
         cx = tor_complex(a, b)
         assert cx.terms == (2, 2 + 2, 2)
+
+
+def cycle_path_value(name, p):
+    """The value of one of theorems._DERIVED_OPS by the cycle path: kernel
+    basis of d1, boundaries solved against it."""
+    if name == "l2_superlie3":
+        return superlie3_kernel_data(p)[0]
+    if name == "tor":
+        return middle_homology(tor_complex(p, p)).group
+    degree = {"l1_sp2": 2, "l1_sp3": 3, "l1_sp4": 4}[name]
+    return middle_homology(koszul_sp(degree, p.sublattice)).group
+
+
+def scrambled_instances(count, max_rank=6):
+    """Seeded scrambled presentations of ambient rank <= max_rank.  Even
+    instances are random relation matrices as presindep draws them; odd
+    ones are sums of small cyclic groups and Z, so that many values are
+    nontrivial."""
+    out = []
+    for i in range(count):
+        rng = random.Random(f"value-vs-cycle:{i}")
+        if i % 2 == 0:
+            r = rng.randint(1, max_rank - 1)
+            g = PresentedGroup(r, random_matrix(rng, r, rng.randint(0, r + 1), 6))
+        else:
+            orders = [rng.choice((2, 3, 4, 6, 8, 12)) for _ in range(rng.randint(1, 3))]
+            free = rng.randint(0, 1)
+            g = PresentedGroup.from_invariants(free, sorted(orders))
+        extra = rng.randint(0, min(2, max_rank - g.rank))
+        out.append(scrambled_presentation(rng, g, extra))
+    return out
+
+
+class TestValuePathAgainstCyclePath:
+    def test_all_derived_ops_agree(self):
+        nontrivial = 0
+        ranks = set()
+        for p in scrambled_instances(16):
+            ranks.add(p.ambient_rank)
+            for name, op in _DERIVED_OPS:
+                value = op(p).canonical
+                assert value == cycle_path_value(name, p).canonical, (name, p.to_dict())
+                nontrivial += not value.is_trivial
+        assert max(ranks) == 6
+        assert nontrivial >= 10
+
+
+class TestStallRegressions:
+    """Presentations on which l1_sp(4, .) used to run for minutes, in the
+    Smith form of the homology relations or in the kernel solve."""
+
+    @pytest.mark.parametrize(
+        "rows, quotient, expected",
+        [
+            ([[2, 0, 0, 0], [2, 4, 0, 0], [3, 2, 4, 0], [3, 0, 3, 5]],
+             "Z/4 + Z/40", "Z/4 + Z/4 + Z/4"),
+            ([[2, 0, 0, 0], [2, 3, 0, 0], [1, 0, 2, 0], [5, 0, 5, 6], [-5, -4, -4, -5]],
+             "Z + Z/3", "0"),
+            ([[3, 0, 0], [2, 18, 0], [3, 6, 7], [2, -13, 23], [-3, 5, -13], [-14, 30, -86]],
+             "Z^3", "0"),
+        ],
+    )
+    def test_scan_instances(self, rows, quotient, expected):
+        u = IntMatrix.from_rows(rows)
+        p = Presentation(u.rows, u)
+        assert str(p.quotient().canonical) == quotient
+        assert str(l1_sp(4, p).canonical) == expected
+        assert str(cycle_path_value("l1_sp4", p).canonical) == expected
+
+    def test_pinned_presindep_instance(self):
+        # second presentation of presindep, seed 7, trial 5, --max-rank 6
+        p = Presentation.from_dict({
+            "ambient_rank": 6,
+            "sublattice": [
+                [1, 0, 0, 0, 5, 69], [0, 3, 0, 1, 6, 5], [0, 0, 1, 1, 7, 27],
+                [0, 0, 0, 2, 2, 71], [0, 0, 0, 0, 9, 61], [0, 0, 0, 0, 0, 89],
+            ],
+        })
+        assert str(p.quotient().canonical) == "Z/4806"
+        # L1SP^4 of a cyclic group vanishes
+        assert l1_sp(4, p).canonical.is_trivial

@@ -213,6 +213,15 @@ class TestEchelonAndPreimage:
             for j in range(ech.rank, m.cols):
                 assert not any(ech.echelon.col_list(j))
 
+    def test_hermite_without_transform_same_echelon(self):
+        rng = random.Random(17)
+        for _ in range(80):
+            m = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 7)
+            h, v, piv = _kernels.hermite_cols(m.to_rows(), m.rows, m.cols)
+            h2, v2, piv2 = _kernels.hermite_cols(m.to_rows(), m.rows, m.cols, False)
+            assert (h2, piv2) == (h, piv)
+            assert v2 is None
+
     def test_column_basis_spans(self):
         m = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]])
         cb = column_basis(m)
@@ -262,20 +271,3 @@ class TestMatrixBasics:
         m = IntMatrix.from_rows([[big, 1], [1, big]])
         assert determinant(m) == big * big - 1
 
-
-class TestBackends:
-    def test_backends_agree(self):
-        names = _kernels.available_backends()
-        if len(names) < 2:
-            pytest.skip("compiled backend not built")
-        rng = random.Random(321)
-        from dfw._kernels import pure, _speed
-
-        for _ in range(40):
-            r, c = rng.randint(0, 5), rng.randint(0, 5)
-            rows = [[rng.randint(-8, 8) for _ in range(c)] for _ in range(r)]
-            assert pure.hermite_cols(rows, r, c) == _speed.hermite_cols(rows, r, c)
-            assert pure.smith(rows, r, c, True) == _speed.smith(rows, r, c, True)
-            assert pure.smith(rows, r, c, False) == _speed.smith(rows, r, c, False)
-            other = [[rng.randint(-8, 8) for _ in range(3)] for _ in range(c)]
-            assert pure.mat_mul(rows, other, r, c, 3) == _speed.mat_mul(rows, other, r, c, 3)
