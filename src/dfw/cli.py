@@ -2,17 +2,20 @@
 
 Subcommands:
   eval EXPR            print the canonical form of a group/functor expression
-  check SUITE          run a verification suite (exit 1 on any failed trial)
+  check SUITE          run a verification suite
   section4 EXPR        derived-functor report for an abelian group
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error.  The
-default seed comes from the DFW_SEED environment variable; reports are
-byte-identical for identical seeds and configs.
+Exit codes: 0 success, 1 check failure (some trial's two sides differ),
+2 usage or parse error, 3 internal error (some check trial raised; its
+record has status "error"; wins over 1).  The default seed comes from the
+DFW_SEED environment variable; reports are byte-identical for identical
+seeds and configs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,13 +24,12 @@ from typing import List, Optional, Tuple
 from .abelian import PresentedGroup
 from .expr import ExprError, evaluate, parse
 from .linalg import IntMatrix
-from .theorems import CHECKS, SUITE_NAMES, TrialConfig, TrialRecord, Verdict, evaluate_section4
+from .theorems import CHECKS, SUITE_NAMES, TrialConfig, Verdict, evaluate_section4
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-SECTION4_KEYS = ("H2", "L1SP2(H2)", "L2Ls3(H2)", "L1SP3(Gab)", "L1SP4(Gab)")
+EXIT_ERROR = 3
 
 
 class UsageError(ValueError):
@@ -68,41 +70,28 @@ def _default_seed() -> int:
 
 # -------------------------------------------------------------- reporting
 
-def _record_rows(records: Tuple[TrialRecord, ...]) -> List[dict]:
-    return [
-        {
-            "suite": r.suite,
-            "trial": r.trial,
-            "status": r.status,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "counterexample": r.counterexample,
-        }
-        for r in records
-    ]
-
-
 def render_text(results: List[Tuple[str, Verdict]]) -> str:
     lines = []
-    total = failures = 0
+    total = failures = errors = 0
     for name, verdict in results:
-        trials = verdict.passed + verdict.failed
+        trials = verdict.passed + verdict.failed + verdict.errored
         total += trials
         failures += verdict.failed
-        lines.append(
-            f"suite {name}: trials={trials} passed={verdict.passed} failed={verdict.failed}"
-        )
+        errors += verdict.errored
+        line = f"suite {name}: trials={trials} passed={verdict.passed} failed={verdict.failed}"
+        lines.append(line + (f" errors={verdict.errored}" if verdict.errored else ""))
         for rec in verdict.records:
-            if rec.status == "fail":
-                lines.append(f"  trial {rec.trial} FAIL")
+            if rec.status != "ok":
+                lines.append(f"  trial {rec.trial} {rec.status.upper()}")
                 lines.append(f"    lhs: {rec.lhs}")
                 lines.append(f"    rhs: {rec.rhs}")
                 lines.append(
                     "    counterexample: "
                     + json.dumps(rec.counterexample, sort_keys=True, separators=(",", ":"))
                 )
-    status = "PASS" if failures == 0 else "FAIL"
-    lines.append(f"result: {status} ({len(results)} suites, {total} trials, {failures} failures)")
+    status = "ERROR" if errors else "FAIL" if failures else "PASS"
+    counts = f"{len(results)} suites, {total} trials, {failures} failures"
+    lines.append(f"result: {status} ({counts}" + (f", {errors} errors)" if errors else ")"))
     return "\n".join(lines) + "\n"
 
 
@@ -122,7 +111,7 @@ def render_tsv(results: List[Tuple[str, Verdict]]) -> str:
 def render_json(results: List[Tuple[str, Verdict]]) -> str:
     rows = []
     for _, verdict in results:
-        rows.extend(_record_rows(verdict.records))
+        rows.extend(dataclasses.asdict(r) for r in verdict.records)
     return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -182,15 +171,17 @@ def cmd_check(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = [(name, CHECKS[name](cfg)) for name in names]
     sys.stdout.write(RENDERERS[args.format](results))
-    failed = sum(v.failed for _, v in results)
-    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
+    if any(v.errored for _, v in results):
+        sys.stderr.write("dfw: error: some trials raised an internal error (status 'error')\n")
+        return EXIT_ERROR
+    return EXIT_CHECK_FAILED if any(v.failed for _, v in results) else EXIT_OK
 
 
 def cmd_section4(args) -> int:
     group = _group_from_args(args.expression, args.relations)
     report = evaluate_section4(group)
-    for key in SECTION4_KEYS:
-        sys.stdout.write(f"{key} = {report[key]}\n")
+    for key, value in report.items():
+        sys.stdout.write(f"{key} = {value}\n")
     return EXIT_OK
 
 

@@ -183,16 +183,34 @@ def l1_sp(m: int, p: Presentation) -> PresentedGroup:
     return homology_value(koszul_sp(m, p.sublattice))
 
 
-def wedge_to_tensor_matrix(r: int) -> IntMatrix:
-    """e_i ∧ e_j  |->  e_i (x) e_j - e_j (x) e_i  on Z^r."""
-    wedge = basis("ext", 2, r)
+def wedge_to_tensor_matrix(v: IntMatrix) -> IntMatrix:
+    """Λ²(Z^s) -> Z^s (x) Z^r for the inclusion v: Z^s -> Z^r with columns
+    v_a:  g_a ∧ g_b  |->  g_a (x) v_b - g_b (x) v_a."""
+    r, s = v.rows, v.cols
+    v_cols = [v.col_list(a) for a in range(s)]
     cols = []
-    for (i, j) in wedge.elements:
-        col = [0] * (r * r)
-        col[i * r + j] = 1
-        col[j * r + i] = -1
+    for (a, b) in basis("ext", 2, s).elements:
+        col = [0] * (s * r)
+        col[a * r:(a + 1) * r] = v_cols[b]
+        col[b * r:(b + 1) * r] = [-e for e in v_cols[a]]
         cols.append(col)
-    return IntMatrix.from_cols(cols, rows=r * r)
+    return IntMatrix.from_cols(cols, rows=s * r)
+
+
+def tensor_to_sym2_matrix(v: IntMatrix) -> IntMatrix:
+    """Z^s (x) Z^r -> SP²(Z^r) for the inclusion v: Z^s -> Z^r with columns
+    v_a:  g_a (x) e_j  |->  v_a · x_j."""
+    r, s = v.rows, v.cols
+    sym2 = basis("sym", 2, r)
+    cols = []
+    for a in range(s):
+        support = [(k, e) for k, e in enumerate(v.col_list(a)) if e]
+        for j in range(r):
+            col = [0] * sym2.size
+            for k, e in support:
+                col[sym2.rank_of((k, j) if k <= j else (j, k))] += e
+            cols.append(col)
+    return IntMatrix.from_cols(cols, rows=sym2.size)
 
 
 def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
@@ -205,17 +223,9 @@ def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
     quot_tensor = PresentedGroup(r * r, kron(u, IntMatrix.identity(r)))
     sp2 = PresentedGroup(basis("sym", 2, r).size, sym_relations(2, u))
 
-    beta = Hom(wedge_mod, quot_tensor, wedge_to_tensor_matrix(r))
-
-    sym2 = basis("sym", 2, r)
-    mult_cols = []
-    for i in range(r):
-        for j in range(r):
-            col = [0] * sym2.size
-            col[sym2.rank_of((i, j) if i <= j else (j, i))] = 1
-            mult_cols.append(col)
-    gamma = Hom(quot_tensor, sp2, IntMatrix.from_cols(mult_cols, rows=sym2.size))
-
+    ident = IntMatrix.identity(r)
+    beta = Hom(wedge_mod, quot_tensor, wedge_to_tensor_matrix(ident))
+    gamma = Hom(quot_tensor, sp2, tensor_to_sym2_matrix(ident))
     ker_group, alpha = kernel(beta)
     return alpha, beta, gamma
 
@@ -341,31 +351,13 @@ def _tor_koszul_chain_map(np: NestedPresentation):
     sv = v.cols
     su = np.inner.cols
 
-    sym2 = basis("sym", 2, r)
-    psi0_cols = []
-    for i in range(r):
-        for j in range(r):
-            col = [0] * sym2.size
-            col[sym2.rank_of((i, j) if i <= j else (j, i))] = 1
-            psi0_cols.append(col)
-    psi0 = IntMatrix.from_cols(psi0_cols, rows=sym2.size)
+    psi0 = tensor_to_sym2_matrix(IntMatrix.identity(r))
 
-    mid_rows = sv * r
-    psi1_cols = []
-    for i in range(sv):
-        for j in range(r):
-            col = [0] * mid_rows
-            col[i * r + j] = 1
-            psi1_cols.append(col)
-    for j in range(r):
-        for k in range(su):
-            col = [0] * mid_rows
-            for l in range(sv):
-                e = f.entry(l, k)
-                if e:
-                    col[l * r + j] += e
-            psi1_cols.append(col)
-    psi1 = IntMatrix.from_cols(psi1_cols, rows=mid_rows)
+    # F (x) I_r sends w (x) q to F(w) (x) q; reorder its columns from
+    # U (x) Q to the Q (x) U of the Tor complex
+    q_then_u = [k * r + j for j in range(r) for k in range(su)]
+    swapped = kron(f, IntMatrix.identity(r)).select_columns(q_then_u)
+    psi1 = hstack(IntMatrix.identity(sv * r), swapped)
 
     wedge_v = basis("ext", 2, sv)
     psi2_cols = []

@@ -2,10 +2,19 @@
 
 Each check suite instantiates both sides of one structural identity on
 seeded random small presentations and compares canonical forms (or
-verifies exactness data by mutual sublattice containment).  Runs are
-deterministic functions of the seed: trial i of suite s draws from an RNG
-keyed by (seed, s, i), so identical configs reproduce identical verdicts
-byte for byte.  A failed trial carries a replayable serialized instance.
+verifies exactness data by mutual sublattice containment).
+
+The suites form one table, SUITES, of Suite(name, check, sample, evaluate)
+entries.  sample(rng, cfg) draws a trial instance as a JSON-able dict and
+evaluate(instance) decodes it and returns (ok, lhs, rhs); the one runner,
+run_suite, evaluates each sampled instance, and replay_counterexample
+evaluates a serialized one through the same code.  Runs are deterministic
+functions of the seed: trial i of suite s draws from an RNG keyed by
+"{seed}:{s}:{i}", so identical configs reproduce identical verdicts byte
+for byte.  A trial whose sides differ has status "fail"; one whose
+evaluation raises has status "error".  Both carry the replayable instance.
+CHECKS (every suite's check_* function by name) and SUITE_NAMES (the
+`dfw check` choices) are read off the table.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .abelian import (
-    ContainmentError,
     Hom,
     PresentedGroup,
     cokernel,
@@ -34,14 +42,13 @@ from .derived import (
     l2_superlie3,
     sp2_bottom_row,
     superlie3_kernel_data,
+    tensor_to_sym2_matrix,
     tor,
     tor_to_l1_sp2,
     wedge_to_tensor_matrix,
 )
 from .functors import basis, ext_relations, functor_on_group, induced_map
 from .linalg import IntMatrix, column_basis, hstack, kron
-
-SUITE_NAMES = ("thm31", "thm32", "exact4", "crosseffect", "presindep")
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class TrialConfig:
 class TrialRecord:
     suite: str
     trial: int
-    status: str  # "ok" | "fail"
+    status: str  # "ok" | "fail" | "error"
     lhs: str
     rhs: str
     counterexample: Optional[dict] = None
@@ -77,6 +84,7 @@ class Verdict:
     first_counterexample: Optional[dict]
     records: Tuple[TrialRecord, ...]
     monitor: Dict[str, int] = field(default_factory=dict)
+    errored: int = 0
 
 
 def _trial_rng(cfg: TrialConfig, suite: str, trial: int) -> random.Random:
@@ -135,54 +143,18 @@ def scrambled_presentation(rng, g: PresentedGroup, extra_gens: int) -> Presentat
 
 # ---------------------------------------------------- instance evaluators
 
-def _tensor_pair_map(i_incl: IntMatrix, rank_i: int, ambient: int):
-    """Columns of the map Λ²(I) -> I (x) E on wedge generators:
-    g_a ∧ g_b  |->  g_a (x) v_b - g_b (x) v_a."""
-    wedge = basis("ext", 2, rank_i)
-    cols = []
-    for (a, b) in wedge.elements:
-        col = [0] * (rank_i * ambient)
-        for j in range(ambient):
-            vb = i_incl.entry(j, b)
-            if vb:
-                col[a * ambient + j] += vb
-            va = i_incl.entry(j, a)
-            if va:
-                col[b * ambient + j] -= va
-        cols.append(col)
-    return IntMatrix.from_cols(cols, rows=rank_i * ambient)
-
-
-def _mult_into_sym2(i_incl: IntMatrix, rank_i: int, ambient: int):
-    """Columns of I (x) E -> SP^2(E): g_a (x) e_j |-> (v_a) · x_j."""
-    sym2 = basis("sym", 2, ambient)
-    cols = []
-    for a in range(rank_i):
-        for j in range(ambient):
-            col = [0] * sym2.size
-            for k in range(ambient):
-                v = i_incl.entry(k, a)
-                if v:
-                    col[sym2.rank_of((k, j) if k <= j else (j, k))] += v
-            cols.append(col)
-    return IntMatrix.from_cols(cols, rows=sym2.size)
-
-
 def thm_3_1_instance(np: NestedPresentation) -> Tuple[str, str]:
     """Middle homology of Λ²(I) -> I (x) E -> SP²(E) versus the cokernel of
     the induced map on the derived symmetric squares."""
     e_group = np.inner_presentation.quotient()
     i_group = np.middle_group()
-    v = np.outer
-    r = np.ambient_rank
-    si = i_group.rank
 
     lam2_i = functor_on_group("ext", 2, i_group)
     i_tensor_e = tensor(i_group, e_group)
     sp2_e = functor_on_group("sym", 2, e_group)
 
-    map_a = Hom(lam2_i, i_tensor_e, _tensor_pair_map(v, si, r))
-    map_b = Hom(i_tensor_e, sp2_e, _mult_into_sym2(v, si, r))
+    map_a = Hom(lam2_i, i_tensor_e, wedge_to_tensor_matrix(np.outer))
+    map_b = Hom(i_tensor_e, sp2_e, tensor_to_sym2_matrix(np.outer))
     if not (map_b @ map_a).is_zero():
         raise AssertionError("three-term complex does not compose to zero")
 
@@ -208,7 +180,7 @@ def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
         hstack(induced_map("ext", 2, v), ext_relations(2, u)),
     )
     tensor_target = PresentedGroup(r * r, hstack(kron(v, ident), kron(ident, u)))
-    ker_group, _ = kernel(Hom(wedge_source, tensor_target, wedge_to_tensor_matrix(r)))
+    ker_group, _ = kernel(Hom(wedge_source, tensor_target, wedge_to_tensor_matrix(ident)))
     rhs = str(ker_group.canonical)
     return lhs, rhs
 
@@ -276,168 +248,155 @@ def superlie_kernel_instance(p: Presentation) -> Tuple[str, str]:
     return ("exact" if not failures else "; ".join(failures)), "exact"
 
 
-def exponent_shadow_instance(c: int, p: Presentation) -> Tuple[bool, bool, str, str]:
-    """(asserted, monitored) exponent divisibility for the two derived
-    functors of a group annihilated by c."""
+def exponent_shadow_instance(c: int, p: Presentation) -> Tuple[bool, str, str, bool]:
+    """Exponent divisibility by c for the two derived functors of a group
+    annihilated by c: (asserted for L1SP², lhs, rhs, monitored for L2Ls3)."""
     v1 = l1_sp(2, p).canonical
     v2 = l2_superlie3(p).canonical
-    ok1 = v1.exponent_divides(c)
-    ok2 = v2.exponent_divides(c)
-    return ok1, ok2, str(v1), str(v2)
+    lhs = f"c={c};l1_sp2={v1};l2={v2}"
+    rhs = f"c={c};l1_sp2 exponent divides c"
+    return v1.exponent_divides(c), lhs, rhs, v2.exponent_divides(c)
 
 
 # ------------------------------------------------------------- the suites
 
-def _run_suite(cfg: TrialConfig, suite: str, trial_fn) -> Verdict:
+@dataclass(frozen=True)
+class Suite:
+    """One check suite (see the module docstring for sample and evaluate).
+    check is the public entry point that CHECKS maps the name to; cli
+    suites are the choices of `dfw check`.  A suite with a monitor key has
+    evaluate append whether a monitored, not asserted, property held, and
+    its Verdict.monitor counts those trials."""
+
+    name: str
+    check: Callable[[TrialConfig], Verdict]
+    sample: Callable[[random.Random, TrialConfig], dict]
+    evaluate: Callable[[dict], tuple]
+    cli: bool = True
+    monitor: str = ""
+
+
+def run_suite(suite: Suite, cfg: TrialConfig) -> Verdict:
+    """Evaluate cfg.trials sampled instances.  A trial whose evaluation
+    raises gets status "error" instead of "fail"; both keep the instance,
+    and replay_counterexample on it raises again with the traceback."""
     records: List[TrialRecord] = []
-    first: Optional[dict] = None
-    passed = failed = 0
+    counts = {"ok": 0, "fail": 0, "error": 0}
+    monitored = 0
     for i in range(cfg.trials):
-        rng = _trial_rng(cfg, suite, i)
-        ok, lhs, rhs, instance = trial_fn(rng)
-        if ok:
-            passed += 1
-            records.append(TrialRecord(suite, i, "ok", lhs, rhs))
+        instance = suite.sample(_trial_rng(cfg, suite.name, i), cfg)
+        try:
+            ok, lhs, rhs, *held = suite.evaluate(instance)
+        except Exception as exc:
+            status, lhs, rhs = "error", f"error: {type(exc).__name__}: {exc}", ""
         else:
-            failed += 1
-            ce = {"instance": instance, "lhs": lhs, "rhs": rhs}
-            records.append(TrialRecord(suite, i, "fail", lhs, rhs, ce))
-            if first is None:
-                first = ce
-    return Verdict(passed, failed, first, tuple(records))
+            status = "ok" if ok else "fail"
+            monitored += sum(held)
+        counts[status] += 1
+        ce = None if status == "ok" else {"instance": instance, "lhs": lhs, "rhs": rhs}
+        records.append(TrialRecord(suite.name, i, status, lhs, rhs, ce))
+    first = next((r.counterexample for r in records if r.counterexample), None)
+    monitor = {suite.monitor: monitored, "trials": cfg.trials} if suite.monitor else {}
+    return Verdict(counts["ok"], counts["fail"], first, tuple(records), monitor, counts["error"])
+
+
+def _sample_nested(rng, cfg: TrialConfig) -> dict:
+    return {"nested": random_nested_presentation(rng, cfg).to_dict()}
+
+
+def _sample_presentation(rng, cfg: TrialConfig) -> dict:
+    return {"presentation": random_presentation(rng, cfg).to_dict()}
+
+
+def _sample_pair(rng, cfg: TrialConfig) -> dict:
+    pa = random_presentation(rng, cfg)
+    return {"a": pa.to_dict(), "b": random_presentation(rng, cfg).to_dict()}
+
+
+def _sample_two_presentations(rng, cfg: TrialConfig) -> dict:
+    g = random_group(rng, cfg, max_rank=max(1, cfg.max_rank - 1))
+    p1 = Presentation.from_group(g)
+    extra = rng.randint(0, min(2, cfg.max_rank - g.rank))
+    return {"first": p1.to_dict(), "second": scrambled_presentation(rng, g, extra).to_dict()}
+
+
+def _sample_annihilated(rng, cfg: TrialConfig) -> dict:
+    """c <= 12 and a scrambled presentation of a sum of cyclic groups of
+    orders dividing c."""
+    c = rng.randint(1, 12)
+    divisors = [d for d in range(2, c + 1) if c % d == 0]
+    parts = [rng.choice(divisors) for _ in range(rng.randint(0, 3))] if divisors else []
+    g = direct_sum(*(PresentedGroup.cyclic(d) for d in parts))
+    p = scrambled_presentation(rng, g, rng.randint(0, 1))
+    return {"c": c, "presentation": p.to_dict()}
+
+
+def _agree(sides: Tuple[str, str]) -> Tuple[bool, str, str]:
+    lhs, rhs = sides
+    return lhs == rhs, lhs, rhs
 
 
 def check_thm_3_1(cfg: TrialConfig) -> Verdict:
-    def trial(rng):
-        np = random_nested_presentation(rng, cfg)
-        try:
-            lhs, rhs = thm_3_1_instance(np)
-        except (AssertionError, ContainmentError) as exc:
-            return False, f"error: {exc}", "", {"nested": np.to_dict()}
-        return lhs == rhs, lhs, rhs, {"nested": np.to_dict()}
-
-    return _run_suite(cfg, "thm31", trial)
+    return run_suite(SUITES["thm31"], cfg)
 
 
 def check_thm_3_2(cfg: TrialConfig) -> Verdict:
-    def trial(rng):
-        np = random_nested_presentation(rng, cfg)
-        try:
-            lhs, rhs = thm_3_2_instance(np)
-        except AssertionError as exc:
-            return False, f"error: {exc}", "", {"nested": np.to_dict()}
-        return lhs == rhs, lhs, rhs, {"nested": np.to_dict()}
-
-    return _run_suite(cfg, "thm32", trial)
+    return run_suite(SUITES["thm32"], cfg)
 
 
 def check_exact4(cfg: TrialConfig) -> Verdict:
-    def trial(rng):
-        p = random_presentation(rng, cfg)
-        lhs, rhs = exact4_instance(p)
-        return lhs == rhs, lhs, rhs, {"presentation": p.to_dict()}
-
-    return _run_suite(cfg, "exact4", trial)
+    return run_suite(SUITES["exact4"], cfg)
 
 
 def check_cross_effect(cfg: TrialConfig) -> Verdict:
-    def trial(rng):
-        pa = random_presentation(rng, cfg)
-        pb = random_presentation(rng, cfg)
-        lhs, rhs = cross_effect_instance(pa, pb)
-        return lhs == rhs, lhs, rhs, {"a": pa.to_dict(), "b": pb.to_dict()}
-
-    return _run_suite(cfg, "crosseffect", trial)
+    return run_suite(SUITES["crosseffect"], cfg)
 
 
 def check_presentation_independence(cfg: TrialConfig) -> Verdict:
-    def trial(rng):
-        g = random_group(rng, cfg, max_rank=max(1, cfg.max_rank - 1))
-        p1 = Presentation.from_group(g)
-        extra = rng.randint(0, min(2, cfg.max_rank - g.rank))
-        p2 = scrambled_presentation(rng, g, extra)
-        lhs, rhs = presentation_independence_instance(p1, p2)
-        return lhs == rhs, lhs, rhs, {"first": p1.to_dict(), "second": p2.to_dict()}
-
-    return _run_suite(cfg, "presindep", trial)
+    return run_suite(SUITES["presindep"], cfg)
 
 
 def check_superlie_kernel(cfg: TrialConfig) -> Verdict:
-    """Acceptance-level check for the left-exact super-Lie kernel; not a
-    CLI suite."""
-
-    def trial(rng):
-        p = random_presentation(rng, cfg)
-        lhs, rhs = superlie_kernel_instance(p)
-        return lhs == rhs, lhs, rhs, {"presentation": p.to_dict()}
-
-    return _run_suite(cfg, "superlie", trial)
+    return run_suite(SUITES["superlie"], cfg)
 
 
 def check_exponent_shadow(cfg: TrialConfig) -> Verdict:
-    """Exponent divisibility for groups annihilated by c <= 12: asserted
-    for the derived symmetric square, monitored for the super-Lie cube."""
-    records: List[TrialRecord] = []
-    first = None
-    passed = failed = 0
-    monitored = 0
-    for i in range(cfg.trials):
-        rng = _trial_rng(cfg, "exponent", i)
-        c = rng.randint(1, 12)
-        divisors = [d for d in range(2, c + 1) if c % d == 0]
-        parts = [rng.choice(divisors) for _ in range(rng.randint(0, 3))] if divisors else []
-        g = direct_sum(*(PresentedGroup.cyclic(d) for d in parts))
-        p = scrambled_presentation(rng, g, rng.randint(0, 1))
-        ok1, ok2, v1, v2 = exponent_shadow_instance(c, p)
-        if ok2:
-            monitored += 1
-        lhs = f"c={c};l1_sp2={v1};l2={v2}"
-        rhs = f"c={c};l1_sp2 exponent divides c"
-        if ok1:
-            passed += 1
-            records.append(TrialRecord("exponent", i, "ok", lhs, rhs))
-        else:
-            failed += 1
-            ce = {"instance": {"c": c, "presentation": p.to_dict()}, "lhs": lhs, "rhs": rhs}
-            records.append(TrialRecord("exponent", i, "fail", lhs, rhs, ce))
-            if first is None:
-                first = ce
-    return Verdict(
-        passed, failed, first, tuple(records),
-        monitor={"l2_superlie3_exponent_divides": monitored, "trials": cfg.trials},
-    )
+    return run_suite(SUITES["exponent"], cfg)
 
 
-CHECKS: Dict[str, Callable[[TrialConfig], Verdict]] = {
-    "thm31": check_thm_3_1,
-    "thm32": check_thm_3_2,
-    "exact4": check_exact4,
-    "crosseffect": check_cross_effect,
-    "presindep": check_presentation_independence,
-}
+SUITES: Dict[str, Suite] = {s.name: s for s in (
+    Suite("thm31", check_thm_3_1, _sample_nested,
+          lambda x: _agree(thm_3_1_instance(NestedPresentation.from_dict(x["nested"])))),
+    Suite("thm32", check_thm_3_2, _sample_nested,
+          lambda x: _agree(thm_3_2_instance(NestedPresentation.from_dict(x["nested"])))),
+    Suite("exact4", check_exact4, _sample_presentation,
+          lambda x: _agree(exact4_instance(Presentation.from_dict(x["presentation"])))),
+    Suite("crosseffect", check_cross_effect, _sample_pair,
+          lambda x: _agree(cross_effect_instance(
+              Presentation.from_dict(x["a"]), Presentation.from_dict(x["b"])))),
+    Suite("presindep", check_presentation_independence, _sample_two_presentations,
+          lambda x: _agree(presentation_independence_instance(
+              Presentation.from_dict(x["first"]), Presentation.from_dict(x["second"])))),
+    # acceptance-level suites, not offered by `dfw check`
+    Suite("superlie", check_superlie_kernel, _sample_presentation,
+          lambda x: _agree(superlie_kernel_instance(Presentation.from_dict(x["presentation"]))),
+          cli=False),
+    Suite("exponent", check_exponent_shadow, _sample_annihilated,
+          lambda x: exponent_shadow_instance(x["c"], Presentation.from_dict(x["presentation"])),
+          cli=False, monitor="l2_superlie3_exponent_divides"),
+)}
+
+CHECKS: Dict[str, Callable[[TrialConfig], Verdict]] = {n: s.check for n, s in SUITES.items()}
+SUITE_NAMES = tuple(n for n, s in SUITES.items() if s.cli)
 
 
 def replay_counterexample(suite: str, counterexample: dict) -> Tuple[str, str]:
-    """Recompute both sides for a serialized failed trial in isolation."""
-    instance = counterexample["instance"]
-    if suite in ("thm31", "thm32"):
-        np = NestedPresentation.from_dict(instance["nested"])
-        return (thm_3_1_instance if suite == "thm31" else thm_3_2_instance)(np)
-    if suite == "exact4":
-        return exact4_instance(Presentation.from_dict(instance["presentation"]))
-    if suite == "crosseffect":
-        return cross_effect_instance(
-            Presentation.from_dict(instance["a"]),
-            Presentation.from_dict(instance["b"]),
-        )
-    if suite == "presindep":
-        return presentation_independence_instance(
-            Presentation.from_dict(instance["first"]),
-            Presentation.from_dict(instance["second"]),
-        )
-    if suite == "superlie":
-        return superlie_kernel_instance(Presentation.from_dict(instance["presentation"]))
-    raise ValueError(f"unknown suite {suite!r}")
+    """Recompute both sides of a serialized trial in isolation, through the
+    same evaluate as the run that recorded it."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    _, lhs, rhs, *_ = SUITES[suite].evaluate(counterexample["instance"])
+    return lhs, rhs
 
 
 def evaluate_section4(g: PresentedGroup) -> Dict[str, str]:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -97,6 +99,58 @@ class TestCheck:
         monkeypatch.setenv("DFW_SEED", "pi")
         code, _, err = run(capsys, "check", "exact4", "--trials", "2")
         assert code == 2 and "DFW_SEED" in err
+
+
+# sha256 of `dfw check all` stdout at the default config, per format
+GOLDEN_CHECK_ALL = {
+    "json": "480cf92949863dbab88c422d750baf7fbaa967ed67348964f7f5e4d443e6295f",
+    "text": "04f5b0c440a42e4a87ef016109e6a552adefda6da4a9c19136944fb104d895ac",
+    "tsv": "c2ca098b3ebd0973bb5ef26ca82e9b840a77199370e3006d6ec6ed4b1c31d7f7",
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_CHECK_ALL))
+    def test_check_all_default_config(self, capsys, monkeypatch, fmt):
+        monkeypatch.delenv("DFW_SEED", raising=False)
+        code, out, _ = run(capsys, "check", "all", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CHECK_ALL[fmt]
+
+
+class TestErrorStatus:
+    @pytest.fixture()
+    def raising_suite(self, monkeypatch):
+        from dfw.theorems import SUITES
+
+        def boom(instance):
+            raise RuntimeError("internal bug")
+
+        monkeypatch.setitem(SUITES, "exact4", dataclasses.replace(SUITES["exact4"], evaluate=boom))
+
+    def test_exit_code_3_without_traceback(self, capsys, raising_suite):
+        code, out, err = run(capsys, "check", "exact4", "--seed", "1", "--trials", "2")
+        assert code == 3
+        assert "Traceback" not in err and "internal error" in err
+        assert "suite exact4: trials=2 passed=0 failed=0 errors=2" in out
+        assert "trial 0 ERROR" in out and "lhs: error: RuntimeError: internal bug" in out
+        assert "result: ERROR (1 suites, 2 trials, 0 failures, 2 errors)" in out
+
+    def test_json_error_row_carries_instance(self, capsys, raising_suite):
+        code, out, _ = run(capsys, "check", "exact4", "--seed", "1", "--trials", "2", "--format", "json")
+        assert code == 3
+        rows = json.loads(out)
+        assert [r["status"] for r in rows] == ["error", "error"]
+        assert "presentation" in rows[0]["counterexample"]["instance"]
+
+    def test_error_beats_failure(self, capsys, monkeypatch, raising_suite):
+        from dfw.theorems import SUITES
+
+        failing = dataclasses.replace(SUITES["thm31"], evaluate=lambda x: (False, "Z/2", "0"))
+        monkeypatch.setitem(SUITES, "thm31", failing)
+        code, out, _ = run(capsys, "check", "all", "--seed", "1", "--trials", "1")
+        assert code == 3
+        assert "result: ERROR (5 suites, 5 trials, 1 failures, 1 errors)" in out
 
 
 class TestFailureRendering:

@@ -15,12 +15,14 @@ from dfw.derived import (
     middle_homology,
     sp2_bottom_row,
     superlie3_kernel_data,
+    tensor_to_sym2_matrix,
     tor,
     tor_complex,
     tor_to_l1_sp2,
+    wedge_to_tensor_matrix,
 )
 from dfw.functors import koszul_sp
-from dfw.linalg import IntMatrix, column_basis
+from dfw.linalg import IntMatrix, column_basis, kron
 from dfw.theorems import _DERIVED_OPS, random_matrix, scrambled_presentation
 
 
@@ -110,6 +112,32 @@ class TestKernelForm:
         assert (gamma @ beta).is_zero()
         assert gamma.is_surjective()
         assert alpha.is_injective()
+
+
+class TestSharedMatrices:
+    def test_identity_inclusion(self):
+        # Z^2: e0∧e1 -> e0(x)e1 - e1(x)e0; e_i(x)e_j -> x_i x_j on x0², x0x1, x1²
+        ident = IntMatrix.identity(2)
+        assert wedge_to_tensor_matrix(ident) == IntMatrix.from_cols([[0, 1, -1, 0]], rows=4)
+        assert tensor_to_sym2_matrix(ident) == IntMatrix.from_cols(
+            [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], rows=3)
+
+    def test_against_koszul_and_naturality(self):
+        # oracles: the degree-2 Koszul differentials of an independent v,
+        # built by functors.koszul_sp; and factoring through the identity
+        # case as (I (x) v) after the wedge map, multiplication after (v (x) I)
+        rng = random.Random(77)
+        for _ in range(20):
+            r = rng.randint(1, 5)
+            k = rng.randint(0, r)
+            v = column_basis(IntMatrix(r, k, (rng.randint(-3, 3) for _ in range(r * k))))
+            s = v.cols
+            wedge_to_tensor, mult = wedge_to_tensor_matrix(v), tensor_to_sym2_matrix(v)
+            assert koszul_sp(2, v).differentials == (mult, wedge_to_tensor)
+            assert wedge_to_tensor == (
+                kron(IntMatrix.identity(s), v) @ wedge_to_tensor_matrix(IntMatrix.identity(s)))
+            assert mult == (
+                tensor_to_sym2_matrix(IntMatrix.identity(r)) @ kron(v, IntMatrix.identity(r)))
 
 
 class TestL2SuperLie3:

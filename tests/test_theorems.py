@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 
 from dfw.abelian import PresentedGroup
@@ -5,7 +8,10 @@ from dfw.derived import NestedPresentation, Presentation
 from dfw.linalg import IntMatrix
 from dfw.theorems import (
     CHECKS,
+    SUITE_NAMES,
+    SUITES,
     TrialConfig,
+    TrialRecord,
     check_cross_effect,
     check_exact4,
     check_exponent_shadow,
@@ -18,6 +24,7 @@ from dfw.theorems import (
     replay_counterexample,
     thm_3_1_instance,
     thm_3_2_instance,
+    _trial_rng,
 )
 
 CFG = TrialConfig(seed=11, trials=25)
@@ -130,15 +137,53 @@ class TestPresentationIndependence:
         assert check_presentation_independence(CFG).failed == 0
 
 
+# (c, L1SP², L2Ls3) of the exponent suite at CFG, one per trial
+EXPONENT_AT_CFG = [
+    (5, "Z/5 + Z/5 + Z/5", " + ".join(["Z/5"] * 8)),
+    (11, "Z/11 + Z/11 + Z/11", " + ".join(["Z/11"] * 8)),
+    (8, "0", "0"),
+    (9, "Z/3", "Z/3 + Z/3"),
+    (11, "Z/11", "Z/11 + Z/11"),
+    (11, "Z/11 + Z/11 + Z/11", " + ".join(["Z/11"] * 8)),
+    (10, "0", "0"),
+    (7, "0", "0"),
+    (1, "0", "0"),
+    (2, "0", "0"),
+    (12, "Z/2", "Z/2 + Z/2"),
+    (12, "Z/2", "Z/2 + Z/2"),
+    (7, "Z/7", "Z/7 + Z/7"),
+    (1, "0", "0"),
+    (7, "0", "0"),
+    (11, "0", "0"),
+    (10, "0", "0"),
+    (5, "0", "0"),
+    (11, "0", "0"),
+    (10, "Z/2 + Z/2 + Z/10", " + ".join(["Z/2"] * 6 + ["Z/10"] * 2)),
+    (11, "Z/11 + Z/11 + Z/11", " + ".join(["Z/11"] * 8)),
+    (3, "0", "0"),
+    (6, "Z/6", "Z/6 + Z/6"),
+    (3, "Z/3", "Z/3 + Z/3"),
+    (6, "0", "0"),
+]
+
+
 class TestExtraSuites:
     def test_superlie_kernel(self):
-        assert check_superlie_kernel(CFG).failed == 0
+        v = check_superlie_kernel(CFG)
+        assert (v.passed, v.failed, v.errored, v.monitor) == (CFG.trials, 0, 0, {})
+        assert v.records == tuple(
+            TrialRecord("superlie", i, "ok", "exact", "exact") for i in range(CFG.trials)
+        )
 
     def test_exponent_shadow(self):
         v = check_exponent_shadow(CFG)
-        assert v.failed == 0
-        assert v.monitor["trials"] == CFG.trials
-        assert 0 <= v.monitor["l2_superlie3_exponent_divides"] <= CFG.trials
+        assert (v.passed, v.failed, v.errored) == (CFG.trials, 0, 0)
+        assert v.monitor == {"l2_superlie3_exponent_divides": CFG.trials, "trials": CFG.trials}
+        assert v.records == tuple(
+            TrialRecord("exponent", i, "ok", f"c={c};l1_sp2={l1};l2={l2}",
+                        f"c={c};l1_sp2 exponent divides c")
+            for i, (c, l1, l2) in enumerate(EXPONENT_AT_CFG)
+        )
 
 
 class TestDeterminismAndReplay:
@@ -174,6 +219,39 @@ class TestDeterminismAndReplay:
         assert lhs == rhs
         with pytest.raises(ValueError):
             replay_counterexample("nonsense", ce3)
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_every_record_replays_to_its_sides(self, suite):
+        # passing records carry no instance, so draw each trial's instance
+        # again from its keyed RNG and replay it through the JSON form
+        cfg = TrialConfig(seed=9, trials=6)
+        verdict = CHECKS[suite](cfg)
+        for rec in verdict.records:
+            instance = SUITES[suite].sample(_trial_rng(cfg, suite, rec.trial), cfg)
+            ce = {"instance": json.loads(json.dumps(instance))}
+            assert replay_counterexample(suite, ce) == (rec.lhs, rec.rhs)
+
+    def test_table_drives_checks_and_cli_choices(self):
+        assert SUITE_NAMES == ("thm31", "thm32", "exact4", "crosseffect", "presindep")
+        assert set(CHECKS) == set(SUITES) == set(SUITE_NAMES) | {"superlie", "exponent"}
+        assert CHECKS["thm31"] is check_thm_3_1
+        # the layered benchmark reads per-suite seconds from these span names
+        assert [CHECKS[n].__name__ for n in SUITE_NAMES] == [
+            "check_thm_3_1", "check_thm_3_2", "check_exact4", "check_cross_effect",
+            "check_presentation_independence"]
+
+    def test_raising_evaluate_is_an_error_record(self, monkeypatch):
+        def boom(instance):
+            raise ZeroDivisionError("internal")
+
+        monkeypatch.setitem(SUITES, "exact4", dataclasses.replace(SUITES["exact4"], evaluate=boom))
+        cfg = TrialConfig(seed=1, trials=3)
+        v = check_exact4(cfg)
+        assert (v.passed, v.failed, v.errored) == (0, 0, 3)
+        rec = v.records[0]
+        assert rec.status == "error" and rec.lhs == "error: ZeroDivisionError: internal"
+        instance = SUITES["exact4"].sample(_trial_rng(cfg, "exact4", 0), cfg)
+        assert rec.counterexample["instance"] == instance == v.first_counterexample["instance"]
 
     def test_verdict_counts(self):
         v = check_thm_3_1(TrialConfig(seed=3, trials=9))
