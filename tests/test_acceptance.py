@@ -69,20 +69,21 @@ def test_criterion_2_thm31_suite():
     elapsed = time.perf_counter() - t0
     report(
         2, "first homology vs induced cokernel",
-        verdict.failed == 0 and elapsed < 120.0,
-        f"passed={verdict.passed} failed={verdict.failed}, {elapsed:.1f}s < 120s",
+        verdict.failed == verdict.errored == 0 and elapsed < 120.0,
+        f"passed={verdict.passed} failed={verdict.failed} errored={verdict.errored}, {elapsed:.1f}s < 120s",
     )
 
 
 def test_criterion_3_thm32_suite_and_chain_squares():
     # every trial runs tor_to_l1_sp2, which verifies each chain square
-    # exactly and raises on any violation (counted as a failure)
+    # exactly and raises on any violation (an "error" record, which the
+    # gate counts like a failure)
     cfg = TrialConfig(seed=32, trials=100, max_rank=4)
     verdict = check_thm_3_2(cfg)
     report(
         3, "Tor-comparison cokernel vs wedge kernel",
-        verdict.failed == 0,
-        f"passed={verdict.passed} failed={verdict.failed}, all chain squares exact",
+        verdict.failed == verdict.errored == 0,
+        f"passed={verdict.passed} failed={verdict.failed} errored={verdict.errored}, all chain squares exact",
     )
 
 
@@ -91,21 +92,21 @@ def test_criterion_4_four_term_exactness():
     verdict = check_exact4(cfg)
     report(
         4, "four-term sequence exactness",
-        verdict.failed == 0,
-        f"passed={verdict.passed} failed={verdict.failed}",
+        verdict.failed == verdict.errored == 0,
+        f"passed={verdict.passed} failed={verdict.failed} errored={verdict.errored}",
     )
 
 
 def test_criterion_5_presentation_independence():
     cfg = TrialConfig(seed=5, trials=100, max_rank=4)
     verdict = check_presentation_independence(cfg)
-    if verdict.failed:
+    if verdict.failed or verdict.errored:
         print("replayable counterexample:",
               json.dumps(verdict.first_counterexample, sort_keys=True))
     report(
         5, "presentation independence of all derived ops",
-        verdict.failed == 0,
-        f"passed={verdict.passed} failed={verdict.failed}",
+        verdict.failed == verdict.errored == 0,
+        f"passed={verdict.passed} failed={verdict.failed} errored={verdict.errored}",
     )
 
 
@@ -114,8 +115,8 @@ def test_criterion_6_superlie_kernel_left_exactness():
     verdict = check_superlie_kernel(cfg)
     report(
         6, "super-Lie kernel injects, composites vanish",
-        verdict.failed == 0,
-        f"passed={verdict.passed} failed={verdict.failed}",
+        verdict.failed == verdict.errored == 0,
+        f"passed={verdict.passed} failed={verdict.failed} errored={verdict.errored}",
     )
 
 
@@ -125,8 +126,8 @@ def test_criterion_7_exponent_shadow():
     monitored = verdict.monitor["l2_superlie3_exponent_divides"]
     report(
         7, "exponent shadow",
-        verdict.failed == 0,
-        f"c*l1_sp2: {verdict.passed}/{cfg.trials} exact; "
+        verdict.failed == verdict.errored == 0,
+        f"c*l1_sp2: {verdict.passed}/{cfg.trials} exact, errored={verdict.errored}; "
         f"monitored c*l2_superlie3 divides on {monitored}/{cfg.trials} (not asserted)",
     )
 

@@ -84,7 +84,7 @@ class TestThm32:
 
     def test_suite_passes(self):
         v = check_thm_3_2(CFG)
-        assert v.failed == 0
+        assert (v.passed, v.failed, v.errored) == (CFG.trials, 0, 0)
 
 
 class TestExact4:
@@ -97,7 +97,8 @@ class TestExact4:
         assert lhs == rhs == "exact"
 
     def test_suite_passes(self):
-        assert check_exact4(CFG).failed == 0
+        v = check_exact4(CFG)
+        assert (v.passed, v.failed, v.errored) == (CFG.trials, 0, 0)
 
 
 class TestCrossEffect:
@@ -118,7 +119,8 @@ class TestCrossEffect:
         assert lhs == rhs == "Z/2"
 
     def test_suite_passes(self):
-        assert check_cross_effect(CFG).failed == 0
+        v = check_cross_effect(CFG)
+        assert (v.passed, v.failed, v.errored) == (CFG.trials, 0, 0)
 
 
 class TestPresentationIndependence:
@@ -134,7 +136,8 @@ class TestPresentationIndependence:
         assert lhs == rhs
 
     def test_suite_passes(self):
-        assert check_presentation_independence(CFG).failed == 0
+        v = check_presentation_independence(CFG)
+        assert (v.passed, v.failed, v.errored) == (CFG.trials, 0, 0)
 
 
 # (c, L1SP², L2Ls3) of the exponent suite at CFG, one per trial
@@ -255,7 +258,7 @@ class TestDeterminismAndReplay:
 
     def test_verdict_counts(self):
         v = check_thm_3_1(TrialConfig(seed=3, trials=9))
-        assert v.passed + v.failed == 9
+        assert v.passed + v.failed + v.errored == 9
         assert len(v.records) == 9
 
 
