@@ -4,9 +4,12 @@ These three routines are the hot loops of the whole package: everything
 upstream (canonical forms, kernels of homomorphisms, homology) reduces to
 them.
 
-Matrices are passed as lists of row lists of Python ints.  Arbitrary
-precision is non-negotiable: intermediate reduction entries routinely
-outgrow 64 bits even for small inputs.
+mat_mul and hermite_cols take their inputs as flat column-major
+sequences of Python ints, the storage of dfw.linalg.IntMatrix (column j
+of a rows x cols matrix is a[j * rows:(j + 1) * rows]), and return
+matrices as lists of column lists.  smith works on lists of row lists.
+Arbitrary precision is non-negotiable: intermediate reduction entries
+routinely outgrow 64 bits even for small inputs.
 """
 
 BACKEND_NAME = "pure"
@@ -28,34 +31,35 @@ def xgcd(a, b):
 
 
 def mat_mul(a, b, n, m, k):
-    """Product of an n*m and an m*k matrix (lists of row lists)."""
+    """Product of an n*m and an m*k matrix, both flat column-major;
+    returns the k columns of the product."""
+    # the nonzero entries of column t of a, listed when first needed
+    a_nz = [None] * m
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = [0] * k
-        for t in range(m):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(k):
-                    w = bt[j]
-                    if w:
-                        row[j] += v * w
-        out.append(row)
+    for j in range(k):
+        col = [0] * n
+        for t, w in enumerate(b[j * m:(j + 1) * m]):
+            if w:
+                nz = a_nz[t]
+                if nz is None:
+                    nz = a_nz[t] = [(i, v) for i, v in enumerate(a[t * n:(t + 1) * n]) if v]
+                for i, v in nz:
+                    col[i] += v * w
+        out.append(col)
     return out
 
 
 def hermite_cols(a, rows, cols, transform=True):
     """Column-style Hermite reduction, tracking the transform if asked.
 
-    Returns (h, v, pivot_rows) where h and v are COLUMN-major lists,
-    a @ V == H, V is unimodular, column j < len(pivot_rows) of H has its
-    first nonzero entry (positive pivot) at row pivot_rows[j], entries to
-    the left of a pivot in its row are reduced into [0, pivot), and all
-    columns from len(pivot_rows) on are zero.  Without transform, v is
-    None.
+    a is the flat column-major rows x cols input.  Returns
+    (h, v, pivot_rows) where h and v are lists of columns, a @ V == H, V
+    is unimodular, column j < len(pivot_rows) of H has its first nonzero
+    entry (positive pivot) at row pivot_rows[j], entries to the left of a
+    pivot in its row are reduced into [0, pivot), and all columns from
+    len(pivot_rows) on are zero.  Without transform, v is None.
     """
-    h = [[a[i][j] for i in range(rows)] for j in range(cols)]
+    h = [list(a[j * rows:(j + 1) * rows]) for j in range(cols)]
     if transform:
         v = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
     else:
@@ -138,9 +142,10 @@ def hermite_cols(a, rows, cols, transform=True):
 def smith(a, rows, cols, transforms):
     """Smith reduction; returns (l, d, r) with l @ a @ r == d.
 
-    l is row-major rows*rows, d row-major rows*cols, r COLUMN-major
-    cols*cols.  Without transforms, l and r are None.  Diagonal entries are
-    nonnegative, each divides the next, zeros trail.
+    a is a list of rows.  l (rows*rows) and d (rows*cols) are lists of
+    rows, r (cols*cols) is a list of columns.  Without transforms, l and
+    r are None.  Diagonal entries are nonnegative, each divides the next,
+    zeros trail.
     """
     d = [list(row) for row in a]
     if transforms:

@@ -92,7 +92,7 @@ class PresentedGroup:
         cols = []
         for i, d in enumerate(torsion):
             col = [0] * rank
-            col[i] = int(d)
+            col[i] = d
             cols.append(col)
         return cls(rank, IntMatrix.from_cols(cols, rows=rank))
 

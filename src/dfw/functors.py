@@ -248,14 +248,15 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
     sp_low = basis("sym", m - 2, r)
     wedge = basis("ext", 2, s)
 
+    # the nonzero entries (j, u_ji) of each sublattice vector u_i
+    support = [[(j, v) for j, v in enumerate(u.col_list(i)) if v] for i in range(s)]
+
     d1_cols = []
     for i in range(s):
         for mono in sp_mid.elements:
             col = [0] * sp_top.size
-            for j in range(r):
-                v = u.entry(j, i)
-                if v:
-                    col[sp_top.rank_of(_sym_times_letter(mono, j))] += v
+            for j, v in support[i]:
+                col[sp_top.rank_of(_sym_times_letter(mono, j))] += v
             d1_cols.append(col)
     d1 = IntMatrix.from_cols(d1_cols, rows=sp_top.size)
 
@@ -264,13 +265,10 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
     for (a, b) in wedge.elements:
         for mono in sp_low.elements:
             col = [0] * mid_dim
-            for j in range(r):
-                vb = u.entry(j, b)
-                if vb:
-                    col[a * sp_mid.size + sp_mid.rank_of(_sym_times_letter(mono, j))] += vb
-                va = u.entry(j, a)
-                if va:
-                    col[b * sp_mid.size + sp_mid.rank_of(_sym_times_letter(mono, j))] -= va
+            for j, vb in support[b]:
+                col[a * sp_mid.size + sp_mid.rank_of(_sym_times_letter(mono, j))] += vb
+            for j, va in support[a]:
+                col[b * sp_mid.size + sp_mid.rank_of(_sym_times_letter(mono, j))] -= va
             d2_cols.append(col)
     d2 = IntMatrix.from_cols(d2_cols, rows=mid_dim)
 

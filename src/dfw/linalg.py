@@ -3,22 +3,37 @@
 IntMatrix is the carrier for every map in the package.  All arithmetic is
 on Python ints, so nothing rounds or overflows at any magnitude.  The
 reduction loops themselves live in dfw._kernels.
+
+Entries are stored column-major, the layout in which the kernels read and
+return matrices, so no matrix is transposed on its way to a kernel or
+back.  Entry types are checked once, where data enters: IntMatrix(...)
+(and so from_rows, from_cols, identity and zeros) and the right-hand side
+of solve.  Kernel results and matrix arithmetic are wrapped by _wrap
+without a second check.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, neg, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import _kernels as _k
+
+_flatten = chain.from_iterable
+_INT = frozenset((int,))
 
 
 class IntMatrix:
     """Immutable dense matrix of arbitrary-precision signed integers.
 
-    Entries are stored row-major; rows * cols may be zero in either
-    dimension and all operations tolerate empty shapes.
+    entries is one flat tuple of ints, column-major: column j is
+    entries[j * rows:(j + 1) * rows].  The constructor takes entries in
+    that order and raises TypeError on any entry whose type is not exactly
+    int (bool included).  rows * cols may be zero in either dimension and
+    all operations tolerate empty shapes.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
@@ -31,9 +46,7 @@ class IntMatrix:
             raise ValueError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
             )
-        if not all(type(e) is int for e in entries):
-            bad = next(e for e in entries if type(e) is not int)
-            raise TypeError(f"non-integer entry {bad!r}")
+        _check_ints(entries)
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -42,90 +55,79 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
         rows = len(rows_data)
-        if rows == 0:
-            return cls(0, 0 if cols is None else cols, ())
-        width = len(rows_data[0]) if cols is None else cols
-        flat: List[int] = []
-        for r in rows_data:
-            if len(r) != width:
-                raise ValueError("ragged rows")
-            flat.extend(int(e) for e in r)
-        return cls(rows, width, flat)
+        if cols is None:
+            cols = len(rows_data[0]) if rows else 0
+        if any(len(r) != cols for r in rows_data):
+            raise ValueError("ragged rows")
+        return cls(rows, cols, _flatten(zip(*rows_data)))
 
     @classmethod
     def from_cols(cls, cols_data: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
-        ncols = len(cols_data)
-        if ncols == 0:
-            return cls(0 if rows is None else rows, 0, ())
-        height = len(cols_data[0]) if rows is None else rows
-        flat = [0] * (height * ncols)
-        for j, c in enumerate(cols_data):
-            if len(c) != height:
-                raise ValueError("ragged columns")
-            for i, e in enumerate(c):
-                flat[i * ncols + j] = int(e)
-        return cls(height, ncols, flat)
+        if rows is None:
+            rows = len(cols_data[0]) if cols_data else 0
+        if any(len(c) != rows for c in cols_data):
+            raise ValueError("ragged columns")
+        return cls(rows, len(cols_data), _flatten(cols_data))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
+        flat = [0] * (n * n)
+        flat[::n + 1] = [1] * n
+        return cls(n, n, flat)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row_list(self, i: int) -> List[int]:
-        c = self.cols
-        return list(self.entries[i * c:(i + 1) * c])
+        return self.entries[j * self.rows + i]
 
     def col_list(self, j: int) -> List[int]:
-        c = self.cols
-        return [self.entries[i * c + j] for i in range(self.rows)]
+        r = self.rows
+        return list(self.entries[j * r:(j + 1) * r])
 
     def to_rows(self) -> List[List[int]]:
-        c = self.cols
-        e = self.entries
-        return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
+        r, e = self.rows, self.entries
+        return [list(e[i::r]) for i in range(r)]
 
     def transpose(self) -> "IntMatrix":
-        r, c, e = self.rows, self.cols, self.entries
-        return IntMatrix(c, r, (e[i * c + j] for j in range(c) for i in range(r)))
+        r, e = self.rows, self.entries
+        return _wrap(self.cols, r, tuple(_flatten(e[i::r] for i in range(r))))
 
     def select_columns(self, idxs: Sequence[int]) -> "IntMatrix":
-        c = self.cols
-        e = self.entries
-        return IntMatrix(
-            self.rows, len(idxs),
-            (e[i * c + j] for i in range(self.rows) for j in idxs),
-        )
+        r, e = self.rows, self.entries
+        if idxs and not (0 <= min(idxs) and max(idxs) < self.cols):
+            raise IndexError(f"column index out of range for {self.cols} columns")
+        return _wrap(r, len(idxs), tuple(_flatten(e[j * r:(j + 1) * r] for j in idxs)))
 
     def top_rows(self, n: int) -> "IntMatrix":
-        return IntMatrix(n, self.cols, self.entries[: n * self.cols])
+        r, e = self.rows, self.entries
+        if not 0 <= n <= r:
+            raise ValueError(f"cannot take {n} of {r} rows")
+        return _wrap(n, self.cols, tuple(_flatten(e[j * r:j * r + n] for j in range(self.cols))))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = _k.mat_mul(self.to_rows(), other.to_rows(), self.rows, self.cols, other.cols)
-        return IntMatrix(self.rows, other.cols, (e for row in out for e in row))
+        out = _k.mat_mul(self.entries, other.entries, self.rows, self.cols, other.cols)
+        return _wrap(self.rows, other.cols, tuple(_flatten(out)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, (a + b for a, b in zip(self.entries, other.entries)))
+        return _wrap(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, (a - b for a, b in zip(self.entries, other.entries)))
+        return _wrap(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, (-a for a in self.entries))
+        return _wrap(self.rows, self.cols, tuple(map(neg, self.entries)))
 
     def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, (c * a for a in self.entries))
+        _check_ints((c,))
+        return _wrap(self.rows, self.cols, tuple([c * a for a in self.entries]))
 
     @property
     def is_zero(self) -> bool:
@@ -152,17 +154,34 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
+def _check_ints(entries: Sequence) -> None:
+    """Raise TypeError unless every entry's type is exactly int."""
+    if not _INT.issuperset(map(type, entries)):
+        bad = next(e for e in entries if type(e) is not int)
+        raise TypeError(f"non-integer entry {bad!r}")
+
+
+_new = object.__new__
+
+
+def _wrap(rows: int, cols: int, entries: Tuple[int, ...]) -> IntMatrix:
+    """IntMatrix around a column-major tuple of ints, without the checks
+    of the constructor: for kernel results and matrix arithmetic only."""
+    m = _new(IntMatrix)
+    m.rows = rows
+    m.cols = cols
+    m.entries = entries
+    m._hash = None
+    return m
+
+
 def hstack(*mats: IntMatrix) -> IntMatrix:
     if not mats:
         raise ValueError("hstack of nothing")
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch")
-    flat: List[int] = []
-    for i in range(rows):
-        for m in mats:
-            flat.extend(m.entries[i * m.cols:(i + 1) * m.cols])
-    return IntMatrix(rows, sum(m.cols for m in mats), flat)
+    return _wrap(rows, sum(m.cols for m in mats), tuple(_flatten(m.entries for m in mats)))
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
@@ -172,44 +191,47 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     if any(m.cols != cols for m in mats):
         raise ValueError("column count mismatch")
     flat: List[int] = []
-    for m in mats:
-        flat.extend(m.entries)
-    return IntMatrix(sum(m.rows for m in mats), cols, flat)
+    for j in range(cols):
+        for m in mats:
+            flat.extend(m.entries[j * m.rows:(j + 1) * m.rows])
+    return _wrap(sum(m.rows for m in mats), cols, tuple(flat))
 
 
 def block_diag(*mats: IntMatrix) -> IntMatrix:
     rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    flat = [0] * (rows * cols)
-    ro = co = 0
+    flat: List[int] = []
+    above = 0
     for m in mats:
-        for i in range(m.rows):
-            base = (ro + i) * cols + co
-            for j in range(m.cols):
-                flat[base + j] = m.entries[i * m.cols + j]
-        ro += m.rows
-        co += m.cols
-    return IntMatrix(rows, cols, flat)
+        r, e = m.rows, m.entries
+        top, bottom = (0,) * above, (0,) * (rows - above - r)
+        for j in range(m.cols):
+            flat.extend(top)
+            flat.extend(e[j * r:(j + 1) * r])
+            flat.extend(bottom)
+        above += r
+    return _wrap(rows, sum(m.cols for m in mats), tuple(flat))
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product; index (i_a*b.rows + i_b, j_a*b.cols + j_b)."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    flat = [0] * (rows * cols)
-    for ia in range(a.rows):
-        for ja in range(a.cols):
-            v = a.entries[ia * a.cols + ja]
-            if not v:
-                continue
-            for ib in range(b.rows):
-                base = (ia * b.rows + ib) * cols + ja * b.cols
-                brow = ib * b.cols
-                for jb in range(b.cols):
-                    w = b.entries[brow + jb]
-                    if w:
-                        flat[base + jb] = v * w
-    return IntMatrix(rows, cols, flat)
+    """Kronecker product; index (i_a*b.rows + i_b, j_a*b.cols + j_b).
+
+    Column (j_a, j_b) is column j_a of a with each entry v replaced by v
+    times column j_b of b."""
+    ar, br = a.rows, b.rows
+    zero = (0,) * br
+    b_cols = [b.entries[j * br:(j + 1) * br] for j in range(b.cols)]
+    flat: List[int] = []
+    for ja in range(a.cols):
+        a_col = a.entries[ja * ar:(ja + 1) * ar]
+        for b_col in b_cols:
+            for v in a_col:
+                if not v:
+                    flat.extend(zero)
+                elif v == 1:
+                    flat.extend(b_col)
+                else:
+                    flat.extend([v * w for w in b_col])
+    return _wrap(ar * br, a.cols * b.cols, tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -224,29 +246,20 @@ class ColumnEchelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    # column-list views, cached for the substitution loops in solve
-    @functools.cached_property
-    def _echelon_cols(self) -> List[List[int]]:
-        return [self.echelon.col_list(j) for j in range(self.rank)]
-
-    @functools.cached_property
-    def _transform_cols(self) -> List[List[int]]:
-        return [self.transform.col_list(j) for j in range(self.transform.cols)]
-
 
 @functools.lru_cache(maxsize=512)
 def column_echelon(m: IntMatrix) -> ColumnEchelon:
-    h, v, piv = _k.hermite_cols(m.to_rows(), m.rows, m.cols)
+    h, v, piv = _k.hermite_cols(m.entries, m.rows, m.cols)
     return ColumnEchelon(
-        IntMatrix.from_cols(h, rows=m.rows),
-        IntMatrix.from_cols(v, rows=m.cols),
+        _wrap(m.rows, m.cols, tuple(_flatten(h))),
+        _wrap(m.cols, m.cols, tuple(_flatten(v))),
         tuple(piv),
     )
 
 
 def rank(m: IntMatrix) -> int:
     """Rank of m, from one Hermite pass without transform."""
-    return len(_k.hermite_cols(m.to_rows(), m.rows, m.cols, False)[2])
+    return len(_k.hermite_cols(m.entries, m.rows, m.cols, False)[2])
 
 
 def column_basis(m: IntMatrix) -> IntMatrix:
@@ -270,15 +283,15 @@ def _solve_echelon(ech: ColumnEchelon, b: Sequence[int]) -> Optional[List[int]]:
     cols = ech.echelon.cols
     npiv = ech.rank
     pivot_rows = ech.pivot_rows
-    hcols = ech._echelon_cols
+    h = ech.echelon.entries
     res = list(b)
     y = [0] * npiv
     pc = 0
     for row in range(rows):
         if pc < npiv and pivot_rows[pc] == row:
-            hc = hcols[pc]
             v = res[row]
             if v:
+                hc = h[pc * rows:(pc + 1) * rows]
                 p = hc[row]
                 if v % p:
                     return None
@@ -290,12 +303,12 @@ def _solve_echelon(ech: ColumnEchelon, b: Sequence[int]) -> Optional[List[int]]:
         elif res[row]:
             return None
     # x = transform @ y, only pivot coordinates of y are nonzero
-    tcols = ech._transform_cols
+    t = ech.transform.entries
     x = [0] * cols
     for j in range(npiv):
         q = y[j]
         if q:
-            tc = tcols[j]
+            tc = t[j * cols:(j + 1) * cols]
             for i in range(cols):
                 x[i] += q * tc[i]
     return x
@@ -305,7 +318,8 @@ def solve(m: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:
     """Some integer x with m @ x = b, or None when unsolvable over Z."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    return _solve_echelon(column_echelon(m), [int(e) for e in b])
+    _check_ints(b)
+    return _solve_echelon(column_echelon(m), b)
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -313,13 +327,14 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     if b.rows != m.rows:
         raise ValueError("shape mismatch")
     ech = column_echelon(m)
-    cols: List[List[int]] = []
+    r, e = b.rows, b.entries
+    flat: List[int] = []
     for j in range(b.cols):
-        x = _solve_echelon(ech, b.col_list(j))
+        x = _solve_echelon(ech, e[j * r:(j + 1) * r])
         if x is None:
             return None
-        cols.append(x)
-    return IntMatrix.from_cols(cols, rows=m.cols)
+        flat.extend(x)
+    return _wrap(m.cols, b.cols, tuple(flat))
 
 
 def preimage_basis(m: IntMatrix, span: IntMatrix) -> IntMatrix:
@@ -353,10 +368,11 @@ class SmithDecomposition:
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     l, d, r = _k.smith(m.to_rows(), m.rows, m.cols, True)
+    # l and d come back as row lists, r as column lists
     return SmithDecomposition(
-        IntMatrix.from_rows(l, cols=m.rows),
-        IntMatrix.from_rows(d, cols=m.cols),
-        IntMatrix.from_cols(r, rows=m.cols),
+        _wrap(m.rows, m.rows, tuple(_flatten(zip(*l)))),
+        _wrap(m.rows, m.cols, tuple(_flatten(zip(*d)))),
+        _wrap(m.cols, m.cols, tuple(_flatten(r))),
     )
 
 
@@ -371,10 +387,10 @@ def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     kernel.  Unimodular steps keep the diagonal; reducing the raw matrix
     directly lets its entries swell.
     """
-    h, _, piv = _k.hermite_cols(m.to_rows(), m.rows, m.cols, False)
+    h, _, piv = _k.hermite_cols(m.entries, m.rows, m.cols, False)
     k = len(piv)
-    # h is column-major, so its first k columns are the rows of B^T
-    t, _, _ = _k.hermite_cols(h[:k], k, m.rows, False)
+    # the columns of B^T are the rows of B, the first k columns of h
+    t, _, _ = _k.hermite_cols(tuple(_flatten(zip(*h[:k]))), k, m.rows, False)
     # the k nonzero columns of t, read as rows: the transposed block, whose
     # Smith diagonal is the same
     _, d, _ = _k.smith(t[:k], k, k, False)

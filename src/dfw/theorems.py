@@ -94,23 +94,32 @@ def _trial_rng(cfg: TrialConfig, suite: str, trial: int) -> random.Random:
 # ---------------------------------------------------------------- sampling
 
 def random_matrix(rng, rows, cols, bound) -> IntMatrix:
-    return IntMatrix(rows, cols, (rng.randint(-bound, bound) for _ in range(rows * cols)))
+    """Entries uniform in [-bound, bound], drawn row by row."""
+    return IntMatrix.from_rows(
+        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
 
 
-def random_presentation(rng, cfg: TrialConfig, max_rank: Optional[int] = None) -> Presentation:
-    r = rng.randint(1, max_rank or cfg.max_rank)
-    k = rng.randint(0, r + 1)
-    return Presentation(r, column_basis(random_matrix(rng, r, k, cfg.max_entry)))
+def _columns(m: IntMatrix) -> List[List[int]]:
+    return [m.col_list(j) for j in range(m.cols)]
 
 
-def random_nested_presentation(rng, cfg: TrialConfig) -> NestedPresentation:
-    """Outer lattice from a random matrix; inner from random combinations
-    of the outer columns, so containment holds by construction."""
+def _presentation_dict(sublattice: IntMatrix) -> dict:
+    """Presentation.to_dict of a sublattice, without building the
+    Presentation (and so without its independence check)."""
+    return {"ambient_rank": sublattice.rows, "sublattice": _columns(sublattice)}
+
+
+def _random_sublattice(rng, cfg: TrialConfig) -> IntMatrix:
+    """The echelon basis of a random relation matrix."""
     r = rng.randint(1, cfg.max_rank)
-    outer = column_basis(random_matrix(rng, r, rng.randint(0, r), cfg.max_entry))
-    mix = random_matrix(rng, outer.cols, rng.randint(0, outer.cols + 1), 2)
-    inner = column_basis(outer @ mix)
-    return NestedPresentation.build(r, inner, outer)
+    k = rng.randint(0, r + 1)
+    return column_basis(random_matrix(rng, r, k, cfg.max_entry))
+
+
+def random_presentation(rng, cfg: TrialConfig) -> Presentation:
+    u = _random_sublattice(rng, cfg)
+    return Presentation(u.rows, u)
 
 
 def random_group(rng, cfg: TrialConfig, max_rank: Optional[int] = None) -> PresentedGroup:
@@ -122,6 +131,10 @@ def random_group(rng, cfg: TrialConfig, max_rank: Optional[int] = None) -> Prese
 def scrambled_presentation(rng, g: PresentedGroup, extra_gens: int) -> Presentation:
     """A fresh presentation of the same group: redundant generators with
     defining relations, then a random unimodular change of basis."""
+    return Presentation(g.rank + extra_gens, _scrambled_sublattice(rng, g, extra_gens))
+
+
+def _scrambled_sublattice(rng, g: PresentedGroup, extra_gens: int) -> IntMatrix:
     r2 = g.rank + extra_gens
     cols = []
     for j in range(g.relations.cols):
@@ -131,14 +144,14 @@ def scrambled_presentation(rng, g: PresentedGroup, extra_gens: int) -> Presentat
         col[g.rank + e] = 1
         cols.append(col)
     rel = IntMatrix.from_cols(cols, rows=r2)
-    u = IntMatrix.identity(r2).to_rows()
+    u = [[int(i == t) for t in range(r2)] for i in range(r2)]
     for _ in range(3 * r2):
         i, j = rng.randrange(r2), rng.randrange(r2)
         if i != j:
             c = rng.randint(-2, 2)
             for t in range(r2):
                 u[i][t] += c * u[j][t]
-    return Presentation(r2, column_basis(IntMatrix.from_rows(u) @ rel))
+    return column_basis(IntMatrix.from_rows(u) @ rel)
 
 
 # ---------------------------------------------------- instance evaluators
@@ -300,24 +313,33 @@ def run_suite(suite: Suite, cfg: TrialConfig) -> Verdict:
     return Verdict(counts["ok"], counts["fail"], first, tuple(records), monitor, counts["error"])
 
 
+# The samplers draw instance dicts straight from the column bases, so the
+# from_dict calls of evaluate are the one validation of an instance.
+
 def _sample_nested(rng, cfg: TrialConfig) -> dict:
-    return {"nested": random_nested_presentation(rng, cfg).to_dict()}
+    """Outer lattice from a random matrix; inner from random combinations
+    of the outer columns, so containment holds by construction."""
+    r = rng.randint(1, cfg.max_rank)
+    outer = column_basis(random_matrix(rng, r, rng.randint(0, r), cfg.max_entry))
+    mix = random_matrix(rng, outer.cols, rng.randint(0, outer.cols + 1), 2)
+    inner = column_basis(outer @ mix)
+    return {"nested": {"ambient_rank": r, "inner": _columns(inner), "outer": _columns(outer)}}
 
 
 def _sample_presentation(rng, cfg: TrialConfig) -> dict:
-    return {"presentation": random_presentation(rng, cfg).to_dict()}
+    return {"presentation": _presentation_dict(_random_sublattice(rng, cfg))}
 
 
 def _sample_pair(rng, cfg: TrialConfig) -> dict:
-    pa = random_presentation(rng, cfg)
-    return {"a": pa.to_dict(), "b": random_presentation(rng, cfg).to_dict()}
+    pa = _presentation_dict(_random_sublattice(rng, cfg))
+    return {"a": pa, "b": _presentation_dict(_random_sublattice(rng, cfg))}
 
 
 def _sample_two_presentations(rng, cfg: TrialConfig) -> dict:
     g = random_group(rng, cfg, max_rank=max(1, cfg.max_rank - 1))
-    p1 = Presentation.from_group(g)
+    p1 = _presentation_dict(column_basis(g.relations))
     extra = rng.randint(0, min(2, cfg.max_rank - g.rank))
-    return {"first": p1.to_dict(), "second": scrambled_presentation(rng, g, extra).to_dict()}
+    return {"first": p1, "second": _presentation_dict(_scrambled_sublattice(rng, g, extra))}
 
 
 def _sample_annihilated(rng, cfg: TrialConfig) -> dict:
@@ -327,8 +349,7 @@ def _sample_annihilated(rng, cfg: TrialConfig) -> dict:
     divisors = [d for d in range(2, c + 1) if c % d == 0]
     parts = [rng.choice(divisors) for _ in range(rng.randint(0, 3))] if divisors else []
     g = direct_sum(*(PresentedGroup.cyclic(d) for d in parts))
-    p = scrambled_presentation(rng, g, rng.randint(0, 1))
-    return {"c": c, "presentation": p.to_dict()}
+    return {"c": c, "presentation": _presentation_dict(_scrambled_sublattice(rng, g, rng.randint(0, 1)))}
 
 
 def _agree(sides: Tuple[str, str]) -> Tuple[bool, str, str]:

@@ -64,6 +64,11 @@ class TestCanonicalForm:
         g = PresentedGroup.free(3)
         assert canonical_form(g) == CanonicalForm(3, ())
 
+    @pytest.mark.parametrize("bad", [1.5, "3", True])
+    def test_from_invariants_rejects_non_int(self, bad):
+        with pytest.raises(TypeError):
+            PresentedGroup.from_invariants(0, [bad])
+
     def test_already_diagonal(self):
         g = grp(2, [[2, 0], [0, 2]])
         assert g.canonical == CanonicalForm(0, (2, 2))
@@ -234,9 +239,9 @@ class TestFirstIsomorphismTheorem:
         while trials < 60:
             src = random_group(rng, 4, 5)
             tgt = random_group(rng, 4, 5)
-            mat = IntMatrix(
-                tgt.rank, src.rank,
-                (rng.randint(-4, 4) for _ in range(tgt.rank * src.rank)),
+            mat = IntMatrix.from_rows(
+                [[rng.randint(-4, 4) for _ in range(src.rank)] for _ in range(tgt.rank)],
+                cols=src.rank,
             )
             try:
                 f = Hom(src, tgt, mat)

@@ -175,7 +175,7 @@ def test_criterion_8_infrastructure(capsys):
     snf_bad = 0
     for _ in range(500):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
-        m = IntMatrix(r, c, (rng.randint(-10, 10) for _ in range(r * c)))
+        m = IntMatrix.from_rows([[rng.randint(-10, 10) for _ in range(c)] for _ in range(r)])
         dec = smith_normal_form(m)
         ok = (
             dec.diagonal() == _minor_gcd_diagonal(m)

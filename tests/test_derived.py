@@ -34,18 +34,15 @@ def pres(rank, cols):
 def random_presentation(rng, max_rank=4, max_entry=6):
     r = rng.randint(1, max_rank)
     k = rng.randint(0, r + 1)
-    raw = IntMatrix(r, k, (rng.randint(-max_entry, max_entry) for _ in range(r * k)))
-    return Presentation(r, column_basis(raw))
+    return Presentation(r, column_basis(random_matrix(rng, r, k, max_entry)))
 
 
 def random_nested(rng, max_rank=4, max_entry=6):
     r = rng.randint(1, max_rank)
     kv = rng.randint(0, r)
-    outer = column_basis(
-        IntMatrix(r, kv, (rng.randint(-max_entry, max_entry) for _ in range(r * kv)))
-    )
+    outer = column_basis(random_matrix(rng, r, kv, max_entry))
     ku = rng.randint(0, outer.cols + 1)
-    mix = IntMatrix(outer.cols, ku, (rng.randint(-2, 2) for _ in range(outer.cols * ku)))
+    mix = random_matrix(rng, outer.cols, ku, 2)
     inner = column_basis(outer @ mix)
     return NestedPresentation.build(r, inner, outer)
 
@@ -130,7 +127,7 @@ class TestSharedMatrices:
         for _ in range(20):
             r = rng.randint(1, 5)
             k = rng.randint(0, r)
-            v = column_basis(IntMatrix(r, k, (rng.randint(-3, 3) for _ in range(r * k))))
+            v = column_basis(random_matrix(rng, r, k, 3))
             s = v.cols
             wedge_to_tensor, mult = wedge_to_tensor_matrix(v), tensor_to_sym2_matrix(v)
             assert koszul_sp(2, v).differentials == (mult, wedge_to_tensor)

@@ -19,7 +19,9 @@ from dfw.linalg import IntMatrix, kron, rank, smith_diagonal, solve_matrix
 
 
 def random_matrix(rng, rows, cols, bound=3):
-    return IntMatrix(rows, cols, (rng.randint(-bound, bound) for _ in range(rows * cols)))
+    return IntMatrix.from_rows(
+        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
 
 
 class TestBases:

@@ -65,7 +65,9 @@ def minor_gcd_diagonal(m):
 
 
 def random_matrix(rng, rows, cols, bound):
-    return IntMatrix(rows, cols, (rng.randint(-bound, bound) for _ in range(rows * cols)))
+    return IntMatrix.from_rows(
+        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
 
 
 def check_smith_invariants(m, dec):
@@ -217,8 +219,8 @@ class TestEchelonAndPreimage:
         rng = random.Random(17)
         for _ in range(80):
             m = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 7)
-            h, v, piv = _kernels.hermite_cols(m.to_rows(), m.rows, m.cols)
-            h2, v2, piv2 = _kernels.hermite_cols(m.to_rows(), m.rows, m.cols, False)
+            h, v, piv = _kernels.hermite_cols(m.entries, m.rows, m.cols)
+            h2, v2, piv2 = _kernels.hermite_cols(m.entries, m.rows, m.cols, False)
             assert (h2, piv2) == (h, piv)
             assert v2 is None
 
@@ -262,11 +264,30 @@ class TestMatrixBasics:
             m = random_matrix(rng, n, n, 6)
             assert determinant(m) == _laplace_det(m, tuple(range(n)), tuple(range(n)))
 
+    @pytest.mark.parametrize("bad", [1.5, "3", True])
+    def test_public_constructors_reject_non_int_entries(self, bad):
+        # entry types are checked where data enters; nothing is converted
+        with pytest.raises(TypeError):
+            IntMatrix(2, 1, (1, bad))
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[bad, 1]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_cols([[1], [bad]])
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2).scaled(bad)
+        with pytest.raises(TypeError):
+            solve(IntMatrix.identity(2), [1, bad])
+
     def test_validation(self):
         with pytest.raises(TypeError):
             IntMatrix(1, 1, (1.5,))
         with pytest.raises(ValueError):
             IntMatrix(2, 2, (1, 2, 3))
+        with pytest.raises(ValueError):
+            IntMatrix.identity(2).top_rows(3)
+        for j in (-1, 2):
+            with pytest.raises(IndexError):
+                IntMatrix.identity(2).select_columns([0, j])
         big = 10**40
         m = IntMatrix.from_rows([[big, 1], [1, big]])
         assert determinant(m) == big * big - 1

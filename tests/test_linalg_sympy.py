@@ -1,10 +1,12 @@
-"""Hypothesis tests of the Smith diagonal and the rank against sympy, an
-independent implementation (tests only; dfw has no runtime dependencies)."""
+"""Hypothesis tests of the Smith diagonal, the rank and the canonical form
+of a presented group against sympy, an independent implementation (tests
+only; dfw has no runtime dependencies)."""
 
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
+from dfw.abelian import PresentedGroup
 from dfw.linalg import IntMatrix, rank, smith_diagonal
 
 
@@ -25,7 +27,7 @@ def small_matrices(draw, max_dim=6):
 
 
 def _sympy(m):
-    return Matrix(m.rows, m.cols, list(m.entries))
+    return Matrix(m.rows, m.cols, [e for row in m.to_rows() for e in row])
 
 
 @settings(max_examples=300, deadline=None)
@@ -44,3 +46,13 @@ def test_smith_diagonal_matches_sympy(m):
 def test_rank_matches_sympy(m):
     assert rank(m) == _sympy(m).rank()
     assert rank(m) == sum(1 for d in smith_diagonal(m) if d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_canonical_form_matches_sympy(m):
+    # Z^rows modulo the columns of m
+    canonical = PresentedGroup(m.rows, m).canonical
+    factors = [abs(d) for d in invariant_factors(_sympy(m), domain=ZZ) if d]
+    assert canonical.free_rank == m.rows - _sympy(m).rank()
+    assert canonical.torsion == tuple(d for d in factors if d > 1)

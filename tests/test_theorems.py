@@ -223,6 +223,31 @@ class TestDeterminismAndReplay:
         with pytest.raises(ValueError):
             replay_counterexample("nonsense", ce3)
 
+    @pytest.mark.parametrize("bad", [1.5, "3", True])
+    def test_instances_with_non_int_entries_are_rejected(self, bad):
+        # from_dict is where an instance enters: a replayed 2.5 raises
+        # instead of evaluating a silently different matrix
+        p = {"ambient_rank": 2, "sublattice": [[2, bad]]}
+        with pytest.raises(TypeError):
+            Presentation.from_dict(p)
+        with pytest.raises(TypeError):
+            NestedPresentation.from_dict({"ambient_rank": 2, "inner": [[4, 0]], "outer": [[bad, 0]]})
+        with pytest.raises(TypeError):
+            replay_counterexample("exact4", {"instance": {"presentation": p}})
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_sampled_instances_are_canonical_dicts(self, suite):
+        # the samplers build dicts without the objects; decoding and
+        # encoding again must give the same dict back
+        cfg = TrialConfig(seed=4, trials=1, max_rank=5)
+        for i in range(30):
+            instance = SUITES[suite].sample(_trial_rng(cfg, suite, i), cfg)
+            for key, data in instance.items():
+                if key == "c":
+                    continue
+                cls = NestedPresentation if key == "nested" else Presentation
+                assert cls.from_dict(data).to_dict() == data
+
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_every_record_replays_to_its_sides(self, suite):
         # passing records carry no instance, so draw each trial's instance
