@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from .abelian import PresentedGroup
-from .expr import ExprError, evaluate, parse
+from .expr import TERM_BUDGET, ExprError, evaluate, parse, term_dimensions
 from .linalg import IntMatrix
 from .theorems import CHECKS, SUITE_NAMES, TrialConfig, Verdict, evaluate_section4
 
@@ -177,8 +177,29 @@ def cmd_check(args) -> int:
     return EXIT_CHECK_FAILED if any(v.failed for _, v in results) else EXIT_OK
 
 
+def _check_section4_budget(group: PresentedGroup) -> None:
+    """The report takes L1SP^2 and L2Ls3 of H2(G) and L1SP^3, L1SP^4 of G;
+    reject it, before building anything, when one of their terms is over
+    the expression budget."""
+    dims = (group.rank, min(group.rank, group.relations.cols))
+    h2 = term_dimensions("H2", None, [dims])
+    h2_dims = (h2[0], min(h2))
+    largest = max(
+        h2
+        + term_dimensions("L1SP", 2, [h2_dims])
+        + term_dimensions("L2Ls3", None, [h2_dims])
+        + term_dimensions("L1SP", 3, [dims])
+        + term_dimensions("L1SP", 4, [dims])
+    )
+    if largest > TERM_BUDGET:
+        raise UsageError(
+            f"section4 needs a free lattice of rank {largest}, over the budget of {TERM_BUDGET}"
+        )
+
+
 def cmd_section4(args) -> int:
     group = _group_from_args(args.expression, args.relations)
+    _check_section4_budget(group)
     report = evaluate_section4(group)
     for key, value in report.items():
         sys.stdout.write(f"{key} = {value}\n")

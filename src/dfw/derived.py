@@ -7,8 +7,10 @@ C2 -> C1 -> C0:
 * Tor of two quotients from the total complex of their 2-term
   resolutions (tor_complex);
 * L2Ls3 of Q/U, the kernel of 𝓛³(Q)/𝓛³(U) -> ((Q(x)Q)/(U(x)U)) (x) Q, from
-  the mapping cone of the chain map between the two presentations
-  (superlie3_cone).
+  the mapping cone of the chain map between the two presentations, reduced
+  by the unit pivots of the Lie embedding (superlie3_cone): its terms are
+  Z^lie(s) -> Z^(s²r) -> Z^(r³ - lie(r)), no Lie coordinates are solved
+  for, and its d o d check is the well-definedness of the map.
 
 There are two ways to read H1 off such a complex.
 
@@ -38,7 +40,16 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
-from .functors import FreeComplex, basis, induced_map, koszul_sp, lie3_embedding, sym_relations
+from .functors import (
+    FreeComplex,
+    basis,
+    induced_map,
+    koszul_sp,
+    lie3_columns,
+    lie3_embedding,
+    lie3_split,
+    sym_relations,
+)
 from .linalg import (
     IntMatrix,
     hstack,
@@ -260,25 +271,66 @@ def superlie3_kernel_data(p: Presentation) -> Tuple[PresentedGroup, Hom, Hom]:
     return ker_group, incl, h
 
 
-def superlie3_cone(p: Presentation) -> FreeComplex:
-    """Mapping cone of the chain map (W, M) from the presentation
-    R_A of 𝓛³(Q)/𝓛³(U) to the presentation R_B of ((Q(x)Q)/(U(x)U)) (x) Q:
-    d1 = [M | R_B], d2 = (R_A; -W).
+def _lie3_in_uuq(u: IntMatrix) -> IntMatrix:
+    """W = (I_{s²} (x) u) emb(s): the Lyndon brackets of the sublattice
+    vectors in U (x) U (x) Q, from the sparse columns of emb(s)."""
+    r, s = u.rows, u.cols
+    support = [[(i, v) for i, v in enumerate(u.col_list(c)) if v] for c in range(s)]
+    cols = []
+    for entries in lie3_columns(s):
+        col = [0] * (s * s * r)
+        for t, coeff in entries:
+            ab, c = divmod(t, s)  # word t = (a, b, c), row block a*s + b
+            for i, v in support[c]:
+                col[ab * r + i] += coeff * v
+        cols.append(col)
+    return IntMatrix.from_cols(cols, rows=s * s * r)
 
-    R_B = (u (x) u) (x) I has independent columns, so the long exact
-    sequence of the cone makes H1 the kernel of the induced map.  By
-    naturality of the Lie embedding, M R_A = (u (x) u (x) u) emb(s) =
-    R_B W with W = (I_{s²} (x) u) emb(s); the d o d check of FreeComplex
-    verifies that identity, which is the well-definedness of the map.
+
+def _defect_of_uuq(u: IntMatrix) -> IntMatrix:
+    """K R_B = defect @ ((u (x) u) (x) I_r), summed over the nonzero entries
+    of u without building the r³ x s²r matrix R_B."""
+    r, s = u.rows, u.cols
+    split = lie3_split(r)
+    k_cols = split.defect_columns
+    support = [[(i, v) for i, v in enumerate(u.col_list(a)) if v] for a in range(s)]
+    cols = []
+    for a in range(s):
+        for b in range(s):
+            # column (a, b, c) of R_B is u_a (x) u_b (x) e_c
+            pairs = [((i * r + j) * r, x * y) for i, x in support[a] for j, y in support[b]]
+            for c in range(r):
+                col = [0] * split.defect.rows
+                for base, xy in pairs:
+                    for row, v in k_cols[base + c]:
+                        col[row] += xy * v
+                cols.append(col)
+    return IntMatrix.from_cols(cols, rows=split.defect.rows)
+
+
+def superlie3_cone(p: Presentation) -> FreeComplex:
+    """Mapping cone of the chain map (W, M) from the presentation R_A of
+    𝓛³(Q)/𝓛³(U) to the presentation R_B of ((Q(x)Q)/(U(x)U)) (x) Q, reduced
+    along the unit pivots of M = lie3_embedding(r):
+
+        Z^lie(s) --W--> Z^(s²r) --K R_B--> Z^(r³ - lie(r))
+
+    with R_B = (u (x) u) (x) I, W = (I_{s²} (x) u) emb(s) and K the defect of
+    functors.lie3_split(r).
+
+    The unreduced cone has d1 = [M | R_B] and d2 = (R_A; -W).  Changing the
+    basis of Z^{r³} to (Lie coordinates, K) turns M into (I; 0); cancelling
+    that identity block leaves the complex above, with the same H1.  R_B
+    has independent columns, so the long exact sequence of the cone makes
+    H1 the kernel of the induced map.  The d o d check of FreeComplex is
+    K R_B W = 0: R_B W = (u (x) u (x) u) emb(s) lies in the Lie lattice,
+    which is the well-definedness of the map (R_A = left_inverse R_B W
+    is never built).
     """
-    r_a, r_b, m = _superlie3_maps(p)
     u = p.sublattice
-    s = u.cols
-    w = kron(IntMatrix.identity(s * s), u) @ lie3_embedding(s)
-    return FreeComplex(
-        terms=(m.rows, m.cols + r_b.cols, r_a.cols),
-        differentials=(hstack(m, r_b), vstack(r_a, -w)),
-    )
+    d1 = _defect_of_uuq(u)
+    w = _lie3_in_uuq(u)
+    return FreeComplex(terms=(d1.rows, d1.cols, w.cols), differentials=(d1, w))
 
 
 def l2_superlie3(p: Presentation) -> PresentedGroup:

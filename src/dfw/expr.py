@@ -7,15 +7,21 @@ Functor expressions apply one functor to group arguments:
     SP^n(_)  Lambda^2(_)  Ls3(_)  L1SP^n(_)  L2Ls3(_)  Tor(_, _)
     H2(_)    Lie3embed-rank(_)
 
-Degree bounds: SP 2..5, L1SP 2..4, Lambda exactly 2.  Parse errors carry
-the byte offset of the offending token.
+Degree bounds: SP 2..5, L1SP 2..4, Lambda exactly 2.  Parse and
+evaluation errors carry the byte offset of the offending token; every
+AST node records the offset where it starts.
+
+Before anything is built, evaluate computes in closed form the ranks of
+the free lattices the expression would build (term_dimensions) and
+rejects the expression when one of them exceeds TERM_BUDGET.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from math import comb
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .abelian import PresentedGroup, direct_sum
 from .derived import Presentation, l1_sp, l2_superlie3, tor
@@ -39,30 +45,39 @@ class SemanticError(ExprError):
 
 
 # ------------------------------------------------------------------- AST
+# offset: the byte offset where the node starts in the source; it plays
+# no part in comparing nodes.
+
+def _offset():
+    return field(default=0, compare=False)
+
 
 @dataclass(frozen=True)
 class FreeAtom:
     copies: int
+    offset: int = _offset()
 
 
 @dataclass(frozen=True)
 class CyclicAtom:
     order: int
+    offset: int = _offset()
 
 
 @dataclass(frozen=True)
 class TrivialAtom:
-    pass
+    offset: int = _offset()
 
 
 @dataclass(frozen=True)
 class RelationsAtom:
-    pass
+    offset: int = _offset()
 
 
 @dataclass(frozen=True)
 class SumExpr:
     parts: Tuple["GroupExpr", ...]
+    offset: int = _offset()
 
 
 GroupExpr = Union[FreeAtom, CyclicAtom, TrivialAtom, RelationsAtom, SumExpr]
@@ -73,6 +88,7 @@ class FunctorCall:
     name: str
     degree: Optional[int]
     args: Tuple[GroupExpr, ...]
+    offset: int = _offset()
 
 
 # -------------------------------------------------------------- tokenizer
@@ -172,7 +188,7 @@ class _Parser:
             self.expect(",")
             args.append(self.sum())
         self.expect(")")
-        return FunctorCall(name, degree, tuple(args))
+        return FunctorCall(name, degree, tuple(args), tok.offset)
 
     def sum(self) -> GroupExpr:
         parts = [self.term()]
@@ -181,7 +197,7 @@ class _Parser:
             parts.append(self.term())
         if len(parts) == 1:
             return parts[0]
-        return SumExpr(tuple(parts))
+        return SumExpr(tuple(parts), parts[0].offset)
 
     def term(self) -> GroupExpr:
         tok = self.peek()
@@ -196,23 +212,23 @@ class _Parser:
             if nxt.kind == "^":
                 self.advance()
                 k = int(self.expect("INT").text)
-                return FreeAtom(k)
+                return FreeAtom(k, tok.offset)
             if nxt.kind == "/":
                 self.advance()
                 ntok = self.expect("INT")
                 n = int(ntok.text)
                 if n < 2:
                     raise SemanticError("cyclic order must be >= 2", ntok.offset)
-                return CyclicAtom(n)
-            return FreeAtom(1)
+                return CyclicAtom(n, tok.offset)
+            return FreeAtom(1, tok.offset)
         if tok.kind == "INT":
             if tok.text == "0":
                 self.advance()
-                return TrivialAtom()
+                return TrivialAtom(tok.offset)
             raise ParseError("bare integers other than 0 are not groups", tok.offset)
         if tok.kind == "G":
             self.advance()
-            return RelationsAtom()
+            return RelationsAtom(tok.offset)
         what = tok.text or "end of input"
         raise ParseError(f"expected a group atom, found {what!r}", tok.offset)
 
@@ -221,6 +237,83 @@ def parse(text: str) -> Union[GroupExpr, FunctorCall]:
     """Parse a group or functor expression; raises ParseError or
     SemanticError with the byte offset of the problem."""
     return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------- budgets
+
+TERM_BUDGET = 2048
+"""The largest rank of a free lattice that evaluating an expression may
+build; larger inputs are rejected before anything is built."""
+
+
+def _multisets(letters: int, size: int) -> int:
+    return comb(letters + size - 1, size) if size else 1
+
+
+def _lie3(rank: int) -> int:
+    return (rank**3 - rank) // 3
+
+
+def term_dimensions(name: str, degree: Optional[int],
+                    dims: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
+    """Ranks of the free lattices that the functor `name` builds on
+    arguments with (generators, independent relations) = dims, in closed
+    form: the terms of the complex its value is read from, or the
+    generators and relations of the presentation it returns."""
+    p, s = dims[0]
+    if name in ("SP", "L1SP"):  # the Koszul-type complex of functors.koszul_sp
+        return (_multisets(p, degree), s * _multisets(p, degree - 1),
+                comb(s, 2) * _multisets(p, degree - 2))
+    if name in ("Lambda", "H2"):
+        return (comb(p, 2), s * p)
+    if name == "Ls3":  # three slot families, symmetric and cyclic relations
+        return (p**3, 3 * s * p * p + comb(p, 2) * p + (p**3 + 2 * p) // 3)
+    if name == "L2Ls3":  # the reduced cone of derived.superlie3_cone
+        return (p**3 - _lie3(p), s * s * p, _lie3(s))
+    if name == "Tor":
+        q, t = dims[1]
+        return (p * q, s * q + p * t, s * t)
+    if name == "Lie3embed-rank":
+        return (p, s)
+    raise TypeError(f"unknown functor {name!r}")
+
+
+def _dims(node: GroupExpr, relations_group: Optional[PresentedGroup]) -> Tuple[int, int]:
+    """(generators, bound on independent relations) of a group expression,
+    read from the syntax tree without building the group."""
+    if isinstance(node, FreeAtom):
+        return node.copies, 0
+    if isinstance(node, CyclicAtom):
+        return 1, 1
+    if isinstance(node, TrivialAtom):
+        return 0, 0
+    if isinstance(node, RelationsAtom):
+        if relations_group is None:
+            raise SemanticError("no relations file loaded for G", node.offset)
+        g = relations_group
+        return g.rank, min(g.rank, g.relations.cols)
+    if isinstance(node, SumExpr):
+        parts = [_dims(p, relations_group) for p in node.parts]
+        p = sum(d[0] for d in parts)
+        return p, min(p, sum(d[1] for d in parts))
+    raise TypeError(f"not a group expression: {node!r}")
+
+
+def _check_budget(node, relations_group: Optional[PresentedGroup]) -> None:
+    """Raise SemanticError when evaluating node would build a free lattice
+    of rank over TERM_BUDGET."""
+    if isinstance(node, FunctorCall):
+        what = node.name
+        dims = [_dims(a, relations_group) for a in node.args]
+        largest = max(term_dimensions(node.name, node.degree, dims) + tuple(p for p, _ in dims))
+    else:
+        what = "the group"
+        largest = _dims(node, relations_group)[0]
+    if largest > TERM_BUDGET:
+        raise SemanticError(
+            f"{what} needs a free lattice of rank {largest}, over the budget of {TERM_BUDGET}",
+            node.offset,
+        )
 
 
 # -------------------------------------------------------------- evaluator
@@ -232,9 +325,7 @@ def _eval_group(node: GroupExpr, relations_group: Optional[PresentedGroup]) -> P
         return PresentedGroup.cyclic(node.order)
     if isinstance(node, TrivialAtom):
         return PresentedGroup.trivial()
-    if isinstance(node, RelationsAtom):
-        if relations_group is None:
-            raise SemanticError("no relations file loaded for G", 0)
+    if isinstance(node, RelationsAtom):  # _check_budget has found it bound
         return relations_group
     if isinstance(node, SumExpr):
         return direct_sum(*(_eval_group(p, relations_group) for p in node.parts))
@@ -242,7 +333,10 @@ def _eval_group(node: GroupExpr, relations_group: Optional[PresentedGroup]) -> P
 
 
 def evaluate(node, relations_group: Optional[PresentedGroup] = None) -> PresentedGroup:
-    """Evaluate a parsed expression to a presented group."""
+    """Evaluate a parsed expression to a presented group; raises
+    SemanticError, before building anything, when the expression would
+    build a free lattice of rank over TERM_BUDGET."""
+    _check_budget(node, relations_group)
     if isinstance(node, FunctorCall):
         args = [_eval_group(a, relations_group) for a in node.args]
         if node.name == "SP":
@@ -265,8 +359,9 @@ def evaluate(node, relations_group: Optional[PresentedGroup] = None) -> Presente
         if node.name == "Lie3embed-rank":
             cf = args[0].canonical
             if cf.torsion:
-                raise SemanticError("Lie3embed-rank needs a torsion-free group", 0)
-            r = cf.free_rank
-            return PresentedGroup.free((r**3 - r) // 3)
+                raise SemanticError(
+                    "Lie3embed-rank needs a torsion-free group", node.args[0].offset
+                )
+            return PresentedGroup.free(_lie3(cf.free_rank))
         raise TypeError(f"unknown functor {node.name!r}")
     return _eval_group(node, relations_group)

@@ -6,6 +6,15 @@ for n <= 3, and the degree-3 free Lie functor with its Lyndon-bracket
 basis.  Induced maps are given in the indexed bases below; the Koszul-type
 three-term complex built here is the engine behind the derived functors.
 
+The Lie cube splits off the tensor cube without any reduction: the
+standard bracketing of a Lyndon word w expands to w plus lexicographically
+greater words, so the Lyndon rows of lie3_embedding(r) form a lower
+unitriangular block.  lie3_split(r) inverts that block by substitution and
+returns an integer left inverse of the embedding together with the map
+onto the non-Lyndon word coordinates that vanishes exactly on the Lie
+lattice.  Induced maps on the Lie cube and the L2Ls3 cone of dfw.derived
+read Lie coordinates and Lie membership off these two matrices.
+
 Basis orderings are lexicographic throughout: words for tensor powers,
 non-decreasing tuples (monomials) for symmetric powers, strictly
 increasing tuples for exterior powers, and Lyndon words of length 3 with
@@ -19,10 +28,10 @@ import functools
 import itertools
 from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .abelian import PresentedGroup, purified_relations, tensor
-from .linalg import IntMatrix, hstack, kron, rank, solve_matrix
+from .linalg import IntMatrix, hstack, kron, rank
 
 SYM_MAX_DEGREE = 5
 EXT_MAX_DEGREE = 3
@@ -124,21 +133,97 @@ def _expand_bracket(tree) -> Dict[Tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=None)
+def lie3_columns(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The columns of lie3_embedding as their nonzero entries
+    (word index, coefficient): one Lyndon bracket each, expanded into the
+    word basis of the tensor cube."""
+    cube = basis("tensor", 3, source_rank)
+    return tuple(
+        tuple(
+            (cube.rank_of(word), c)
+            for word, c in _expand_bracket(_standard_bracketing(w)).items()
+        )
+        for w in basis("lie3", 3, source_rank).elements
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def lie3_embedding(source_rank: int) -> IntMatrix:
     """Inclusion of the degree-3 free Lie lattice into the tensor cube.
 
     Column per Lyndon bracket, expanded into the word basis; e.g. for rank
     2 the bracket of the word xxy is [x,[x,y]] = xxy - 2 xyx + yxx.
     """
-    lie = basis("lie3", 3, source_rank)
-    cube = basis("tensor", 3, source_rank)
+    size = source_rank ** 3
     cols = []
-    for w in lie.elements:
-        col = [0] * cube.size
-        for word, c in _expand_bracket(_standard_bracketing(w)).items():
-            col[cube.rank_of(word)] = c
+    for entries in lie3_columns(source_rank):
+        col = [0] * size
+        for t, c in entries:
+            col[t] = c
         cols.append(col)
-    return IntMatrix.from_cols(cols, rows=cube.size)
+    return IntMatrix.from_cols(cols, rows=size)
+
+
+class Lie3Split(NamedTuple):
+    """Z^{r³} = 𝓛³(Z^r) ⊕ Z^{non-Lyndon words}, with emb = lie3_embedding(r).
+
+    left_inverse (lie(r) x r³) reads the Lyndon word coordinates of x and
+    applies the inverse of the unitriangular Lyndon block of emb, so
+    left_inverse @ emb = I.  defect ((r³ - lie(r)) x r³) sends x to the
+    non-Lyndon word coordinates of x - emb @ left_inverse @ x: it is the
+    identity on the non-Lyndon coordinates, and defect @ x = 0 exactly when
+    x lies in the Lie lattice, which is then x = emb @ left_inverse @ x.
+    defect_columns lists the nonzero entries (row, value) of each column
+    of defect.
+    """
+
+    left_inverse: IntMatrix
+    defect: IntMatrix
+    defect_columns: Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def lie3_split(source_rank: int) -> Lie3Split:
+    """The split of the tensor cube along the Lie cube, from the sparse
+    columns of the embedding alone: the inverse of the Lyndon block by
+    forward substitution, no Hermite reduction."""
+    columns = lie3_columns(source_rank)
+    cube = basis("tensor", 3, source_rank)
+    lyndon = {cube.rank_of(w): c for c, w in enumerate(basis("lie3", 3, source_rank).elements)}
+    other = {t: k for k, t in enumerate(t for t in range(cube.size) if t not in lyndon)}
+    n, m = len(lyndon), len(other)
+    left = [0] * (n * cube.size)
+    defect_columns: List[Tuple[Tuple[int, int], ...]] = [
+        ((other[t], 1),) if t in other else () for t in range(cube.size)
+    ]
+    for t, c in lyndon.items():
+        # y = column c of the inverse Lyndon block, so that emb @ y is the
+        # Lie element with Lyndon coordinates e_c; defect column t is minus
+        # its non-Lyndon part.  res holds the Lyndon coordinates of
+        # e_c - emb @ y, cleared from the smallest index up.
+        minus_z: Dict[int, int] = {}
+        res = {c: 1}
+        while res:
+            j = min(res)
+            q = res.pop(j)
+            if not q:
+                continue
+            left[t * n + j] = q
+            for word, v in columns[j]:
+                i = lyndon.get(word)
+                if i is None:
+                    k = other[word]
+                    minus_z[k] = minus_z.get(k, 0) - q * v
+                elif i != j:
+                    res[i] = res.get(i, 0) - q * v
+        defect_columns[t] = tuple((k, v) for k, v in minus_z.items() if v)
+    defect = [0] * (m * cube.size)
+    for t, entries in enumerate(defect_columns):
+        for k, v in entries:
+            defect[t * m + k] = v
+    return Lie3Split(
+        IntMatrix(n, cube.size, left), IntMatrix(m, cube.size, defect), tuple(defect_columns)
+    )
 
 
 def _sym_times_letter(mono: Tuple[int, ...], j: int) -> Tuple[int, ...]:
@@ -176,13 +261,11 @@ def induced_map(kind: str, degree: int, f: IntMatrix) -> IntMatrix:
             out = kron(out, f)
         return out
     if kind == "lie3":
-        emb_src = lie3_embedding(f.cols)
-        emb_dst = lie3_embedding(f.rows)
-        cube_f = induced_map("tensor", 3, f)
-        coords = solve_matrix(emb_dst, cube_f @ emb_src)
-        if coords is None:
+        split = lie3_split(f.rows)
+        image = induced_map("tensor", 3, f) @ lie3_embedding(f.cols)
+        if not (split.defect @ image).is_zero:
             raise AssertionError("tensor cube of f does not preserve Lie brackets")
-        return coords
+        return split.left_inverse @ image
     cols = []
     for elem in src.elements:
         acc: Dict[Tuple[int, ...], int] = {(): 1}

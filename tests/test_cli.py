@@ -36,6 +36,18 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "L1SP^2(G)", "--relations", str(path))
         assert code == 0 and out == "Z/2\n"
 
+    def test_unbound_relations_atom_offset(self, capsys):
+        code, out, err = run(capsys, "eval", "Z + G")
+        assert code == 2 and out == "" and "(byte 4)" in err
+
+    def test_over_budget_exits_2(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("an over-budget expression reached a functor")
+
+        monkeypatch.setattr("dfw.expr.functor_on_group", never)
+        code, out, err = run(capsys, "eval", "SP^5(Z^200)")
+        assert code == 2 and out == "" and "budget" in err
+
     def test_bad_relations_file(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text("1 2\n3\n")
@@ -226,6 +238,15 @@ class TestSection4:
         path.write_text("2 0\n0 2\n")
         code, out, _ = run(capsys, "section4", "--relations", str(path))
         assert code == 0 and out.startswith("H2 = Z/2\n")
+
+    def test_over_budget_exits_2(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("an over-budget report was evaluated")
+
+        monkeypatch.setattr("dfw.cli.evaluate_section4", never)
+        # L2Ls3 of H2 = (Z/2)^21 would need 21³ - 3080 = 6181 word coordinates
+        code, out, err = run(capsys, "section4", " + ".join(["Z/2"] * 7))
+        assert code == 2 and out == "" and "budget" in err
 
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "section4")

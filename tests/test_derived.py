@@ -7,6 +7,7 @@ from dfw.abelian import CanonicalForm, Hom, PresentedGroup, direct_sum
 from dfw.derived import (
     NestedPresentation,
     Presentation,
+    homology_value,
     induced_l1_sp2,
     l1_sp,
     l1_sp_data,
@@ -14,6 +15,7 @@ from dfw.derived import (
     l2_superlie3,
     middle_homology,
     sp2_bottom_row,
+    superlie3_cone,
     superlie3_kernel_data,
     tensor_to_sym2_matrix,
     tor,
@@ -21,8 +23,8 @@ from dfw.derived import (
     tor_to_l1_sp2,
     wedge_to_tensor_matrix,
 )
-from dfw.functors import koszul_sp
-from dfw.linalg import IntMatrix, column_basis, kron
+from dfw.functors import FreeComplex, induced_map, koszul_sp, lie3_embedding, lie3_split
+from dfw.linalg import IntMatrix, column_basis, hstack, kron, solve_matrix, vstack
 from dfw.theorems import _DERIVED_OPS, random_matrix, scrambled_presentation
 
 
@@ -163,6 +165,68 @@ class TestL2SuperLie3:
             group, incl, h = superlie3_kernel_data(p)
             assert incl.is_injective()
             assert (h @ incl).is_zero()
+
+
+def unreduced_superlie3_cone(p):
+    """The mapping cone before the Lyndon pivots are cancelled:
+    d1 = [M | R_B], d2 = (R_A; -W), with R_A the Lie coordinates of the
+    bracket expansions of the sublattice, solved against the embedding."""
+    u, r, s = p.sublattice, p.ambient_rank, p.sublattice.cols
+    m = lie3_embedding(r)
+    r_a = solve_matrix(m, induced_map("tensor", 3, u) @ lie3_embedding(s))
+    r_b = kron(kron(u, u), IntMatrix.identity(r))
+    w = kron(IntMatrix.identity(s * s), u) @ lie3_embedding(s)
+    return FreeComplex(
+        terms=(m.rows, m.cols + r_b.cols, w.cols),
+        differentials=(hstack(m, r_b), vstack(r_a, -w)),
+    )
+
+
+def scrambled_cyclic_sums(count, max_rank=6):
+    """Seeded scrambled presentations of sums of Z, Z/2, Z/3, Z/4, Z/6, Z/8
+    and Z/12 with 0-2 redundant generators, of ambient rank <= max_rank."""
+    out = []
+    for i in range(count):
+        rng = random.Random(f"l2ls3-oracle:{i}")
+        parts = rng.randint(1, 4)
+        orders = [rng.choice((0, 2, 3, 4, 6, 8, 12)) for _ in range(parts)]
+        g = direct_sum(*(
+            PresentedGroup.free(1) if n == 0 else PresentedGroup.cyclic(n) for n in orders
+        ))
+        extra = rng.randint(0, min(2, max_rank - g.rank))
+        out.append(scrambled_presentation(rng, g, extra))
+    return out
+
+
+class TestReducedSuperLie3Cone:
+    def test_value_matches_the_unreduced_cone(self):
+        nontrivial = 0
+        ranks = set()
+        for p in scrambled_cyclic_sums(60):
+            ranks.add(p.ambient_rank)
+            value = l2_superlie3(p).canonical
+            assert value == homology_value(unreduced_superlie3_cone(p)).canonical, p.to_dict()
+            nontrivial += not value.is_trivial
+        assert max(ranks) == 6
+        assert nontrivial >= 30
+
+    def test_differentials_are_the_dense_products(self):
+        rng = random.Random(4242)
+        for _ in range(12):
+            p = random_presentation(rng, 5)
+            u, r, s = p.sublattice, p.ambient_rank, p.sublattice.cols
+            d1, d2 = superlie3_cone(p).differentials
+            assert d1 == lie3_split(r).defect @ kron(kron(u, u), IntMatrix.identity(r))
+            assert d2 == kron(IntMatrix.identity(s * s), u) @ lie3_embedding(s)
+
+    @pytest.mark.parametrize(
+        "invariants, expected",
+        [((2, 4), "Z/2 + Z/2"), ((2, 2, 2), " + ".join(["Z/2"] * 8))],
+    )
+    def test_pinned_values(self, invariants, expected):
+        p = Presentation.from_group(PresentedGroup.from_invariants(0, invariants))
+        assert str(l2_superlie3(p).canonical) == expected
+        assert str(homology_value(unreduced_superlie3_cone(p)).canonical) == expected
 
 
 class TestTor:

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from dfw.abelian import CanonicalForm, PresentedGroup
+from dfw.derived import Presentation, superlie3_cone, tor_complex
 from dfw.expr import (
+    TERM_BUDGET,
     CyclicAtom,
     FreeAtom,
     FunctorCall,
@@ -13,7 +15,10 @@ from dfw.expr import (
     TrivialAtom,
     evaluate,
     parse,
+    term_dimensions,
 )
+from dfw.functors import functor_on_group, koszul_sp
+from dfw.linalg import IntMatrix
 
 
 class TestParsing:
@@ -66,6 +71,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("")
 
+    def test_nodes_carry_their_offsets(self):
+        node = parse("Tor(Z/2 + Z^3, (0 + G))")
+        assert node.offset == 0
+        first, second = node.args
+        assert [first.offset] + [p.offset for p in first.parts] == [4, 4, 10]
+        assert [second.offset] + [p.offset for p in second.parts] == [16, 16, 20]
+
     def test_nested_functors_rejected(self):
         with pytest.raises(ParseError):
             parse("SP^2(L1SP^2(Z/2))")
@@ -89,14 +101,18 @@ class TestEvaluation:
 
     def test_lie3_embedding_rank(self):
         assert evaluate(parse("Lie3embed-rank(Z^2)")).canonical == CanonicalForm(2, ())
-        with pytest.raises(SemanticError):
-            evaluate(parse("Lie3embed-rank(Z/2)"))
+        for text, offset in (("Lie3embed-rank(Z/2)", 15), ("Lie3embed-rank( Z + Z/2)", 16)):
+            with pytest.raises(SemanticError) as err:
+                evaluate(parse(text))
+            assert err.value.offset == offset
 
     def test_relations_atom(self):
         g = PresentedGroup.cyclic(6)
         assert str(evaluate(parse("G + Z/4"), g).canonical) == "Z/2 + Z/12"
-        with pytest.raises(SemanticError):
-            evaluate(parse("G"))
+        for text, offset in (("G", 0), ("Z + G", 4), ("SP^2(Z/2 + G)", 11)):
+            with pytest.raises(SemanticError) as err:
+                evaluate(parse(text))
+            assert err.value.offset == offset
 
     def test_round_trip_random_groups(self):
         rng = random.Random(1234)
@@ -111,3 +127,58 @@ class TestEvaluation:
             printed = str(g.canonical)
             again = evaluate(parse(printed))
             assert again.canonical == g.canonical
+
+
+def lower_sublattice(rng, r, s):
+    """An r x s lattice with independent columns: 2 on the diagonal,
+    random entries below it."""
+    return IntMatrix.from_cols(
+        [[0] * j + [2] + [rng.randint(-3, 3) for _ in range(r - j - 1)] for j in range(s)],
+        rows=r,
+    )
+
+
+class TestBudgets:
+    def test_closed_forms_match_the_built_terms(self):
+        rng = random.Random(55)
+        for r in range(0, 5):
+            for s in range(0, r + 1):
+                u = lower_sublattice(rng, r, s)
+                p = Presentation(r, u)
+                g = PresentedGroup(r, u)
+                for m in (2, 3, 4, 5):
+                    built = koszul_sp(m, u).terms
+                    assert term_dimensions("SP", m, [(r, s)]) == built
+                    sp = functor_on_group("sym", m, g)
+                    assert (sp.rank, sp.relations.cols) == built[:2]
+                    if m <= 4:
+                        assert term_dimensions("L1SP", m, [(r, s)]) == built
+                assert term_dimensions("L2Ls3", None, [(r, s)]) == superlie3_cone(p).terms
+                for name, kind, degree in (("Lambda", "ext", 2), ("Ls3", "superlie3", 3)):
+                    value = functor_on_group(kind, degree, g)
+                    assert term_dimensions(name, degree, [(r, s)]) == (
+                        value.rank, value.relations.cols
+                    )
+                r2 = rng.randint(0, 4)
+                s2 = rng.randint(0, r2)
+                q = Presentation(r2, lower_sublattice(rng, r2, s2))
+                assert term_dimensions("Tor", None, [(r, s), (r2, s2)]) == tor_complex(p, q).terms
+
+    def test_over_budget_is_rejected_before_building(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("an over-budget expression reached a functor")
+
+        monkeypatch.setattr("dfw.expr.functor_on_group", never)
+        with pytest.raises(SemanticError) as err:
+            evaluate(parse("SP^5(Z^200)"))
+        assert err.value.offset == 0 and "budget" in str(err.value)
+        with pytest.raises(SemanticError) as err:
+            evaluate(parse("Z/2 + Z^%d" % TERM_BUDGET))
+        assert err.value.offset == 0
+        with pytest.raises(SemanticError):
+            evaluate(parse("Lambda^2(G)"), PresentedGroup.free(TERM_BUDGET))
+
+    def test_budget_is_inclusive(self):
+        assert evaluate(parse("Z^%d" % TERM_BUDGET)).canonical == CanonicalForm(TERM_BUDGET, ())
+        with pytest.raises(SemanticError):
+            evaluate(parse("Z^%d" % (TERM_BUDGET + 1)))

@@ -13,6 +13,7 @@ from dfw.functors import (
     is_lyndon,
     koszul_sp,
     lie3_embedding,
+    lie3_split,
     sym_relations,
 )
 from dfw.linalg import IntMatrix, kron, rank, smith_diagonal, solve_matrix
@@ -134,6 +135,60 @@ class TestLie3Embedding:
             mapped = cube_u @ lie3_embedding(u.cols)
             uuq = kron(kron(u, u), IntMatrix.identity(r))
             assert solve_matrix(uuq, mapped) is not None
+
+
+class TestLie3Split:
+    """The split read off the unitriangular Lyndon block, against the
+    embedding itself and against solving over the integers."""
+
+    def test_left_inverse_and_defect_of_the_embedding(self):
+        for r in range(0, 7):
+            emb = lie3_embedding(r)
+            split = lie3_split(r)
+            assert split.left_inverse.rows == emb.cols and split.left_inverse.cols == r**3
+            assert split.defect.rows == r**3 - emb.cols and split.defect.cols == r**3
+            assert split.left_inverse @ emb == IntMatrix.identity(emb.cols)
+            assert (split.defect @ emb).is_zero
+
+    def test_defect_is_identity_on_non_lyndon_words(self):
+        for r in range(0, 7):
+            cube = basis("tensor", 3, r)
+            other = [i for i, w in enumerate(cube.elements) if not is_lyndon(w)]
+            assert lie3_split(r).defect.select_columns(other) == IntMatrix.identity(len(other))
+
+    def test_defect_vanishes_exactly_on_the_lie_lattice(self):
+        rng = random.Random(31)
+        for r in range(0, 7):
+            emb = lie3_embedding(r)
+            split = lie3_split(r)
+            for trial in range(12):
+                if trial % 3 == 0:  # a random Lie element
+                    y = random_matrix(rng, emb.cols, 1)
+                    x = emb @ y
+                else:  # a random word vector, almost never a Lie element
+                    x = random_matrix(rng, r**3, 1, bound=rng.choice((0, 1, 3)))
+                in_lie = x == emb @ (split.left_inverse @ x)
+                assert (split.defect @ x).is_zero == in_lie
+                if trial % 3 == 0:
+                    assert in_lie and split.left_inverse @ x == y
+
+    def test_defect_columns_are_the_nonzero_entries(self):
+        for r in range(0, 7):
+            split = lie3_split(r)
+            assert len(split.defect_columns) == r**3
+            for t, entries in enumerate(split.defect_columns):
+                col = [0] * split.defect.rows
+                for i, v in entries:
+                    col[i] = v
+                assert col == split.defect.col_list(t)
+
+    def test_induced_map_matches_solving_against_the_embedding(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            a, b = rng.randint(0, 4), rng.randint(0, 4)
+            f = random_matrix(rng, a, b)
+            image = induced_map("tensor", 3, f) @ lie3_embedding(b)
+            assert induced_map("lie3", 3, f) == solve_matrix(lie3_embedding(a), image)
 
 
 class TestKoszul:
