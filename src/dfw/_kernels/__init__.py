@@ -1,11 +1,13 @@
 """The integer-matrix kernels.
 
-One implementation, in plain Python (``pure``).  The three entry points
-are bound here so that callers reach them as attributes of this package
+One implementation, in plain Python (``pure``).  The entry points are
+bound here so that callers reach them as attributes of this package
 (``_k.hermite_cols``) and tools that rebind them, such as a tracer, see
-every call.
+every call.  ``mat_mul``, ``hermite_cols`` and ``smith`` are the three
+reductions every computation comes down to; ``eliminate_units`` is the
+sparse unit-pivot pass that ``linalg.smith_diagonal`` runs before them.
 """
 
-from .pure import BACKEND_NAME as BACKEND, hermite_cols, mat_mul, smith, xgcd
+from .pure import BACKEND_NAME as BACKEND, eliminate_units, hermite_cols, mat_mul, smith, xgcd
 
-__all__ = ["BACKEND", "hermite_cols", "mat_mul", "smith", "xgcd"]
+__all__ = ["BACKEND", "eliminate_units", "hermite_cols", "mat_mul", "smith", "xgcd"]

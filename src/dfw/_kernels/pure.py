@@ -1,15 +1,16 @@
 """Reference integer-matrix kernels in plain Python.
 
-These three routines are the hot loops of the whole package: everything
+These routines are the hot loops of the whole package: everything
 upstream (canonical forms, kernels of homomorphisms, homology) reduces to
 them.
 
-mat_mul and hermite_cols take their inputs as flat column-major
-sequences of Python ints, the storage of dfw.linalg.IntMatrix (column j
-of a rows x cols matrix is a[j * rows:(j + 1) * rows]), and return
-matrices as lists of column lists.  smith works on lists of row lists.
-Arbitrary precision is non-negotiable: intermediate reduction entries
-routinely outgrow 64 bits even for small inputs.
+mat_mul, hermite_cols and eliminate_units take their inputs as flat
+column-major sequences of Python ints, the storage of dfw.linalg.IntMatrix
+(column j of a rows x cols matrix is a[j * rows:(j + 1) * rows]).
+mat_mul and hermite_cols return matrices as lists of column lists,
+eliminate_units a flat column-major remainder.  smith works on lists of
+row lists.  Arbitrary precision is non-negotiable: intermediate reduction
+entries routinely outgrow 64 bits even for small inputs.
 """
 
 BACKEND_NAME = "pure"
@@ -49,7 +50,7 @@ def mat_mul(a, b, n, m, k):
     return out
 
 
-def hermite_cols(a, rows, cols, transform=True):
+def hermite_cols(a, rows, cols, transform=True, rank_only=False):
     """Column-style Hermite reduction, tracking the transform if asked.
 
     a is the flat column-major rows x cols input.  Returns
@@ -58,7 +59,13 @@ def hermite_cols(a, rows, cols, transform=True):
     entry (positive pivot) at row pivot_rows[j], entries to the left of a
     pivot in its row are reduced into [0, pivot), and all columns from
     len(pivot_rows) on are zero.  Without transform, v is None.
+
+    rank_only (no transform) skips the reduction left of each pivot and
+    returns (None, None, pivot_rows).  Later rows read only the columns
+    from the pivot on, so the pivot rows are those of the full pass.
     """
+    if rank_only:
+        transform = False
     h = [list(a[j * rows:(j + 1) * rows]) for j in range(cols)]
     if transform:
         v = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
@@ -122,9 +129,13 @@ def hermite_cols(a, rows, cols, transform=True):
                 placed = True
                 break
         if placed:
+            pivot_rows.append(row)
+            piv += 1
+            if rank_only:
+                continue
             # Reduce entries left of the new pivot into [0, pivot); p and
             # hnz are those of the final, clean pass.
-            for j in range(piv):
+            for j in range(piv - 1):
                 q = h[j][row] // p
                 if q:
                     hj = h[j]
@@ -134,9 +145,87 @@ def hermite_cols(a, rows, cols, transform=True):
                         vj = v[j]
                         for i, x in vnz:
                             vj[i] -= q * x
-            pivot_rows.append(row)
-            piv += 1
+    if rank_only:
+        return None, None, pivot_rows
     return h, v, pivot_rows
+
+
+def eliminate_units(a, rows, cols):
+    """Sparse elimination of +-1 pivots (Dumas, Saunders and Villard,
+    JSC 2001).
+
+    a is the flat column-major rows x cols input.  The columns are swept
+    in order of increasing nonzero count; in each, the +-1 entry whose row
+    has the fewest nonzeros is the pivot (a Markowitz-style choice that
+    limits fill-in).  Column operations clear the rest of the pivot row,
+    after which the pivot row and column split off as a 1 x 1 block.
+
+    Returns (k, rest, rest_rows, rest_cols): k pivots were split off and
+    rest is the flat column-major remainder, without its zero rows and
+    columns.  The nonzero Smith invariants of a are k ones followed by
+    those of rest, and rank(a) = k + rank(rest).
+    """
+    # dict columns {row: entry} of the nonzero entries, and for each row
+    # the set of columns that are nonzero there
+    col = []
+    occ = [set() for _ in range(rows)]
+    for j in range(cols):
+        cj = {i: x for i, x in enumerate(a[j * rows:(j + 1) * rows]) if x}
+        for i in cj:
+            occ[i].add(j)
+        col.append(cj)
+    k = 0
+    for j in sorted(range(cols), key=lambda j: len(col[j])):
+        cj = col[j]
+        pivot = -1
+        fewest = 0
+        for i, x in cj.items():
+            if x == 1 or x == -1:
+                n = len(occ[i])
+                if pivot < 0 or n < fewest:
+                    pivot, fewest = i, n
+                    if n == 1:
+                        break
+        if pivot < 0:
+            continue
+        v = cj.pop(pivot)
+        others = list(cj.items())
+        for c in occ[pivot]:
+            if c == j:
+                continue
+            cc = col[c]
+            # column c -= (e / v) column j clears row pivot; 1 / v == v
+            q = cc.pop(pivot) * v
+            for i, x in others:
+                y = cc.get(i)
+                if y is None:
+                    cc[i] = -q * x
+                    occ[i].add(c)
+                else:
+                    y -= q * x
+                    if y:
+                        cc[i] = y
+                    else:
+                        del cc[i]
+                        occ[i].discard(c)
+        for i in cj:
+            occ[i].discard(j)
+        occ[pivot] = set()
+        col[j] = {}
+        k += 1
+    live = [i for i in range(rows) if occ[i]]
+    at = {i: n for n, i in enumerate(live)}
+    rest_rows = len(live)
+    rest = []
+    rest_cols = 0
+    for cj in col:
+        if cj:
+            dense = [0] * rest_rows
+            for i, x in cj.items():
+                dense[at[i]] = x
+            rest.extend(dense)
+            rest_cols += 1
+    return k, rest, rest_rows, rest_cols
 
 
 def smith(a, rows, cols, transforms):

@@ -88,13 +88,21 @@ class PresentedGroup:
 
     @classmethod
     def from_invariants(cls, free_rank: int, torsion: Sequence[int] = ()) -> "PresentedGroup":
+        """Z^free_rank + Z/d for d in torsion.  When torsion is already a
+        chain d1 | d2 | ... of entries >= 2, the canonical form is recorded
+        as it is; any other torsion is reduced when first asked for."""
         rank = free_rank + len(torsion)
         cols = []
         for i, d in enumerate(torsion):
             col = [0] * rank
             col[i] = d
             cols.append(col)
-        return cls(rank, IntMatrix.from_cols(cols, rows=rank))
+        g = cls(rank, IntMatrix.from_cols(cols, rows=rank))
+        torsion = tuple(torsion)
+        if all(d >= 2 for d in torsion) and all(
+                b % a == 0 for a, b in zip(torsion, torsion[1:])):
+            g._canonical = CanonicalForm(free_rank, torsion)
+        return g
 
     @property
     def canonical(self) -> CanonicalForm:

@@ -258,8 +258,11 @@ def column_echelon(m: IntMatrix) -> ColumnEchelon:
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank of m, from one Hermite pass without transform."""
-    return len(_k.hermite_cols(m.entries, m.rows, m.cols, False)[2])
+    """Rank of m, from one rank-only Hermite pass: no transform and no
+    reduction left of the pivots, which later rows never read.  Unit
+    elimination does not pay here: few entries of the matrices whose rank
+    dfw needs are units."""
+    return len(_k.hermite_cols(m.entries, m.rows, m.cols, False, rank_only=True)[2])
 
 
 def column_basis(m: IntMatrix) -> IntMatrix:
@@ -380,21 +383,25 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     """Diagonal of the Smith form, without transforms.
 
-    Hermite first (Havas, Majewski and Matthews, Exp. Math. 1998): a
-    column pass leaves the k = rank(m) echelon columns B, a row pass (a
+    Units first: eliminate_units splits off u pivots of +-1, so the
+    diagonal is u ones followed by that of the sparse remainder R.  Then
+    Hermite (Havas, Majewski and Matthews, Exp. Math. 1998): a column
+    pass on R leaves its k = rank(R) echelon columns B, a row pass (a
     column pass on B^T) leaves a k x k triangular block with entries
     reduced against its pivots, and only that block goes to the Smith
-    kernel.  Unimodular steps keep the diagonal; reducing the raw matrix
-    directly lets its entries swell.
+    kernel.  Unimodular steps keep the diagonal; reducing R directly
+    lets its entries swell.
     """
-    h, _, piv = _k.hermite_cols(m.entries, m.rows, m.cols, False)
+    u, rest, rows, cols = _k.eliminate_units(m.entries, m.rows, m.cols)
+    h, _, piv = _k.hermite_cols(rest, rows, cols, False)
     k = len(piv)
     # the columns of B^T are the rows of B, the first k columns of h
-    t, _, _ = _k.hermite_cols(tuple(_flatten(zip(*h[:k]))), k, m.rows, False)
+    t, _, _ = _k.hermite_cols(tuple(_flatten(zip(*h[:k]))), k, rows, False)
     # the k nonzero columns of t, read as rows: the transposed block, whose
     # Smith diagonal is the same
     _, d, _ = _k.smith(t[:k], k, k, False)
-    return tuple(d[i][i] for i in range(k)) + (0,) * (min(m.rows, m.cols) - k)
+    diag = (1,) * u + tuple(d[i][i] for i in range(k))
+    return diag + (0,) * (min(m.rows, m.cols) - len(diag))
 
 
 def determinant(m: IntMatrix) -> int:

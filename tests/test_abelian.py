@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dfw import abelian
 from dfw.abelian import (
     CanonicalForm,
     ContainmentError,
@@ -19,7 +20,7 @@ from dfw.abelian import (
     subquotient,
     tensor,
 )
-from dfw.linalg import IntMatrix
+from dfw.linalg import IntMatrix, smith_diagonal
 
 
 def grp(rank, cols):
@@ -68,6 +69,32 @@ class TestCanonicalForm:
     def test_from_invariants_rejects_non_int(self, bad):
         with pytest.raises(TypeError):
             PresentedGroup.from_invariants(0, [bad])
+
+    @pytest.mark.parametrize("free, torsion", [(0, ()), (2, ()), (0, (2, 2, 4)), (1, (3, 6, 12))])
+    def test_from_invariants_chain_needs_no_reduction(self, monkeypatch, free, torsion):
+        def refuse(m):
+            raise AssertionError("smith_diagonal called on an invariant-factor chain")
+
+        monkeypatch.setattr(abelian, "smith_diagonal", refuse)
+        g = PresentedGroup.from_invariants(free, torsion)
+        assert g.canonical == CanonicalForm(free, torsion)
+
+    @pytest.mark.parametrize(
+        "torsion, expected",
+        [((4, 6), CanonicalForm(0, (2, 12))), ((1,), CanonicalForm(0, ())),
+         ((0,), CanonicalForm(1, ())), ((-4,), CanonicalForm(0, (4,))),
+         ((6, 4), CanonicalForm(0, (2, 12))), ((2, -2), CanonicalForm(0, (2, 2)))],
+    )
+    def test_from_invariants_reduces_other_torsion(self, monkeypatch, torsion, expected):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return smith_diagonal(m)
+
+        monkeypatch.setattr(abelian, "smith_diagonal", counted)
+        assert PresentedGroup.from_invariants(0, torsion).canonical == expected
+        assert len(calls) == 1
 
     def test_already_diagonal(self):
         g = grp(2, [[2, 0], [0, 2]])

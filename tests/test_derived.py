@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dfw import _kernels
 from dfw.abelian import CanonicalForm, Hom, PresentedGroup, direct_sum
 from dfw.derived import (
     NestedPresentation,
@@ -24,7 +25,17 @@ from dfw.derived import (
     wedge_to_tensor_matrix,
 )
 from dfw.functors import FreeComplex, induced_map, koszul_sp, lie3_embedding, lie3_split
-from dfw.linalg import IntMatrix, column_basis, hstack, kron, solve_matrix, vstack
+from dfw.linalg import (
+    IntMatrix,
+    clear_caches,
+    column_basis,
+    hstack,
+    kron,
+    rank,
+    smith_diagonal,
+    solve_matrix,
+    vstack,
+)
 from dfw.theorems import _DERIVED_OPS, random_matrix, scrambled_presentation
 
 
@@ -422,3 +433,43 @@ class TestStallRegressions:
         assert str(p.quotient().canonical) == "Z/4806"
         # L1SP^4 of a cyclic group vanishes
         assert l1_sp(4, p).canonical.is_trivial
+
+
+class TestSmithBlockGuard:
+    """smith_diagonal hands the Smith kernel at most a rank x rank block:
+    the remainder after unit elimination, cut down by both Hermite passes.
+    Handing it more let one rank-4 L1SP^4 d2 run for over a minute."""
+
+    def smith_calls(self, monkeypatch, m):
+        calls = []
+        smith = _kernels.smith
+
+        def recording(a, rows, cols, transforms):
+            calls.append((len(a), rows, cols))
+            return smith(a, rows, cols, transforms)
+
+        monkeypatch.setattr(_kernels, "smith", recording)
+        clear_caches()
+        diag = smith_diagonal(m)
+        units = _kernels.eliminate_units(m.entries, m.rows, m.cols)[0]
+        assert sum(1 for d in diag if d) == rank(m)
+        return calls, units
+
+    def test_rank4_scan_d2(self, monkeypatch):
+        u = IntMatrix.from_rows([[2, 0, 0, 0], [2, 4, 0, 0], [3, 2, 4, 0], [3, 0, 3, 5]])
+        d2 = koszul_sp(4, u).differentials[1]
+        calls, units = self.smith_calls(monkeypatch, d2)
+        k = rank(d2) - units
+        assert calls == [(k, k, k)]
+        # the 80 x 60 d2 has rank 45 and no unit entry
+        assert (units, k, d2.rows, d2.cols) == (0, 45, 80, 60)
+
+    def test_unit_rich_cone_d2(self, monkeypatch):
+        g = PresentedGroup.from_invariants(1, (2, 2, 2))
+        p = scrambled_presentation(random.Random(5), g, 2)
+        d2 = superlie3_cone(p).differentials[1]
+        calls, units = self.smith_calls(monkeypatch, d2)
+        k = rank(d2) - units
+        assert calls == [(k, k, k)]
+        # most of the rank is split off as unit pivots
+        assert 2 * units > rank(d2)

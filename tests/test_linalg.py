@@ -17,6 +17,7 @@ from dfw.linalg import (
     kernel_basis,
     kron,
     preimage_basis,
+    rank,
     smith_diagonal,
     smith_normal_form,
     solve,
@@ -223,6 +224,22 @@ class TestEchelonAndPreimage:
             h2, v2, piv2 = _kernels.hermite_cols(m.entries, m.rows, m.cols, False)
             assert (h2, piv2) == (h, piv)
             assert v2 is None
+
+    def test_rank_only_pass_same_pivot_rows(self):
+        rng = random.Random(23)
+        for n in range(80):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            if n % 2:
+                m = random_matrix(rng, r, c, 7)
+            else:
+                # through a thinner middle, so that pivot rows skip
+                k = rng.randint(0, 3)
+                m = random_matrix(rng, r, k, 4) @ random_matrix(rng, k, c, 4)
+            _, _, piv = _kernels.hermite_cols(m.entries, m.rows, m.cols)
+            h, v, piv2 = _kernels.hermite_cols(m.entries, m.rows, m.cols, False, rank_only=True)
+            assert piv2 == piv
+            assert h is None and v is None
+            assert rank(m) == len(piv)
 
     def test_column_basis_spans(self):
         m = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]])

@@ -1,11 +1,12 @@
-"""Hypothesis tests of the Smith diagonal, the rank and the canonical form
-of a presented group against sympy, an independent implementation (tests
-only; dfw has no runtime dependencies)."""
+"""Hypothesis tests of the Smith diagonal, the rank, the unit-pivot
+elimination and the canonical form of a presented group against sympy, an
+independent implementation (tests only; dfw has no runtime dependencies)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
+from dfw import _kernels as _k
 from dfw.abelian import PresentedGroup
 from dfw.linalg import IntMatrix, rank, smith_diagonal
 
@@ -56,3 +57,67 @@ def test_canonical_form_matches_sympy(m):
     factors = [abs(d) for d in invariant_factors(_sympy(m), domain=ZZ) if d]
     assert canonical.free_rank == m.rows - _sympy(m).rank()
     assert canonical.torsion == tuple(d for d in factors if d > 1)
+
+
+@st.composite
+def unit_rich_matrices(draw, max_rows=10, max_cols=12):
+    """Sparse matrices up to max_rows x max_cols whose entries are mostly 0
+    and +-1, with some +-2..+-9: the shape of the complexes dfw reduces.
+    The density varies, so pivot rows often meet other columns (fill-in);
+    a fifth of the matrices have no unit at all."""
+    r = draw(st.integers(min_value=0, max_value=max_rows))
+    c = draw(st.integers(min_value=0, max_value=max_cols))
+    zeros = [0] * draw(st.integers(min_value=1, max_value=8))
+    big = [2, -2, 3, -3, 4, -5, 6, -7, 8, 9]
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        pool = zeros + big
+    else:
+        pool = zeros + [1, -1] * 3 + big[:draw(st.integers(min_value=0, max_value=10))]
+    return IntMatrix(r, c, draw(st.lists(st.sampled_from(pool), min_size=r * c, max_size=r * c)))
+
+
+# a unit whose row and column meet other entries, so clearing it fills in
+FILL_IN = IntMatrix.from_rows([[1, 2, 3, 0], [4, 0, 5, 6], [7, 8, 0, 9], [0, 1, 1, 1]])
+NO_UNIT = IntMatrix.from_rows([[2, 4, 0], [0, 6, -3], [8, 0, 9]])
+
+
+def _factors(m):
+    return [abs(d) for d in invariant_factors(_sympy(m), domain=ZZ) if d]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_rich_matrices())
+@example(FILL_IN)
+@example(NO_UNIT)
+def test_unit_rich_smith_diagonal_and_rank_match_sympy(m):
+    expected = _factors(m)
+    assert smith_diagonal(m) == tuple(expected) + (0,) * (min(m.rows, m.cols) - len(expected))
+    assert rank(m) == _sympy(m).rank() == len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_rich_matrices())
+@example(FILL_IN)
+@example(NO_UNIT)
+def test_eliminate_units_contract(m):
+    k, rest, rows, cols = _k.eliminate_units(m.entries, m.rows, m.cols)
+    assert len(rest) == rows * cols
+    assert rows <= m.rows - k and cols <= m.cols - k
+    rest = IntMatrix(rows, cols, rest)
+    # the remainder keeps no zero row or column
+    assert all(any(rest.entries[j * rows:(j + 1) * rows]) for j in range(cols))
+    assert all(any(rest.entries[i::rows]) for i in range(rows))
+    assert k + _sympy(rest).rank() == _sympy(m).rank()
+    assert [1] * k + _factors(rest) == _factors(m)
+
+
+def test_eliminate_units_fill_in_and_no_unit():
+    k, rest, rows, cols = _k.eliminate_units(FILL_IN.entries, 4, 4)
+    assert k >= 1 and rows * cols and any(abs(x) > 9 for x in rest)
+    assert _k.eliminate_units(NO_UNIT.entries, 3, 3) == (0, list(NO_UNIT.entries), 3, 3)
+
+
+def test_eliminate_units_empty_shapes():
+    for r, c in [(0, 0), (0, 3), (3, 0), (2, 3)]:
+        assert _k.eliminate_units((0,) * (r * c), r, c) == (0, [], 0, 0)
+    assert _k.eliminate_units((-1,), 1, 1) == (1, [], 0, 0)
