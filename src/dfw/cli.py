@@ -6,10 +6,10 @@ Subcommands:
   section4 EXPR        derived-functor report for an abelian group
 
 Exit codes: 0 success, 1 check failure (some trial's two sides differ),
-2 usage or parse error, 3 internal error (some check trial raised; its
-record has status "error"; wins over 1).  The default seed comes from the
-DFW_SEED environment variable; reports are byte-identical for identical
-seeds and configs.
+2 usage or parse error or input over expr.TERM_BUDGET, 3 internal error
+(some check trial raised; its record has status "error"; wins over 1).
+The default seed comes from the DFW_SEED environment variable; reports
+are byte-identical for identical seeds and configs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from .abelian import PresentedGroup
 from .expr import TERM_BUDGET, ExprError, evaluate, parse, term_dimensions
 from .linalg import IntMatrix
-from .theorems import CHECKS, SUITE_NAMES, TrialConfig, Verdict, evaluate_section4
+from .theorems import CHECKS, SUITE_NAMES, SUITES, TrialConfig, Verdict, evaluate_section4
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -169,6 +169,10 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    largest = max(t for name in names for t in SUITES[name].terms(cfg.max_rank))
+    if largest > TERM_BUDGET:
+        raise UsageError(f"--max-rank {cfg.max_rank} needs a free lattice of rank {largest}, "
+                         f"over the budget of {TERM_BUDGET}")
     results = [(name, CHECKS[name](cfg)) for name in names]
     sys.stdout.write(RENDERERS[args.format](results))
     if any(v.errored for _, v in results):

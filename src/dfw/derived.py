@@ -12,26 +12,23 @@ C2 -> C1 -> C0:
   Z^lie(s) -> Z^(s²r) -> Z^(r³ - lie(r)), no Lie coordinates are solved
   for, and its d o d check is the well-definedness of the map.
 
-There are two ways to read H1 off such a complex.
-
-The value path (homology_value, behind l1_sp, tor and l2_superlie3) uses
-only rank(d1) and the Smith diagonal of d2.  Since ker d1 is saturated,
-H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2); no kernel basis and no
-solve are built, which is where exact entries used to swell.
-
-The cycle path (middle_homology, l1_sp_data, tor_data,
-superlie3_kernel_data) builds a kernel basis of d1 and solves the
-boundaries against it.  Its groups carry cycle representatives, so chain
-maps induce homomorphisms (_homology_map); induced_l1_sp2, tor_to_l1_sp2
-and the theorem checks use it, and the tests hold the two paths against
-each other.  Neither path normalizes the presentation first, so
-presentation-independence checks compare two independent computations.
+One routine, homology_value, reads H1 off such a complex from rank(d1)
+and the Smith diagonal of d2 alone: since ker d1 is saturated,
+H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2), with no kernel basis and no
+solve, which is where exact entries used to swell.  It computes every
+value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
+theorems 3.1 and 3.2 compare with: induced_cokernel reads coker H1(f) of
+a chain map f: C -> D as H1 of D with f1 of a kernel basis of C's d1
+added to the boundaries.  middle_homology (a kernel basis of d1 with the
+boundaries solved against it) is only the tests' oracle.  No
+presentation is normalized first, so presentation-independence checks
+compare two independent computations.
 
 Sign conventions are fixed here once: writing i for the inclusion of a
 sublattice into its ambient lattice, the Tor differential is
 d(v (x) w) = (-v (x) i(w), i(v) (x) w) and the comparison map into the
 Koszul complex uses psi2(v (x) w) = -(v ∧ w).  With these choices every
-chain square commutes exactly; tor_to_l1_sp2 verifies that on each call.
+chain square commutes exactly; induced_cokernel verifies that on each call.
 """
 
 from __future__ import annotations
@@ -152,20 +149,6 @@ class NestedPresentation:
         )
 
 
-@dataclass(frozen=True)
-class HomologyData:
-    """Middle homology of a three-term complex, with cycle representatives.
-
-    `cycles` has one column per generator of `group`, giving its
-    representative in the middle term; columns are killed by the outgoing
-    differential and any boundary is an integer combination of them.
-    """
-
-    group: PresentedGroup
-    cycles: IntMatrix
-    complex: FreeComplex
-
-
 def homology_value(cx: FreeComplex) -> PresentedGroup:
     """H1 of a three-term complex as a group in invariant-factor form,
     from rank(d1) and the Smith diagonal of d2 alone."""
@@ -175,17 +158,35 @@ def homology_value(cx: FreeComplex) -> PresentedGroup:
     return PresentedGroup.from_invariants(free_rank, [d for d in diag if d > 1])
 
 
-def middle_homology(cx: FreeComplex) -> HomologyData:
-    d1, d2 = cx.differentials[0], cx.differentials[1]
+def middle_homology(cx: FreeComplex) -> PresentedGroup:
+    """H1 presented on a kernel basis of d1, the boundaries solved against
+    it: the tests' reference for homology_value, not used for values."""
+    d1, d2 = cx.differentials
     cycles = kernel_basis(d1)
     boundaries = solve_matrix(cycles, d2)
     if boundaries is None:
         raise AssertionError("boundaries are not cycles; differentials are inconsistent")
-    return HomologyData(PresentedGroup(cycles.cols, boundaries), cycles, cx)
+    return PresentedGroup(cycles.cols, boundaries)
 
 
-def l1_sp_data(m: int, p: Presentation) -> HomologyData:
-    return middle_homology(koszul_sp(m, p.sublattice))
+def induced_cokernel(src: FreeComplex, dst: FreeComplex,
+                     chain: Tuple[IntMatrix, IntMatrix, IntMatrix]) -> PresentedGroup:
+    """Cokernel of the map H1(src) -> H1(dst) induced by the chain map
+    chain = (f0, f1, f2), in invariant-factor form.
+
+    coker H1(f) = Z1(dst) / (B1(dst) + f1 Z1(src)) is H1 of
+    dst2 (+) Z^k --[d2 | f1 K]--> dst1 --d1--> dst0, K a kernel basis of
+    src's d1, and its d o d check is f1 sending cycles to cycles.  Both
+    chain squares are verified exactly; AssertionError if one fails."""
+    f0, f1, f2 = chain
+    (s1, s2), (d1, d2) = src.differentials, dst.differentials
+    if d1 @ f1 != f0 @ s1:
+        raise AssertionError("degree-1 chain square does not commute")
+    if d2 @ f2 != f1 @ s2:
+        raise AssertionError("degree-2 chain square does not commute")
+    d2_aug = hstack(d2, f1 @ kernel_basis(s1))
+    return homology_value(FreeComplex(terms=(d1.rows, d1.cols, d2_aug.cols),
+                                      differentials=(d1, d2_aug)))
 
 
 def l1_sp(m: int, p: Presentation) -> PresentedGroup:
@@ -355,38 +356,18 @@ def tor_complex(pa: Presentation, pb: Presentation) -> FreeComplex:
     )
 
 
-def tor_data(pa: Presentation, pb: Presentation) -> HomologyData:
-    return middle_homology(tor_complex(pa, pb))
-
-
 def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:
     """Classical torsion product of the two quotients."""
     return homology_value(tor_complex(pa, pb))
 
 
-def _homology_map(src: HomologyData, dst: HomologyData, middle_map: IntMatrix) -> Hom:
-    """Hom induced on middle homology by a chain map whose middle
-    component is `middle_map`; representatives must map to cycles."""
-    mapped = middle_map @ src.cycles
-    coords = solve_matrix(dst.cycles, mapped)
-    if coords is None:
-        raise AssertionError("chain map does not send cycles to cycles")
-    return Hom(src.group, dst.group, coords)
-
-
-def induced_l1_sp2(np: NestedPresentation) -> Hom:
-    """The map L1SP^2(Q/U) -> L1SP^2(Q/V) induced by U <= V through the
-    chain map (Λ²U -> Λ²V, U(x)Q -> V(x)Q, id)."""
-    data_u = l1_sp_data(2, np.inner_presentation)
-    data_v = l1_sp_data(2, np.outer_presentation)
-    c1 = kron(np.witness, IntMatrix.identity(np.ambient_rank))
-    c2 = induced_map("ext", 2, np.witness)
-    # the squares commute exactly by construction; assert cheaply
-    if data_v.complex.differentials[1] @ c2 != c1 @ data_u.complex.differentials[1]:
-        raise AssertionError("degree-2 chain square does not commute")
-    if data_v.complex.differentials[0] @ c1 != data_u.complex.differentials[0]:
-        raise AssertionError("degree-1 chain square does not commute")
-    return _homology_map(data_u, data_v, c1)
+def coker_induced_l1_sp2(np: NestedPresentation) -> PresentedGroup:
+    """Cokernel of the map L1SP^2(Q/U) -> L1SP^2(Q/V) induced by U <= V
+    through the chain map (id, U(x)Q -> V(x)Q, Λ²U -> Λ²V)."""
+    src, dst, f = koszul_sp(2, np.inner), koszul_sp(2, np.outer), np.witness
+    chain = (IntMatrix.identity(dst.terms[0]), kron(f, IntMatrix.identity(np.ambient_rank)),
+             induced_map("ext", 2, f))
+    return induced_cokernel(src, dst, chain)
 
 
 def _tor_koszul_chain_map(np: NestedPresentation):
@@ -429,23 +410,9 @@ def _tor_koszul_chain_map(np: NestedPresentation):
     return psi0, psi1, psi2
 
 
-def tor_to_l1_sp2(np) -> Hom:
-    """Composite comparison map Tor(E/I, E) -> Tor(E/I, E/I) -> L1SP^2(E/I)
-    for E = Q/U and I = V/U given by nested sublattices U <= V.
-
-    Accepts a NestedPresentation; a plain Presentation is treated as the
-    nested pair with U = V (the case I = 0).  Every chain square is
-    verified exactly on every call.
-    """
-    if isinstance(np, Presentation):
-        np = NestedPresentation.build(np.ambient_rank, np.sublattice, np.sublattice)
-    t_data = tor_data(np.outer_presentation, np.inner_presentation)
-    k_data = l1_sp_data(2, np.outer_presentation)
-    psi0, psi1, psi2 = _tor_koszul_chain_map(np)
-    dt1, dt2 = t_data.complex.differentials
-    dk1, dk2 = k_data.complex.differentials
-    if psi0 @ dt1 != dk1 @ psi1:
-        raise AssertionError("degree-1 Tor/Koszul square does not commute")
-    if psi1 @ dt2 != dk2 @ psi2:
-        raise AssertionError("degree-2 Tor/Koszul square does not commute")
-    return _homology_map(t_data, k_data, psi1)
+def coker_tor_to_l1_sp2(np: NestedPresentation) -> PresentedGroup:
+    """Cokernel of the composite comparison map
+    Tor(E/I, E) -> Tor(E/I, E/I) -> L1SP^2(E/I) for E = Q/U and I = V/U
+    given by nested sublattices U <= V."""
+    src = tor_complex(np.outer_presentation, np.inner_presentation)
+    return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np))

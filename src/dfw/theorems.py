@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .abelian import (
     Hom,
     PresentedGroup,
-    cokernel,
     direct_sum,
     image,
     kernel,
@@ -34,17 +33,18 @@ from .abelian import (
     subquotient,
     tensor,
 )
+from .expr import term_dimensions
 from .derived import (
     NestedPresentation,
     Presentation,
-    induced_l1_sp2,
+    coker_induced_l1_sp2,
+    coker_tor_to_l1_sp2,
     l1_sp,
     l2_superlie3,
     sp2_bottom_row,
     superlie3_kernel_data,
     tensor_to_sym2_matrix,
     tor,
-    tor_to_l1_sp2,
     wedge_to_tensor_matrix,
 )
 from .functors import basis, ext_relations, functor_on_group, induced_map
@@ -176,14 +176,14 @@ def thm_3_1_instance(np: NestedPresentation) -> Tuple[str, str]:
     middle = subquotient(incl_b, mono_a)
     lhs = str(middle.canonical)
 
-    rhs = str(cokernel(induced_l1_sp2(np))[0].canonical)
+    rhs = str(coker_induced_l1_sp2(np).canonical)
     return lhs, rhs
 
 
 def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
     """Coker{Tor(E/I, E) -> L1SP^2(E/I)} versus
     Ker{Λ²(E)/Λ²(I)-image -> E/I (x) E}."""
-    lhs = str(cokernel(tor_to_l1_sp2(np))[0].canonical)
+    lhs = str(coker_tor_to_l1_sp2(np).canonical)
 
     r = np.ambient_rank
     u, v = np.inner, np.outer
@@ -276,7 +276,10 @@ def exponent_shadow_instance(c: int, p: Presentation) -> Tuple[bool, str, str, b
 @dataclass(frozen=True)
 class Suite:
     """One check suite (see the module docstring for sample and evaluate).
-    check is the public entry point that CHECKS maps the name to; cli
+    check is the public entry point that CHECKS maps the name to;
+    terms(max_rank) gives the closed-form ranks of the complexes and
+    presentations a trial can evaluate at that max_rank, which `dfw check`
+    holds against the expression budget before running; cli
     suites are the choices of `dfw check`.  A suite with a monitor key has
     evaluate append whether a monitored, not asserted, property held, and
     its Verdict.monitor counts those trials."""
@@ -285,6 +288,7 @@ class Suite:
     check: Callable[[TrialConfig], Verdict]
     sample: Callable[[random.Random, TrialConfig], dict]
     evaluate: Callable[[dict], tuple]
+    terms: Callable[[int], Tuple[int, ...]]
     cli: bool = True
     monitor: str = ""
 
@@ -352,6 +356,13 @@ def _sample_annihilated(rng, cfg: TrialConfig) -> dict:
     return {"c": c, "presentation": _presentation_dict(_scrambled_sublattice(rng, g, rng.randint(0, 1)))}
 
 
+def _terms(*calls) -> Callable[[int], Tuple[int, ...]]:
+    """Suite.terms for trials that evaluate the functors (name, degree, k)
+    on groups of at most k * max_rank generators and as many relations."""
+    return lambda r: tuple(t for name, degree, k in calls
+                           for t in term_dimensions(name, degree, [(k * r, k * r)] * 2))
+
+
 def _agree(sides: Tuple[str, str]) -> Tuple[bool, str, str]:
     lhs, rhs = sides
     return lhs == rhs, lhs, rhs
@@ -385,25 +396,35 @@ def check_exponent_shadow(cfg: TrialConfig) -> Verdict:
     return run_suite(SUITES["exponent"], cfg)
 
 
+# Tor's terms bound the tensor products the nested and exact4 suites build,
+# Ls3's the tensor cube of superlie; exponent's groups have rank <= 4.
+_NESTED_TERMS = _terms(("L1SP", 2, 1), ("Lambda", 2, 1), ("Tor", None, 1))
+
 SUITES: Dict[str, Suite] = {s.name: s for s in (
     Suite("thm31", check_thm_3_1, _sample_nested,
-          lambda x: _agree(thm_3_1_instance(NestedPresentation.from_dict(x["nested"])))),
+          lambda x: _agree(thm_3_1_instance(NestedPresentation.from_dict(x["nested"]))),
+          _NESTED_TERMS),
     Suite("thm32", check_thm_3_2, _sample_nested,
-          lambda x: _agree(thm_3_2_instance(NestedPresentation.from_dict(x["nested"])))),
+          lambda x: _agree(thm_3_2_instance(NestedPresentation.from_dict(x["nested"]))),
+          _NESTED_TERMS),
     Suite("exact4", check_exact4, _sample_presentation,
-          lambda x: _agree(exact4_instance(Presentation.from_dict(x["presentation"])))),
+          lambda x: _agree(exact4_instance(Presentation.from_dict(x["presentation"]))),
+          _NESTED_TERMS),
     Suite("crosseffect", check_cross_effect, _sample_pair,
           lambda x: _agree(cross_effect_instance(
-              Presentation.from_dict(x["a"]), Presentation.from_dict(x["b"])))),
+              Presentation.from_dict(x["a"]), Presentation.from_dict(x["b"]))),
+          _terms(("L1SP", 2, 2), ("Tor", None, 1))),
     Suite("presindep", check_presentation_independence, _sample_two_presentations,
           lambda x: _agree(presentation_independence_instance(
-              Presentation.from_dict(x["first"]), Presentation.from_dict(x["second"])))),
+              Presentation.from_dict(x["first"]), Presentation.from_dict(x["second"]))),
+          _terms(*(("L1SP", m, 1) for m in (2, 3, 4)), ("L2Ls3", None, 1), ("Tor", None, 1))),
     # acceptance-level suites, not offered by `dfw check`
     Suite("superlie", check_superlie_kernel, _sample_presentation,
           lambda x: _agree(superlie_kernel_instance(Presentation.from_dict(x["presentation"]))),
-          cli=False),
+          _terms(("L2Ls3", None, 1), ("Ls3", None, 1)), cli=False),
     Suite("exponent", check_exponent_shadow, _sample_annihilated,
           lambda x: exponent_shadow_instance(x["c"], Presentation.from_dict(x["presentation"])),
+          lambda r: _terms(("L1SP", 2, 1), ("L2Ls3", None, 1))(4),
           cli=False, monitor="l2_superlie3_exponent_divides"),
 )}
 

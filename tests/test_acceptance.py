@@ -75,9 +75,9 @@ def test_criterion_2_thm31_suite():
 
 
 def test_criterion_3_thm32_suite_and_chain_squares():
-    # every trial runs tor_to_l1_sp2, which verifies each chain square
-    # exactly and raises on any violation (an "error" record, which the
-    # gate counts like a failure)
+    # every trial runs coker_tor_to_l1_sp2, whose induced_cokernel verifies
+    # each chain square exactly and raises on any violation (an "error"
+    # record, which the gate counts like a failure)
     cfg = TrialConfig(seed=32, trials=100, max_rank=4)
     verdict = check_thm_3_2(cfg)
     report(

@@ -107,6 +107,37 @@ class TestCheck:
         _, out_flag, _ = run(capsys, "check", "exact4", "--seed", "99", "--trials", "3", "--format", "tsv")
         assert out_env == out_flag
 
+    @pytest.fixture()
+    def recorded_checks(self, monkeypatch):
+        """Replace every suite check by one that records its config and runs
+        nothing, so that no size is ever built."""
+        from dfw.theorems import CHECKS, Verdict
+
+        calls = []
+
+        def record(cfg):
+            calls.append(cfg)
+            return Verdict(cfg.trials, 0, None, ())
+
+        for name in CHECKS:
+            monkeypatch.setitem(CHECKS, name, record)
+        return calls
+
+    @pytest.mark.parametrize("suite", ["presindep", "all"])
+    def test_over_budget_exits_2(self, capsys, recorded_checks, suite):
+        # L1SP^4 of a rank-10 lattice with 10 relations has a term of rank
+        # 45 * 55 = 2475 > expr.TERM_BUDGET
+        code, out, err = run(capsys, "check", suite, "--max-rank", "10", "--trials", "1")
+        assert code == 2 and out == ""
+        assert "rank 2475" in err and "budget" in err
+        assert recorded_checks == []
+
+    @pytest.mark.parametrize("suite, max_rank", [
+        ("all", "6"), ("all", "9"), ("thm31", "10"), ("crosseffect", "22")])
+    def test_within_budget_runs(self, capsys, recorded_checks, suite, max_rank):
+        code, _, _ = run(capsys, "check", suite, "--max-rank", max_rank, "--trials", "1")
+        assert code == 0 and len(recorded_checks) == (5 if suite == "all" else 1)
+
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("DFW_SEED", "pi")
         code, _, err = run(capsys, "check", "exact4", "--trials", "2")
@@ -121,6 +152,14 @@ GOLDEN_CHECK_ALL = {
 }
 
 
+# sha256 of `dfw check SUITE --max-rank 5 --max-entry 2 --trials 100
+# --seed 0`, per suite and format
+GOLDEN_CHECK_RANK5 = {
+    ("thm31", "text"): "acd45887eacaa070c1f50d3d6df3dc9e16719d876f176dd42df489052a9a777e",
+    ("thm32", "json"): "e6b7f837171c620b5c2aaa95201aee78e25bef0e543d6230ceb3f55b1d29c4b1",
+}
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize("fmt", sorted(GOLDEN_CHECK_ALL))
     def test_check_all_default_config(self, capsys, monkeypatch, fmt):
@@ -128,6 +167,13 @@ class TestGoldenReports:
         code, out, _ = run(capsys, "check", "all", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CHECK_ALL[fmt]
+
+    @pytest.mark.parametrize("suite, fmt", sorted(GOLDEN_CHECK_RANK5))
+    def test_nested_suites_at_rank5(self, capsys, suite, fmt):
+        code, out, _ = run(capsys, "check", suite, "--max-rank", "5", "--max-entry", "2",
+                           "--trials", "100", "--seed", "0", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CHECK_RANK5[suite, fmt]
 
 
 class TestErrorStatus:

@@ -249,6 +249,22 @@ class TestDeterminismAndReplay:
                 assert cls.from_dict(data).to_dict() == data
 
     @pytest.mark.parametrize("suite", list(SUITES))
+    def test_samples_within_the_budgeted_sizes(self, suite):
+        # Suite.terms assumes every sampled presentation has at most
+        # max_rank generators and relations (exponent: at most 4)
+        for max_rank in (1, 3, 6):
+            cfg = TrialConfig(seed=5, trials=1, max_rank=max_rank)
+            bound = 4 if suite == "exponent" else max_rank
+            for i in range(30):
+                instance = SUITES[suite].sample(_trial_rng(cfg, suite, i), cfg)
+                for key, data in instance.items():
+                    if key == "c":
+                        continue
+                    lattices = [data["inner"], data["outer"]] if key == "nested" else [data["sublattice"]]
+                    assert data["ambient_rank"] <= bound
+                    assert all(len(cols) <= bound for cols in lattices)
+
+    @pytest.mark.parametrize("suite", list(SUITES))
     def test_every_record_replays_to_its_sides(self, suite):
         # passing records carry no instance, so draw each trial's instance
         # again from its keyed RNG and replay it through the JSON form
