@@ -11,7 +11,13 @@ mat_mul and hermite_cols return matrices as lists of column lists,
 eliminate_units a flat column-major remainder.  smith works on lists of
 row lists.  Arbitrary precision is non-negotiable: intermediate reduction
 entries routinely outgrow 64 bits even for small inputs.
+
+Nonzero entries are found with itertools.compress over an index range
+and the matching slice, so the scan over the zeros runs in C and only
+the nonzeros reach Python code.
 """
+
+from itertools import compress
 
 BACKEND_NAME = "pure"
 
@@ -36,16 +42,19 @@ def mat_mul(a, b, n, m, k):
     returns the k columns of the product."""
     # the nonzero entries of column t of a, listed when first needed
     a_nz = [None] * m
+    n_range, m_range = range(n), range(m)
     out = []
     for j in range(k):
         col = [0] * n
-        for t, w in enumerate(b[j * m:(j + 1) * m]):
-            if w:
-                nz = a_nz[t]
-                if nz is None:
-                    nz = a_nz[t] = [(i, v) for i, v in enumerate(a[t * n:(t + 1) * n]) if v]
-                for i, v in nz:
-                    col[i] += v * w
+        bj = b[j * m:(j + 1) * m]
+        for t in compress(m_range, bj):
+            w = bj[t]
+            nz = a_nz[t]
+            if nz is None:
+                at = a[t * n:(t + 1) * n]
+                nz = a_nz[t] = [(i, at[i]) for i in compress(n_range, at)]
+            for i, v in nz:
+                col[i] += v * w
         out.append(col)
     return out
 
@@ -108,8 +117,8 @@ def hermite_cols(a, rows, cols, transform=True, rank_only=False):
             p = hp[row]
             # Column operations touch only the nonzero entries of the pivot
             # column, which is sparse for the structured matrices of dfw.
-            hnz = [(i, hp[i]) for i in range(row, rows) if hp[i]]
-            vnz = [(i, x) for i, x in enumerate(vp) if x] if transform else None
+            hnz = [(i, hp[i]) for i in compress(range(row, rows), hp[row:])]
+            vnz = [(i, vp[i]) for i in compress(range(cols), vp)] if transform else None
             clean = True
             for j in range(piv + 1, cols):
                 hj = h[j]
@@ -169,8 +178,10 @@ def eliminate_units(a, rows, cols):
     # the set of columns that are nonzero there
     col = []
     occ = [set() for _ in range(rows)]
+    row_range = range(rows)
     for j in range(cols):
-        cj = {i: x for i, x in enumerate(a[j * rows:(j + 1) * rows]) if x}
+        aj = a[j * rows:(j + 1) * rows]
+        cj = {i: aj[i] for i in compress(row_range, aj)}
         for i in cj:
             occ[i].add(j)
         col.append(cj)

@@ -12,10 +12,13 @@ C2 -> C1 -> C0:
   Z^lie(s) -> Z^(s²r) -> Z^(r³ - lie(r)), no Lie coordinates are solved
   for, and its d o d check is the well-definedness of the map.
 
-One routine, homology_value, reads H1 off such a complex from rank(d1)
-and the Smith diagonal of d2 alone: since ker d1 is saturated,
-H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2), with no kernel basis and no
-solve, which is where exact entries used to swell.  It computes every
+One routine, homology_value, reads H1 off such a complex from one Smith
+diagonal, that of d2: since ker d1 is saturated,
+H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2), and every complex built
+here is exact at C1 after tensoring with the rationals (derived functors
+commute with that flat base change and vanish on vector spaces), so the
+free part is 0 and H1 = tors(coker d2).  No rank of d1, no kernel basis
+and no solve, which is where exact entries used to swell.  It computes every
 value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
 theorems 3.1 and 3.2 compare with: induced_cokernel reads coker H1(f) of
 a chain map f: C -> D as H1 of D with f1 of a kernel basis of C's d1
@@ -151,11 +154,22 @@ class NestedPresentation:
 
 def homology_value(cx: FreeComplex) -> PresentedGroup:
     """H1 of a three-term complex as a group in invariant-factor form,
-    from rank(d1) and the Smith diagonal of d2 alone."""
-    d1, d2 = cx.differentials
-    diag = [d for d in smith_diagonal(d2) if d]
-    free_rank = cx.terms[1] - rank(d1) - len(diag)
-    return PresentedGroup.from_invariants(free_rank, [d for d in diag if d > 1])
+    from the Smith diagonal of d2 alone.
+
+    Precondition: cx is exact at C1 after tensoring with the rationals,
+    so H1 is a torsion group.  Since ker d1 is saturated,
+    H1 = Z^f + tors(coker d2) with f = c1 - rk d1 - rk d2; the
+    precondition says f = 0, so H1 is read off the invariant factors > 1
+    of d2 and rank(d1) is never computed.  Every complex of this module
+    meets it: koszul_sp, tor_complex and superlie3_cone compute a derived
+    functor L_i (i >= 1), which commutes with the flat base change to the
+    rationals (Dold and Puppe, 1961) and vanishes on vector spaces; for
+    the cone, rationally a Lie element lying in U (x) U (x) Q lies in
+    𝓛³(U).  induced_cokernel passes a complex whose H1 is a quotient of
+    the torsion H1 of its target.
+    """
+    diag = smith_diagonal(cx.differentials[1])
+    return PresentedGroup.from_invariants(0, [d for d in diag if d > 1])
 
 
 def middle_homology(cx: FreeComplex) -> PresentedGroup:
@@ -341,8 +355,13 @@ def l2_superlie3(p: Presentation) -> PresentedGroup:
 
 def tor_complex(pa: Presentation, pb: Presentation) -> FreeComplex:
     """Total complex of (U_a -> Q_a) (x) (U_b -> Q_b); H_1 is Tor."""
-    ua, ub = pa.sublattice, pb.sublattice
-    ra, rb = pa.ambient_rank, pb.ambient_rank
+    return _tor_total_complex(pa.sublattice, pb.sublattice)
+
+
+def _tor_total_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
+    """tor_complex on the sublattices themselves, for callers whose
+    lattices were checked already."""
+    ra, rb = ua.rows, ub.rows
     sa, sb = ua.cols, ub.cols
     ia = IntMatrix.identity(ra)
     ib = IntMatrix.identity(rb)
@@ -414,5 +433,5 @@ def coker_tor_to_l1_sp2(np: NestedPresentation) -> PresentedGroup:
     """Cokernel of the composite comparison map
     Tor(E/I, E) -> Tor(E/I, E/I) -> L1SP^2(E/I) for E = Q/U and I = V/U
     given by nested sublattices U <= V."""
-    src = tor_complex(np.outer_presentation, np.inner_presentation)
+    src = _tor_total_complex(np.outer, np.inner)
     return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np))

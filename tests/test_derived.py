@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dfw import _kernels
+from dfw import _kernels, derived
 from dfw.abelian import CanonicalForm, Hom, PresentedGroup, cokernel, direct_sum
 from dfw.derived import (
     NestedPresentation,
@@ -470,6 +470,72 @@ class TestValuePathAgainstCyclePath:
                 nontrivial += not value.is_trivial
         assert max(ranks) == 6
         assert nontrivial >= 10
+
+
+def nested_over(p, rng):
+    """U <= V with V the sublattice of p and U = V @ mix."""
+    outer = p.sublattice
+    mix = random_matrix(rng, outer.cols, rng.randint(0, outer.cols), 3)
+    return NestedPresentation.build(p.ambient_rank, column_basis(outer @ mix), outer)
+
+
+def every_value(p, q, np):
+    """Every derived value that homology_value reads: L1SP^m (m = 2, 3,
+    and 4 at ambient rank <= 4), L2Ls3, Tor of two different
+    presentations, and both induced cokernels."""
+    degrees = (2, 3, 4) if p.ambient_rank <= 4 else (2, 3)
+    values = [l1_sp(m, p) for m in degrees]
+    values += [l2_superlie3(p), tor(p, q), coker_induced_l1_sp2(np), coker_tor_to_l1_sp2(np)]
+    return values
+
+
+class TestTorsionPrecondition:
+    """homology_value reads H1 as tors(coker d2), which needs every
+    complex it is given to be exact at C1 after tensoring with the
+    rationals: rank(d1) + rank(d2) == c1."""
+
+    def test_every_complex_is_rationally_exact(self, monkeypatch):
+        seen = []
+        read = derived.homology_value
+
+        def recording(cx):
+            seen.append(cx)
+            return read(cx)
+
+        monkeypatch.setattr(derived, "homology_value", recording)
+        instances = scrambled_instances(120)
+        with_free = nontrivial = 0
+        for i, p in enumerate(instances):
+            q = instances[(i + 1) % len(instances)]
+            values = every_value(p, q, nested_over(p, random.Random(f"torsion-oracle-nested:{i}")))
+            with_free += p.quotient().canonical.free_rank > 0
+            nontrivial += sum(not v.canonical.is_trivial for v in values)
+        for cx in seen:
+            d1, d2 = cx.differentials
+            assert rank(d1) + rank(d2) == cx.terms[1], cx.terms
+        assert max(p.ambient_rank for p in instances) == 6
+        assert with_free >= 60 and nontrivial >= 200
+        assert len(seen) >= 6 * len(instances)
+
+    def test_values_never_read_a_rank(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("rank called while computing a value")
+
+        # Z + Z/2 + Z/4, Z + Z/4 and Z^2 + Z/6, the groups the CI pins
+        p = Presentation.from_group(PresentedGroup.from_invariants(1, (2, 4)))
+        a = Presentation.from_group(PresentedGroup.from_invariants(1, (4,)))
+        b = Presentation.from_group(PresentedGroup.from_invariants(2, (6,)))
+        built = [(p, b, nested_over(a, random.Random(3)))]
+        instances = scrambled_instances(13)
+        for i, (x, y) in enumerate(zip(instances, instances[1:])):
+            built.append((x, y, nested_over(x, random.Random(f"no-rank:{i}"))))
+        monkeypatch.setattr(derived, "rank", refuse)
+        values = [every_value(*args) for args in built]
+        assert str(l1_sp(3, p).canonical) == "Z/2 + Z/2 + Z/2"
+        assert str(l2_superlie3(p).canonical) == "Z/2 + Z/2"
+        assert str(tor(a, b).canonical) == "Z/2"
+        for (x, _, _), vs in zip(built, values):
+            assert vs[0].canonical == closed_form_l1sp2(x.quotient())
 
 
 class TestStallRegressions:
