@@ -8,9 +8,10 @@ mat_mul, hermite_cols and eliminate_units take their inputs as flat
 column-major sequences of Python ints, the storage of dfw.linalg.IntMatrix
 (column j of a rows x cols matrix is a[j * rows:(j + 1) * rows]).
 mat_mul and hermite_cols return matrices as lists of column lists,
-eliminate_units a flat column-major remainder.  smith works on lists of
-row lists.  Arbitrary precision is non-negotiable: intermediate reduction
-entries routinely outgrow 64 bits even for small inputs.
+eliminate_units a flat column-major remainder.  Smith forms are built in
+dfw.linalg from hermite_cols passes, so no kernel works on rows.
+Arbitrary precision is non-negotiable: intermediate reduction entries
+routinely outgrow 64 bits even for small inputs.
 
 Nonzero entries are found with itertools.compress over an index range
 and the matching slice, so the scan over the zeros runs in C and only
@@ -20,21 +21,6 @@ the nonzeros reach Python code.
 from itertools import compress
 
 BACKEND_NAME = "pure"
-
-
-def xgcd(a, b):
-    # Invariants: x * a + y * b == g, next_x * a + next_y * b == next_g.
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 def mat_mul(a, b, n, m, k):
@@ -238,176 +224,3 @@ def eliminate_units(a, rows, cols):
             rest_cols += 1
     return k, rest, rest_rows, rest_cols
 
-
-def smith(a, rows, cols, transforms):
-    """Smith reduction; returns (l, d, r) with l @ a @ r == d.
-
-    a is a list of rows.  l (rows*rows) and d (rows*cols) are lists of
-    rows, r (cols*cols) is a list of columns.  Without transforms, l and
-    r are None.  Diagonal entries are nonnegative, each divides the next,
-    zeros trail.
-    """
-    d = [list(row) for row in a]
-    if transforms:
-        l = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-        r = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    else:
-        l = r = None
-    nmin = rows if rows < cols else cols
-    t = 0
-    while t < nmin:
-        # Minimal absolute value pivot in the active block keeps entry
-        # growth at desk scale; any choice would be correct.
-        pi = -1
-        pj = -1
-        best = -1
-        for i in range(t, rows):
-            di = d[i]
-            for j in range(t, cols):
-                e = di[j]
-                if e:
-                    if e < 0:
-                        e = -e
-                    if best < 0 or e < best:
-                        best = e
-                        pi = i
-                        pj = j
-                        if best == 1:
-                            break
-            if best == 1:
-                break
-        if pi < 0:
-            break
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            if transforms:
-                l[t], l[pi] = l[pi], l[t]
-        if pj != t:
-            for i in range(rows):
-                di = d[i]
-                di[t], di[pj] = di[pj], di[t]
-            if transforms:
-                r[t], r[pj] = r[pj], r[t]
-        while True:
-            # Clear column t below the pivot with row operations.
-            for i in range(t + 1, rows):
-                e = d[i][t]
-                if e == 0:
-                    continue
-                p = d[t][t]
-                di = d[i]
-                dt = d[t]
-                if e % p == 0:
-                    q = e // p
-                    for j in range(t, cols):
-                        di[j] -= q * dt[j]
-                    if transforms:
-                        li = l[i]
-                        lt = l[t]
-                        for j in range(rows):
-                            li[j] -= q * lt[j]
-                else:
-                    x, y, g = xgcd(p, e)
-                    me = e // g
-                    mp = p // g
-                    for j in range(t, cols):
-                        aa = dt[j]
-                        bb = di[j]
-                        dt[j] = x * aa + y * bb
-                        di[j] = mp * bb - me * aa
-                    if transforms:
-                        li = l[i]
-                        lt = l[t]
-                        for j in range(rows):
-                            aa = lt[j]
-                            bb = li[j]
-                            lt[j] = x * aa + y * bb
-                            li[j] = mp * bb - me * aa
-            # Clear row t with column operations; a gcd step here dirties
-            # column t below and forces another pass.
-            dirty = False
-            for j in range(t + 1, cols):
-                e = d[t][j]
-                if e == 0:
-                    continue
-                p = d[t][t]
-                if e % p == 0:
-                    q = e // p
-                    for i in range(t, rows):
-                        di = d[i]
-                        di[j] -= q * di[t]
-                    if transforms:
-                        rj = r[j]
-                        rt = r[t]
-                        for i in range(cols):
-                            rj[i] -= q * rt[i]
-                else:
-                    x, y, g = xgcd(p, e)
-                    me = e // g
-                    mp = p // g
-                    for i in range(t, rows):
-                        di = d[i]
-                        aa = di[t]
-                        bb = di[j]
-                        di[t] = x * aa + y * bb
-                        di[j] = mp * bb - me * aa
-                    if transforms:
-                        rt = r[t]
-                        rj = r[j]
-                        for i in range(cols):
-                            aa = rt[i]
-                            bb = rj[i]
-                            rt[i] = x * aa + y * bb
-                            rj[i] = mp * bb - me * aa
-                    dirty = True
-            if not dirty:
-                break
-        if d[t][t] < 0:
-            dt = d[t]
-            for j in range(t, cols):
-                dt[j] = -dt[j]
-            if transforms:
-                lt = l[t]
-                for j in range(rows):
-                    lt[j] = -lt[j]
-        t += 1
-    # Enforce the divisibility chain among the t nonzero diagonal entries.
-    for i in range(t):
-        for j in range(i + 1, t):
-            if d[j][j] % d[i][i] == 0:
-                continue
-            # Fold d[j][j] into column i, then rediagonalize the 2x2 block.
-            d[j][i] = d[j][j]
-            if transforms:
-                ri = r[i]
-                rj = r[j]
-                for k2 in range(cols):
-                    ri[k2] += rj[k2]
-            p = d[i][i]
-            e = d[j][i]
-            x, y, g = xgcd(p, e)
-            me = e // g
-            mp = p // g
-            for jj in (i, j):
-                aa = d[i][jj]
-                bb = d[j][jj]
-                d[i][jj] = x * aa + y * bb
-                d[j][jj] = mp * bb - me * aa
-            if transforms:
-                li = l[i]
-                lj = l[j]
-                for k2 in range(rows):
-                    aa = li[k2]
-                    bb = lj[k2]
-                    li[k2] = x * aa + y * bb
-                    lj[k2] = mp * bb - me * aa
-            q = d[i][j] // d[i][i]
-            if q:
-                for i2 in (i, j):
-                    d[i2][j] -= q * d[i2][i]
-                if transforms:
-                    rj = r[j]
-                    ri = r[i]
-                    for k2 in range(cols):
-                        rj[k2] -= q * ri[k2]
-    return l, d, r

@@ -99,8 +99,9 @@ class Presentation:
 
 @dataclass(frozen=True)
 class NestedPresentation:
-    """Sublattices inner <= outer of a common ambient lattice, with the
-    integer witness matrix: outer @ witness == inner."""
+    """Sublattices inner <= outer of a common ambient lattice, each given
+    by independent columns, with the integer witness matrix:
+    outer @ witness == inner."""
 
     ambient_rank: int
     inner: IntMatrix
@@ -110,14 +111,14 @@ class NestedPresentation:
     def __post_init__(self):
         if self.inner.rows != self.ambient_rank or self.outer.rows != self.ambient_rank:
             raise ValueError("lattices must live in the ambient lattice")
+        for u, name in ((self.inner, "inner"), (self.outer, "outer")):
+            if rank(u) != u.cols:
+                raise ValueError(f"{name} columns must be independent")
         if self.outer @ self.witness != self.inner:
             raise ValueError("witness does not factor the inner lattice")
 
     @classmethod
     def build(cls, ambient_rank: int, inner: IntMatrix, outer: IntMatrix) -> "NestedPresentation":
-        for u, name in ((inner, "inner"), (outer, "outer")):
-            if rank(u) != u.cols:
-                raise ValueError(f"{name} columns must be independent")
         witness = solve_matrix(outer, inner)
         if witness is None:
             raise ValueError("inner lattice is not contained in the outer one")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -372,13 +373,42 @@ class SmithDecomposition:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    l, d, r = _k.smith(m.to_rows(), m.rows, m.cols, True)
-    # l and d come back as row lists, r as column lists
-    return SmithDecomposition(
-        _wrap(m.rows, m.rows, tuple(_flatten(zip(*l)))),
-        _wrap(m.rows, m.cols, tuple(_flatten(zip(*d)))),
-        _wrap(m.cols, m.cols, tuple(_flatten(r))),
-    )
+    """Smith form with its transforms, from alternating Hermite passes
+    (Kannan and Bachem, SIAM J. Comput. 1979).
+
+    A column pass (column_echelon of d) and a row pass (column_echelon of
+    d^T) alternate, and their transforms accumulate into right and left,
+    until d is diagonal.  A column pass leaves its pivots first and in
+    increasing rows, so zeros trail.  Where d_i does not divide a later
+    d_j, row j is added to row i and the passes go on.  It must be a row
+    operation: a column operation would be undone by the next column
+    pass, which reduces the entries left of each pivot.
+
+    The passes end: each pivot is the gcd of its row or its column, so
+    it never grows; each pass either lowers a pivot or clears that
+    pivot's row and column; and a row fix lowers d_i to
+    gcd(d_i, d_j) < d_i.
+    """
+    rows = m.rows
+    d, left, right = m, IntMatrix.identity(rows), IntMatrix.identity(m.cols)
+    while True:
+        ech = column_echelon(d)
+        d, right = ech.echelon, right @ ech.transform
+        ech = column_echelon(d.transpose())
+        d, left = ech.echelon.transpose(), ech.transform.transpose() @ left
+        # entry n of d sits at row n % rows, column n // rows
+        if any(e for n, e in enumerate(d.entries) if n % rows != n // rows):
+            continue
+        dec = SmithDecomposition(left, d, right)
+        diag = [e for e in dec.diagonal() if e]
+        fix = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
+                    if diag[j] % diag[i]), None)
+        if fix is None:
+            return dec
+        # row i += row j, in d and in left
+        add = IntMatrix.from_rows([[int(r == c or (r, c) == fix) for c in range(rows)]
+                                   for r in range(rows)])
+        d, left = add @ d, add @ left
 
 
 # The keys of derived values are large differentials that rarely repeat;
@@ -391,22 +421,30 @@ def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
 
     Units first: eliminate_units splits off u pivots of +-1, so the
     diagonal is u ones followed by that of the sparse remainder R.  Then
-    Hermite (Havas, Majewski and Matthews, Exp. Math. 1998): a column
-    pass on R leaves its k = rank(R) echelon columns B, a row pass (a
-    column pass on B^T) leaves a k x k triangular block with entries
-    reduced against its pivots, and only that block goes to the Smith
-    kernel.  Unimodular steps keep the diagonal; reducing R directly
-    lets its entries swell.
+    Hermite passes (Havas, Majewski and Matthews, Exp. Math. 1998): a
+    column pass on R leaves its k = rank(R) echelon columns B, and
+    column passes on the transpose of B, then of each k x k result, run
+    until the block is diagonal, as in smith_normal_form.  Unimodular
+    steps keep the diagonal; reducing R directly lets its entries swell.
+    Last, gcd and lcm turn the diagonal into a divisibility chain:
+    diag(a, b) and diag(gcd(a, b), lcm(a, b)) have the same Smith form.
     """
     u, rest, rows, cols = _k.eliminate_units(m.entries, m.rows, m.cols)
     h, _, piv = _k.hermite_cols(rest, rows, cols, False)
     k = len(piv)
-    # the columns of B^T are the rows of B, the first k columns of h
-    t, _, _ = _k.hermite_cols(tuple(_flatten(zip(*h[:k]))), k, rows, False)
-    # the k nonzero columns of t, read as rows: the transposed block, whose
-    # Smith diagonal is the same
-    _, d, _ = _k.smith(t[:k], k, k, False)
-    diag = (1,) * u + tuple(d[i][i] for i in range(k))
+    block, n = h[:k], rows
+    while True:
+        # the columns of the transpose are the rows of block; a full-rank
+        # pass leaves k nonzero columns, each zero above its diagonal entry
+        block = _k.hermite_cols(tuple(_flatten(zip(*block))), k, n, False)[0][:k]
+        n = k
+        if not any(any(c[j + 1:]) for j, c in enumerate(block)):
+            break
+    d = [c[j] for j, c in enumerate(block)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    diag = (1,) * u + tuple(d)
     return diag + (0,) * (min(m.rows, m.cols) - len(diag))
 
 

@@ -411,6 +411,16 @@ class TestPresentationObjects:
                 IntMatrix.from_rows([[2]]),
             )
 
+    def test_nested_dependent_columns_rejected(self):
+        # outer/inner is 0, but a witness over dependent outer columns
+        # would present it as Z
+        col = IntMatrix.from_cols([[1, 0]], rows=2)
+        with pytest.raises(ValueError, match="outer columns must be independent"):
+            NestedPresentation(2, col, IntMatrix.from_cols([[1, 0], [1, 0]], rows=2),
+                               IntMatrix.from_cols([[1, 0]], rows=2))
+        with pytest.raises(ValueError, match="inner columns must be independent"):
+            NestedPresentation.build(2, IntMatrix.from_cols([[1, 0], [2, 0]], rows=2), col)
+
     def test_round_trip_serialization(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -575,31 +585,38 @@ class TestStallRegressions:
 
 
 class TestSmithBlockGuard:
-    """smith_diagonal hands the Smith kernel at most a rank x rank block:
-    the remainder after unit elimination, cut down by both Hermite passes.
-    Handing it more let one rank-4 L1SP^4 d2 run for over a minute."""
+    """smith_diagonal reduces the unit-free remainder in one column pass
+    only; every later Hermite pass works on the k echelon columns it
+    leaves (k = rank of the remainder), transposed, and then on a k x k
+    block.  Reducing the whole remainder to its Smith form let entries
+    swell: on one rank-4 L1SP^4 d2 that took over a minute."""
 
-    def smith_calls(self, monkeypatch, m):
+    def hermite_calls(self, monkeypatch, m):
         calls = []
-        smith = _kernels.smith
+        hermite_cols = _kernels.hermite_cols
 
-        def recording(a, rows, cols, transforms):
+        def recording(a, rows, cols, *flags, **kw):
             calls.append((len(a), rows, cols))
-            return smith(a, rows, cols, transforms)
+            return hermite_cols(a, rows, cols, *flags, **kw)
 
-        monkeypatch.setattr(_kernels, "smith", recording)
+        monkeypatch.setattr(_kernels, "hermite_cols", recording)
         clear_caches()
         diag = smith_diagonal(m)
-        units = _kernels.eliminate_units(m.entries, m.rows, m.cols)[0]
+        monkeypatch.undo()
+        units, _, rest_rows, rest_cols = _kernels.eliminate_units(m.entries, m.rows, m.cols)
+        k = rank(m) - units
         assert sum(1 for d in diag if d) == rank(m)
-        return calls, units
+        # the first pass sees the remainder; the next one the transpose of
+        # its k echelon columns; every later one a k x k block
+        assert calls[0] == (rest_rows * rest_cols, rest_rows, rest_cols)
+        assert calls[1] == (k * rest_rows, k, rest_rows)
+        assert all(call == (k * k, k, k) for call in calls[2:])
+        return units, k
 
     def test_rank4_scan_d2(self, monkeypatch):
         u = IntMatrix.from_rows([[2, 0, 0, 0], [2, 4, 0, 0], [3, 2, 4, 0], [3, 0, 3, 5]])
         d2 = koszul_sp(4, u).differentials[1]
-        calls, units = self.smith_calls(monkeypatch, d2)
-        k = rank(d2) - units
-        assert calls == [(k, k, k)]
+        units, k = self.hermite_calls(monkeypatch, d2)
         # the 80 x 60 d2 has rank 45 and no unit entry
         assert (units, k, d2.rows, d2.cols) == (0, 45, 80, 60)
 
@@ -607,8 +624,6 @@ class TestSmithBlockGuard:
         g = PresentedGroup.from_invariants(1, (2, 2, 2))
         p = scrambled_presentation(random.Random(5), g, 2)
         d2 = superlie3_cone(p).differentials[1]
-        calls, units = self.smith_calls(monkeypatch, d2)
-        k = rank(d2) - units
-        assert calls == [(k, k, k)]
+        units, k = self.hermite_calls(monkeypatch, d2)
         # most of the rank is split off as unit pivots
         assert 2 * units > rank(d2)

@@ -1,14 +1,19 @@
-"""Hypothesis tests of the Smith diagonal, the rank, the unit-pivot
-elimination and the canonical form of a presented group against sympy, an
-independent implementation (tests only; dfw has no runtime dependencies)."""
+"""Hypothesis tests of the Smith diagonal and decomposition, the rank, the
+unit-pivot elimination and the canonical form of a presented group against
+sympy, an independent implementation (tests only; dfw has no runtime
+dependencies).  Both Smith routines alternate Hermite passes until the
+matrix is diagonal, so each call runs under a time limit: a loop that
+never ends fails instead of hanging."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
 from dfw import _kernels as _k
 from dfw.abelian import PresentedGroup
-from dfw.linalg import IntMatrix, rank, smith_diagonal
+from dfw.linalg import IntMatrix, is_unimodular, rank, smith_diagonal, smith_normal_form
+from test_kernels import time_limit
 
 
 @st.composite
@@ -31,15 +36,51 @@ def _sympy(m):
     return Matrix(m.rows, m.cols, [e for row in m.to_rows() for e in row])
 
 
+def _diagonal_matrix(rows, cols, diag):
+    return IntMatrix(rows, cols, [diag[j] if i == j else 0 for j in range(cols) for i in range(rows)])
+
+
+def check_both_smith_routines(m, expected):
+    """smith_diagonal and smith_normal_form give the diagonal `expected`,
+    and left @ m @ right is that diagonal with unimodular transforms."""
+    with time_limit(10):
+        diag = smith_diagonal(m)
+    with time_limit(10):
+        dec = smith_normal_form(m)
+    assert diag == dec.diagonal() == expected
+    assert dec.diag == _diagonal_matrix(m.rows, m.cols, expected)
+    assert dec.left @ m @ dec.right == dec.diag
+    assert is_unimodular(dec.left) and is_unimodular(dec.right)
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_matrices())
 def test_smith_diagonal_matches_sympy(m):
-    diag = smith_diagonal(m)
-    assert len(diag) == min(m.rows, m.cols)
-    expected = [abs(d) for d in invariant_factors(_sympy(m), domain=ZZ) if d]
-    nonzero = len(expected)
-    assert list(diag[:nonzero]) == expected
-    assert all(d == 0 for d in diag[nonzero:])
+    expected = [int(abs(d)) for d in invariant_factors(_sympy(m), domain=ZZ) if d]
+    check_both_smith_routines(m, tuple(expected) + (0,) * (min(m.rows, m.cols) - len(expected)))
+
+
+# The passes leave the diagonal (1, 2, 1, 1, 1, 2): the chain needs row
+# fixes, and a column fix there would be undone by the next column pass.
+ROW_FIX = IntMatrix.from_rows([
+    [0, -1, -1, 1, 0, 0], [0, 1, 1, 1, 0, 0], [-1, -1, -1, 0, 0, 1],
+    [1, -1, 0, 0, 1, 0], [0, 0, -1, -1, 0, 1], [0, 1, -1, 1, 0, 0],
+])
+BIG = 1 << 64
+
+
+@pytest.mark.parametrize("m, expected", [
+    (IntMatrix.from_rows([[2, 0], [0, 3]]), (1, 6)),
+    (IntMatrix.from_rows([[4, 0], [0, 6]]), (2, 12)),
+    (IntMatrix.from_rows([[6, 0, 0], [0, 4, 0], [0, 0, 10]]), (2, 2, 60)),
+    (ROW_FIX, (1, 1, 1, 1, 2, 2)),
+    (IntMatrix.from_rows([[6 * BIG, 0], [0, 10 * BIG]]), (2 * BIG, 30 * BIG)),
+    (IntMatrix.from_rows([[BIG + 1, BIG, 0], [BIG, BIG - 1, 0]]), (1, 1)),
+    (IntMatrix.from_rows([[3 * BIG, 0], [0, 5], [2 * BIG, BIG]]), (1, BIG)),
+])
+def test_smith_chain_cases(m, expected):
+    assert expected == tuple(abs(d) for d in invariant_factors(_sympy(m), domain=ZZ))
+    check_both_smith_routines(m, expected)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,22 +3,9 @@ seeded-trial machinery."""
 
 from hypothesis import given, settings, strategies as st
 
-from dfw._kernels import xgcd
 from dfw.abelian import PresentedGroup, direct_sum, tensor
 from dfw.expr import evaluate, parse
 from dfw.linalg import IntMatrix, solve
-
-ints = st.integers(min_value=-10**6, max_value=10**6)
-
-
-@given(ints, ints)
-def test_xgcd_identity(a, b):
-    x, y, g = xgcd(a, b)
-    assert x * a + y * b == g
-    assert g >= 0
-    if a or b:
-        assert a % g == 0 and b % g == 0
-
 
 small = st.integers(min_value=-6, max_value=6)
 
