@@ -12,8 +12,14 @@ C2 -> C1 -> C0:
   Z^lie(s) -> Z^(s²r) -> Z^(r³ - lie(r)), no Lie coordinates are solved
   for, and its d o d check is the well-definedness of the map.
 
+The three builders (functors.koszul_sp, tor_complex, superlie3_cone)
+write each differential as dict columns {row: entry} straight from the
+nonzero entries of the sublattices, and FreeComplex.from_columns checks
+d o d = 0 exactly on those columns before they are made dense.
+
 One routine, homology_value, reads H1 off such a complex from one Smith
-diagonal, that of d2: since ker d1 is saturated,
+diagonal, that of d2, outside the Smith cache of linalg (which serves
+relation matrices): since ker d1 is saturated,
 H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2), and every complex built
 here is exact at C1 after tensoring with the rationals (derived functors
 commute with that flat base change and vanish on vector spaces), so the
@@ -22,7 +28,8 @@ and no solve, which is where exact entries used to swell.  It computes every
 value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
 theorems 3.1 and 3.2 compare with: induced_cokernel reads coker H1(f) of
 a chain map f: C -> D as H1 of D with f1 of a kernel basis of C's d1
-added to the boundaries.  middle_homology (a kernel basis of d1 with the
+added to the boundaries, a complex given by matrices whose d o d check
+runs on columns listed from their entries.  middle_homology (a kernel basis of d1 with the
 boundaries solved against it) is only the tests' oracle.  No
 presentation is normalized first, so presentation-independence checks
 compare two independent computations.
@@ -37,7 +44,7 @@ chain square commutes exactly; induced_cokernel verifies that on each call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -52,17 +59,17 @@ from .functors import (
 )
 from .linalg import (
     IntMatrix,
+    dict_columns,
     hstack,
     kernel_basis,
     kron,
     rank,
-    smith_diagonal,
+    smith_diagonal_uncached,
     solve_matrix,
-    vstack,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Presentation:
     """A quotient of a free lattice: Q = Z^ambient_rank modulo the span of
     the independent columns of `sublattice`."""
@@ -97,7 +104,7 @@ class Presentation:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NestedPresentation:
     """Sublattices inner <= outer of a common ambient lattice, each given
     by independent columns, with the integer witness matrix:
@@ -169,7 +176,7 @@ def homology_value(cx: FreeComplex) -> PresentedGroup:
     𝓛³(U).  induced_cokernel passes a complex whose H1 is a quotient of
     the torsion H1 of its target.
     """
-    diag = smith_diagonal(cx.differentials[1])
+    diag = smith_diagonal_uncached(cx.differentials[1])
     return PresentedGroup.from_invariants(0, [d for d in diag if d > 1])
 
 
@@ -287,43 +294,6 @@ def superlie3_kernel_data(p: Presentation) -> Tuple[PresentedGroup, Hom, Hom]:
     return ker_group, incl, h
 
 
-def _lie3_in_uuq(u: IntMatrix) -> IntMatrix:
-    """W = (I_{s²} (x) u) emb(s): the Lyndon brackets of the sublattice
-    vectors in U (x) U (x) Q, from the sparse columns of emb(s)."""
-    r, s = u.rows, u.cols
-    support = [[(i, v) for i, v in enumerate(u.col_list(c)) if v] for c in range(s)]
-    cols = []
-    for entries in lie3_columns(s):
-        col = [0] * (s * s * r)
-        for t, coeff in entries:
-            ab, c = divmod(t, s)  # word t = (a, b, c), row block a*s + b
-            for i, v in support[c]:
-                col[ab * r + i] += coeff * v
-        cols.append(col)
-    return IntMatrix.from_cols(cols, rows=s * s * r)
-
-
-def _defect_of_uuq(u: IntMatrix) -> IntMatrix:
-    """K R_B = defect @ ((u (x) u) (x) I_r), summed over the nonzero entries
-    of u without building the r³ x s²r matrix R_B."""
-    r, s = u.rows, u.cols
-    split = lie3_split(r)
-    k_cols = split.defect_columns
-    support = [[(i, v) for i, v in enumerate(u.col_list(a)) if v] for a in range(s)]
-    cols = []
-    for a in range(s):
-        for b in range(s):
-            # column (a, b, c) of R_B is u_a (x) u_b (x) e_c
-            pairs = [((i * r + j) * r, x * y) for i, x in support[a] for j, y in support[b]]
-            for c in range(r):
-                col = [0] * split.defect.rows
-                for base, xy in pairs:
-                    for row, v in k_cols[base + c]:
-                        col[row] += xy * v
-                cols.append(col)
-    return IntMatrix.from_cols(cols, rows=split.defect.rows)
-
-
 def superlie3_cone(p: Presentation) -> FreeComplex:
     """Mapping cone of the chain map (W, M) from the presentation R_A of
     𝓛³(Q)/𝓛³(U) to the presentation R_B of ((Q(x)Q)/(U(x)U)) (x) Q, reduced
@@ -342,11 +312,38 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
     K R_B W = 0: R_B W = (u (x) u (x) u) emb(s) lies in the Lie lattice,
     which is the well-definedness of the map (R_A = left_inverse R_B W
     is never built).
+
+    Both differentials are built as dict columns from the nonzero entries
+    of u and the sparse columns of K and emb(s), without the r³ x s²r
+    matrix R_B: column (a, b, c) of K R_B is K applied to
+    u_a (x) u_b (x) e_c, and the column of W for a Lyndon word of Z^s
+    sends each word (a, b, c) of its bracket to e_a (x) e_b (x) u_c.
     """
     u = p.sublattice
-    d1 = _defect_of_uuq(u)
-    w = _lie3_in_uuq(u)
-    return FreeComplex(terms=(d1.rows, d1.cols, w.cols), differentials=(d1, w))
+    r, s = u.rows, u.cols
+    split = lie3_split(r)
+    k_cols = split.defect_columns
+    support = [list(c.items()) for c in dict_columns(u)]
+    d1 = []
+    for a in range(s):
+        for b in range(s):
+            pairs = [((i * r + j) * r, x * y) for i, x in support[a] for j, y in support[b]]
+            for c in range(r):
+                col: Dict[int, int] = {}
+                for base, xy in pairs:
+                    for row, v in k_cols[base + c]:
+                        col[row] = col.get(row, 0) + xy * v
+                d1.append(col)
+    w = []
+    for entries in lie3_columns(s):
+        col = {}
+        for t, coeff in entries:
+            ab, c = divmod(t, s)  # word t = (a, b, c), row block a*s + b
+            for i, v in support[c]:
+                row = ab * r + i
+                col[row] = col.get(row, 0) + coeff * v
+        w.append(col)
+    return FreeComplex.from_columns((split.defect.rows, s * s * r, len(w)), (d1, w))
 
 
 def l2_superlie3(p: Presentation) -> PresentedGroup:
@@ -361,19 +358,25 @@ def tor_complex(pa: Presentation, pb: Presentation) -> FreeComplex:
 
 def _tor_total_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
     """tor_complex on the sublattices themselves, for callers whose
-    lattices were checked already."""
+    lattices were checked already.
+
+    d1 = [u_a (x) I | I (x) u_b] and d2 = (-I (x) u_b; u_a (x) I), built as
+    dict columns from the nonzero entries of u_a and u_b."""
     ra, rb = ua.rows, ub.rows
     sa, sb = ua.cols, ub.cols
-    ia = IntMatrix.identity(ra)
-    ib = IntMatrix.identity(rb)
-    isa = IntMatrix.identity(sa)
-    isb = IntMatrix.identity(sb)
-    d1 = hstack(kron(ua, ib), kron(ia, ub))
-    d2 = vstack(-kron(isa, ub), kron(ua, isb))
-    return FreeComplex(
-        terms=(ra * rb, sa * rb + ra * sb, sa * sb),
-        differentials=(d1, d2),
-    )
+    a_cols = [list(c.items()) for c in dict_columns(ua)]
+    b_cols = [list(c.items()) for c in dict_columns(ub)]
+    d1 = [{i * rb + jb: v for i, v in a} for a in a_cols for jb in range(rb)]
+    d1 += [{ia * rb + k: v for k, v in b} for ia in range(ra) for b in b_cols]
+    top = sa * rb  # rows of U_a (x) Q_b, above those of Q_a (x) U_b
+    d2 = []
+    for ja, a in enumerate(a_cols):
+        for jb, b in enumerate(b_cols):
+            col = {ja * rb + k: -v for k, v in b}
+            for i, v in a:
+                col[top + i * sb + jb] = v
+            d2.append(col)
+    return FreeComplex.from_columns((ra * rb, sa * rb + ra * sb, sa * sb), (d1, d2))
 
 
 def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import insort
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from dataclasses import InitVar, dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .abelian import PresentedGroup, purified_relations, tensor
-from .linalg import IntMatrix, hstack, kron, rank
+from .linalg import IntMatrix, dict_columns, from_dict_columns, hstack, kron, rank
 
 SYM_MAX_DEGREE = 5
 EXT_MAX_DEGREE = 3
@@ -297,20 +297,43 @@ def induced_map(kind: str, degree: int, f: IntMatrix) -> IntMatrix:
 @dataclass(frozen=True)
 class FreeComplex:
     """Bounded chain complex of free lattices; terms[k] is the rank of the
-    degree-k term and differentials[k-1] maps degree k to degree k-1."""
+    degree-k term and differentials[k-1] maps degree k to degree k-1.
+
+    The constructor checks d o d = 0 exactly, on sparse columns: those a
+    builder hands in through from_columns, else the columns of the
+    differentials listed once from their entries.  Each column of a
+    composite is summed over the nonzero entries alone, and the check
+    stops at the first column that is not zero."""
 
     terms: Tuple[int, ...]
     differentials: Tuple[IntMatrix, ...]
+    columns: InitVar[Optional[Sequence[Sequence[Dict[int, int]]]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, columns):
         if len(self.differentials) != len(self.terms) - 1:
             raise ValueError("need one differential per adjacent pair of terms")
         for k, d in enumerate(self.differentials):
             if d.rows != self.terms[k] or d.cols != self.terms[k + 1]:
                 raise ValueError(f"differential {k + 1} has shape {d.rows}x{d.cols}")
-        for k in range(len(self.differentials) - 1):
-            if not (self.differentials[k] @ self.differentials[k + 1]).is_zero:
-                raise ValueError("d o d is nonzero")
+        if columns is None:
+            columns = [dict_columns(d) for d in self.differentials]
+        for k in range(len(columns) - 1):
+            low, n = columns[k], self.terms[k]
+            for col in columns[k + 1]:
+                acc = [0] * n
+                for t, w in col.items():
+                    for i, v in low[t].items():
+                        acc[i] += v * w
+                if any(acc):
+                    raise ValueError("d o d is nonzero")
+
+    @classmethod
+    def from_columns(cls, terms: Sequence[int],
+                     columns: Sequence[Sequence[Dict[int, int]]]) -> "FreeComplex":
+        """The complex whose differential k + 1 has the dict columns
+        columns[k] {row: entry} over terms[k] rows, checked on them."""
+        dense = tuple(from_dict_columns(terms[k], c) for k, c in enumerate(columns))
+        return cls(tuple(terms), dense, columns)
 
 
 def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
@@ -319,46 +342,33 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
 
     d1 multiplies a sublattice vector into the monomial; d2 sends
     (u ∧ v) (x) s to u (x) (v·s) - v (x) (u·s).  Its middle homology is the
-    first derived functor of SP^m of the quotient.
+    first derived functor of SP^m of the quotient.  The columns are built
+    as dicts from the nonzero entries of the sublattice vectors, with rows
+    looked up in FunctorBasis.index; no two terms of a column meet in one
+    row, since distinct letters times one monomial are distinct monomials.
     """
     if m < 2:
         raise ValueError("need degree m >= 2")
     r, s = u.rows, u.cols
     if rank(u) != s:
         raise ValueError("sublattice columns must be independent")
-    sp_top = basis("sym", m, r)
+    top = basis("sym", m, r).index
     sp_mid = basis("sym", m - 1, r)
-    sp_low = basis("sym", m - 2, r)
-    wedge = basis("ext", 2, s)
-
+    mid, n = sp_mid.index, sp_mid.size
+    low = basis("sym", m - 2, r).elements
     # the nonzero entries (j, u_ji) of each sublattice vector u_i
-    support = [[(j, v) for j, v in enumerate(u.col_list(i)) if v] for i in range(s)]
+    support = [list(c.items()) for c in dict_columns(u)]
 
-    d1_cols = []
-    for i in range(s):
-        for mono in sp_mid.elements:
-            col = [0] * sp_top.size
-            for j, v in support[i]:
-                col[sp_top.rank_of(_sym_times_letter(mono, j))] += v
-            d1_cols.append(col)
-    d1 = IntMatrix.from_cols(d1_cols, rows=sp_top.size)
-
-    mid_dim = s * sp_mid.size
-    d2_cols = []
-    for (a, b) in wedge.elements:
-        for mono in sp_low.elements:
-            col = [0] * mid_dim
-            for j, vb in support[b]:
-                col[a * sp_mid.size + sp_mid.rank_of(_sym_times_letter(mono, j))] += vb
-            for j, va in support[a]:
-                col[b * sp_mid.size + sp_mid.rank_of(_sym_times_letter(mono, j))] -= va
-            d2_cols.append(col)
-    d2 = IntMatrix.from_cols(d2_cols, rows=mid_dim)
-
-    return FreeComplex(
-        terms=(sp_top.size, mid_dim, wedge.size * sp_low.size),
-        differentials=(d1, d2),
-    )
+    d1 = [{top[_sym_times_letter(mono, j)]: v for j, v in sup}
+          for sup in support for mono in sp_mid.elements]
+    d2 = []
+    for (a, b) in basis("ext", 2, s).elements:
+        for mono in low:
+            col = {a * n + mid[_sym_times_letter(mono, j)]: v for j, v in support[b]}
+            for j, v in support[a]:
+                col[b * n + mid[_sym_times_letter(mono, j)]] = -v
+            d2.append(col)
+    return FreeComplex.from_columns((len(top), s * n, len(d2)), (d1, d2))
 
 
 def sym_relations(n: int, u: IntMatrix) -> IntMatrix:

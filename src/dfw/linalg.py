@@ -8,18 +8,21 @@ Entries are stored column-major, the layout in which the kernels read and
 return matrices, so no matrix is transposed on its way to a kernel or
 back.  Entry types are checked once, where data enters: IntMatrix(...)
 (and so from_rows, from_cols, identity and zeros) and the right-hand side
-of solve.  Kernel results and matrix arithmetic are wrapped by _wrap
-without a second check.
+of solve.  Kernel results, matrix arithmetic and the dict columns of the
+complex builders (from_dict_columns, whose entries are sums of products
+of checked entries) are wrapped by _wrap without a second check.
+dict_columns lists the nonzero entries of each column, the sparse form
+on which functors.FreeComplex checks d o d = 0.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _kernels as _k
 
@@ -174,6 +177,31 @@ def _wrap(rows: int, cols: int, entries: Tuple[int, ...]) -> IntMatrix:
     m.entries = entries
     m._hash = None
     return m
+
+
+def dict_columns(m: IntMatrix) -> List[Dict[int, int]]:
+    """The columns of m as dicts {row: entry} of their nonzero entries."""
+    r, e = m.rows, m.entries
+    rows = range(r)
+    out = []
+    for j in range(m.cols):
+        c = e[j * r:(j + 1) * r]
+        out.append({i: c[i] for i in compress(rows, c)})
+    return out
+
+
+def from_dict_columns(rows: int, columns: Sequence[Dict[int, int]]) -> IntMatrix:
+    """The rows x len(columns) matrix whose column j has the entries
+    columns[j] {row: entry}, wrapped without the entry check of the
+    constructor: for builders whose entries are sums of products of
+    entries that were checked already."""
+    flat = [0] * (rows * len(columns))
+    base = 0
+    for col in columns:
+        for i, v in col.items():
+            flat[base + i] = v
+        base += rows
+    return _wrap(rows, len(columns), tuple(flat))
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
@@ -411,12 +439,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         d, left = add @ d, add @ left
 
 
-# The keys of derived values are large differentials that rarely repeat;
-# most hits are small relation matrices seen again within a few calls.
-# 256 entries keep 3516 of the 3716 hits that 1024 entries give over 300
-# check-suite rounds, and hold a third of the memory on rank-6 values.
-@functools.lru_cache(maxsize=256)
-def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
+def smith_diagonal_uncached(m: IntMatrix) -> Tuple[int, ...]:
     """Diagonal of the Smith form, without transforms.
 
     Units first: eliminate_units splits off u pivots of +-1, so the
@@ -446,6 +469,16 @@ def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     diag = (1,) * u + tuple(d)
     return diag + (0,) * (min(m.rows, m.cols) - len(diag))
+
+
+# Most hits are small relation matrices seen again within a few calls
+# (PresentedGroup.canonical).  The differentials of derived values are
+# large and rarely repeat, so derived.homology_value reads them through
+# smith_diagonal_uncached and keeps them out of this cache.
+@functools.lru_cache(maxsize=256)
+def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
+    """smith_diagonal_uncached behind a 256-entry LRU cache."""
+    return smith_diagonal_uncached(m)
 
 
 def determinant(m: IntMatrix) -> int:
