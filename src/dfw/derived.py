@@ -29,10 +29,10 @@ value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
 theorems 3.1 and 3.2 compare with: induced_cokernel reads coker H1(f) of
 a chain map f: C -> D as H1 of D with f1 of a kernel basis of C's d1
 added to the boundaries, a complex given by matrices whose d o d check
-runs on columns listed from their entries.  middle_homology (a kernel basis of d1 with the
-boundaries solved against it) is only the tests' oracle.  No
-presentation is normalized first, so presentation-independence checks
-compare two independent computations.
+runs on columns listed from their entries.  middle_homology (a kernel
+basis of d1 with the boundaries solved against it) is only the tests'
+oracle.  No presentation is normalized first, so presentation-independence
+checks compare two independent computations.
 
 Sign conventions are fixed here once: writing i for the inclusion of a
 sublattice into its ambient lattice, the Tor differential is
@@ -44,7 +44,7 @@ chain square commutes exactly; induced_cokernel verifies that on each call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -329,7 +329,7 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
         for b in range(s):
             pairs = [((i * r + j) * r, x * y) for i, x in support[a] for j, y in support[b]]
             for c in range(r):
-                col: Dict[int, int] = {}
+                col = {}
                 for base, xy in pairs:
                     for row, v in k_cols[base + c]:
                         col[row] = col.get(row, 0) + xy * v
