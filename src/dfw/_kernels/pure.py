@@ -4,17 +4,19 @@ These routines are the hot loops of the whole package: everything
 upstream (canonical forms, kernels of homomorphisms, homology) reduces to
 them.
 
-mat_mul, hermite_cols and eliminate_units take their inputs as flat
-column-major sequences of Python ints, the storage of dfw.linalg.IntMatrix
-(column j of a rows x cols matrix is a[j * rows:(j + 1) * rows]).
-mat_mul and hermite_cols return matrices as lists of column lists,
-eliminate_units a flat column-major remainder.  Smith forms are built in
-dfw.linalg from hermite_cols passes, so no kernel works on rows.
+mat_mul and hermite_cols take their inputs as flat column-major
+sequences of Python ints, the storage of dfw.linalg.IntMatrix (column j
+of a rows x cols matrix is a[j * rows:(j + 1) * rows]), and return
+matrices as lists of column lists.  eliminate_units takes sparse columns,
+dicts {row: entry}, the form in which functors.FreeComplex stores a
+differential, and returns a flat column-major remainder for
+hermite_cols.  Smith forms are built in dfw.linalg from hermite_cols
+passes, so no kernel works on rows.
 Arbitrary precision is non-negotiable: intermediate reduction entries
 routinely outgrow 64 bits even for small inputs.
 
-Nonzero entries are found with itertools.compress over an index range
-and the matching slice, so the scan over the zeros runs in C and only
+mat_mul and hermite_cols find nonzero entries with itertools.compress
+over an index range and the matching slice, so the scan over the zeros runs in C and only
 the nonzeros reach Python code.
 """
 
@@ -145,34 +147,32 @@ def hermite_cols(a, rows, cols, transform=True, rank_only=False):
     return h, v, pivot_rows
 
 
-def eliminate_units(a, rows, cols):
+def eliminate_units(columns, rows):
     """Sparse elimination of +-1 pivots (Dumas, Saunders and Villard,
     JSC 2001).
 
-    a is the flat column-major rows x cols input.  The columns are swept
-    in order of increasing nonzero count; in each, the +-1 entry whose row
-    has the fewest nonzeros is the pivot (a Markowitz-style choice that
-    limits fill-in).  Column operations clear the rest of the pivot row,
-    after which the pivot row and column split off as a 1 x 1 block.
+    columns are the columns of a rows x len(columns) matrix as dicts
+    {row: entry}; zero entries may be present.  They are copied without
+    their zeros and never modified.  The columns are swept in order of
+    increasing nonzero count; in each, the +-1 entry whose row has the
+    fewest nonzeros is the pivot (a Markowitz-style choice that limits
+    fill-in).  Column operations clear the rest of the pivot row, after
+    which the pivot row and column split off as a 1 x 1 block.
 
     Returns (k, rest, rest_rows, rest_cols): k pivots were split off and
     rest is the flat column-major remainder, without its zero rows and
-    columns.  The nonzero Smith invariants of a are k ones followed by
-    those of rest, and rank(a) = k + rank(rest).
+    columns.  The nonzero Smith invariants of the matrix are k ones
+    followed by those of rest, and its rank is k + rank(rest).
     """
-    # dict columns {row: entry} of the nonzero entries, and for each row
-    # the set of columns that are nonzero there
-    col = []
+    # the nonzero entries of each column, and for each row the set of
+    # columns that are nonzero there
+    col = [{i: x for i, x in c.items() if x} for c in columns]
     occ = [set() for _ in range(rows)]
-    row_range = range(rows)
-    for j in range(cols):
-        aj = a[j * rows:(j + 1) * rows]
-        cj = {i: aj[i] for i in compress(row_range, aj)}
+    for j, cj in enumerate(col):
         for i in cj:
             occ[i].add(j)
-        col.append(cj)
     k = 0
-    for j in sorted(range(cols), key=lambda j: len(col[j])):
+    for j in sorted(range(len(col)), key=lambda j: len(col[j])):
         cj = col[j]
         pivot = -1
         fewest = 0

@@ -14,8 +14,10 @@ C2 -> C1 -> C0:
 
 The three builders (functors.koszul_sp, tor_complex, superlie3_cone)
 write each differential as dict columns {row: entry} straight from the
-nonzero entries of the sublattices, and FreeComplex.from_columns checks
-d o d = 0 exactly on those columns before they are made dense.
+nonzero entries of the sublattices.  Those columns are the complex:
+FreeComplex checks d o d = 0 exactly on them, and homology_value hands
+d2's columns to the Smith diagonal as they are, so no value builds a
+dense differential.
 
 One routine, homology_value, reads H1 off such a complex from one Smith
 diagonal, that of d2, outside the Smith cache of linalg (which serves
@@ -27,9 +29,8 @@ free part is 0 and H1 = tors(coker d2).  No rank of d1, no kernel basis
 and no solve, which is where exact entries used to swell.  It computes every
 value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
 theorems 3.1 and 3.2 compare with: induced_cokernel reads coker H1(f) of
-a chain map f: C -> D as H1 of D with f1 of a kernel basis of C's d1
-added to the boundaries, a complex given by matrices whose d o d check
-runs on columns listed from their entries.  middle_homology (a kernel
+a chain map f: C -> D as H1 of D with the columns of f1 of a kernel
+basis of C's d1 added to the boundaries.  middle_homology (a kernel
 basis of d1 with the boundaries solved against it) is only the tests'
 oracle.  No presentation is normalized first, so presentation-independence
 checks compare two independent computations.
@@ -176,7 +177,7 @@ def homology_value(cx: FreeComplex) -> PresentedGroup:
     𝓛³(U).  induced_cokernel passes a complex whose H1 is a quotient of
     the torsion H1 of its target.
     """
-    diag = smith_diagonal_uncached(cx.differentials[1])
+    diag = smith_diagonal_uncached(cx.terms[1], cx.columns[1])
     return PresentedGroup.from_invariants(0, [d for d in diag if d > 1])
 
 
@@ -206,9 +207,8 @@ def induced_cokernel(src: FreeComplex, dst: FreeComplex,
         raise AssertionError("degree-1 chain square does not commute")
     if d2 @ f2 != f1 @ s2:
         raise AssertionError("degree-2 chain square does not commute")
-    d2_aug = hstack(d2, f1 @ kernel_basis(s1))
-    return homology_value(FreeComplex(terms=(d1.rows, d1.cols, d2_aug.cols),
-                                      differentials=(d1, d2_aug)))
+    d2_aug = [*dst.columns[1], *dict_columns(f1 @ kernel_basis(s1))]
+    return homology_value(FreeComplex((d1.rows, d1.cols, len(d2_aug)), (dst.columns[0], d2_aug)))
 
 
 def l1_sp(m: int, p: Presentation) -> PresentedGroup:
@@ -343,7 +343,7 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
                 row = ab * r + i
                 col[row] = col.get(row, 0) + coeff * v
         w.append(col)
-    return FreeComplex.from_columns((split.defect.rows, s * s * r, len(w)), (d1, w))
+    return FreeComplex((split.defect.rows, s * s * r, len(w)), (d1, w))
 
 
 def l2_superlie3(p: Presentation) -> PresentedGroup:
@@ -376,7 +376,7 @@ def _tor_total_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
             for i, v in a:
                 col[top + i * sb + jb] = v
             d2.append(col)
-    return FreeComplex.from_columns((ra * rb, sa * rb + ra * sb, sa * sb), (d1, d2))
+    return FreeComplex((ra * rb, sa * rb + ra * sb, sa * sb), (d1, d2))
 
 
 def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:

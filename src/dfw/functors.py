@@ -5,6 +5,9 @@ needs): tensor powers, symmetric powers SP^n for n <= 5, exterior powers
 for n <= 3, and the degree-3 free Lie functor with its Lyndon-bracket
 basis.  Induced maps are given in the indexed bases below; the Koszul-type
 three-term complex built here is the engine behind the derived functors.
+A FreeComplex stores each differential as sparse columns, dicts
+{row: entry}, checks d o d = 0 on them and lays them out as dense
+matrices only when asked for its differentials.
 
 The Lie cube splits off the tensor cube without any reduction: the
 standard bracketing of a Lyndon word w expands to w plus lexicographically
@@ -27,11 +30,11 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import insort
-from dataclasses import InitVar, dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .abelian import PresentedGroup, purified_relations, tensor
-from .linalg import IntMatrix, dict_columns, from_dict_columns, hstack, kron, rank
+from .linalg import IntMatrix, dict_columns, from_dict_columns, hstack, kron
 
 SYM_MAX_DEGREE = 5
 EXT_MAX_DEGREE = 3
@@ -297,29 +300,30 @@ def induced_map(kind: str, degree: int, f: IntMatrix) -> IntMatrix:
 @dataclass(frozen=True)
 class FreeComplex:
     """Bounded chain complex of free lattices; terms[k] is the rank of the
-    degree-k term and differentials[k-1] maps degree k to degree k-1.
+    degree-k term and columns[k - 1], the differential from degree k to
+    degree k - 1, holds terms[k] dicts {row: entry}, one per column.
 
-    The constructor checks d o d = 0 exactly, on sparse columns: those a
-    builder hands in through from_columns, else the columns of the
-    differentials listed once from their entries.  Each column of a
-    composite is summed over the nonzero entries alone, and the check
-    stops at the first column that is not zero."""
+    The columns are the only stored form: the builders write them from
+    the nonzero entries of the sublattices, and the Smith diagonal of
+    derived.homology_value reads them as they are.  The constructor
+    checks the column counts and d o d = 0 exactly on the columns: each
+    column of a composite is summed over the nonzero entries alone, and
+    the check stops at the first column that is not zero.  differentials
+    lays the matrices out dense, once, for callers that work on groups."""
 
     terms: Tuple[int, ...]
-    differentials: Tuple[IntMatrix, ...]
-    columns: InitVar[Optional[Sequence[Sequence[Dict[int, int]]]]] = None
+    columns: Tuple[Sequence[Dict[int, int]], ...]
 
-    def __post_init__(self, columns):
-        if len(self.differentials) != len(self.terms) - 1:
+    def __post_init__(self):
+        if len(self.columns) != len(self.terms) - 1:
             raise ValueError("need one differential per adjacent pair of terms")
-        for k, d in enumerate(self.differentials):
-            if d.rows != self.terms[k] or d.cols != self.terms[k + 1]:
-                raise ValueError(f"differential {k + 1} has shape {d.rows}x{d.cols}")
-        if columns is None:
-            columns = [dict_columns(d) for d in self.differentials]
-        for k in range(len(columns) - 1):
-            low, n = columns[k], self.terms[k]
-            for col in columns[k + 1]:
+        for k, cols in enumerate(self.columns):
+            if len(cols) != self.terms[k + 1]:
+                raise ValueError(f"differential {k + 1} has {len(cols)} columns, "
+                                 f"not {self.terms[k + 1]}")
+        for k in range(len(self.columns) - 1):
+            low, n = self.columns[k], self.terms[k]
+            for col in self.columns[k + 1]:
                 acc = [0] * n
                 for t, w in col.items():
                     for i, v in low[t].items():
@@ -327,18 +331,22 @@ class FreeComplex:
                 if any(acc):
                     raise ValueError("d o d is nonzero")
 
-    @classmethod
-    def from_columns(cls, terms: Sequence[int],
-                     columns: Sequence[Sequence[Dict[int, int]]]) -> "FreeComplex":
-        """The complex whose differential k + 1 has the dict columns
-        columns[k] {row: entry} over terms[k] rows, checked on them."""
-        dense = tuple(from_dict_columns(terms[k], c) for k, c in enumerate(columns))
-        return cls(tuple(terms), dense, columns)
+    @functools.cached_property
+    def differentials(self) -> Tuple[IntMatrix, ...]:
+        """The differentials as dense matrices; differentials[k - 1] maps
+        degree k to degree k - 1."""
+        return tuple(from_dict_columns(self.terms[k], c) for k, c in enumerate(self.columns))
 
 
 def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
     """Three-term complex  Λ²(U) (x) SP^{m-2}(Q) -> U (x) SP^{m-1}(Q) -> SP^m(Q)
     for a sublattice U of Q = Z^rows given by independent columns.
+
+    The independence is a precondition, not checked here.  Every caller
+    passes a lattice that was checked already: l1_sp that
+    of a derived.Presentation, the cokernels of induced maps those of a
+    derived.NestedPresentation, and sym_relations the echelon basis of
+    abelian.purified_relations or the lattice of a Presentation.
 
     d1 multiplies a sublattice vector into the monomial; d2 sends
     (u ∧ v) (x) s to u (x) (v·s) - v (x) (u·s).  Its middle homology is the
@@ -350,8 +358,6 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
     if m < 2:
         raise ValueError("need degree m >= 2")
     r, s = u.rows, u.cols
-    if rank(u) != s:
-        raise ValueError("sublattice columns must be independent")
     top = basis("sym", m, r).index
     sp_mid = basis("sym", m - 1, r)
     mid, n = sp_mid.index, sp_mid.size
@@ -368,7 +374,7 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
             for j, v in support[a]:
                 col[b * n + mid[_sym_times_letter(mono, j)]] = -v
             d2.append(col)
-    return FreeComplex.from_columns((len(top), s * n, len(d2)), (d1, d2))
+    return FreeComplex((len(top), s * n, len(d2)), (d1, d2))
 
 
 def sym_relations(n: int, u: IntMatrix) -> IntMatrix:

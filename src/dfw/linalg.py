@@ -11,8 +11,12 @@ back.  Entry types are checked once, where data enters: IntMatrix(...)
 of solve.  Kernel results, matrix arithmetic and the dict columns of the
 complex builders (from_dict_columns, whose entries are sums of products
 of checked entries) are wrapped by _wrap without a second check.
-dict_columns lists the nonzero entries of each column, the sparse form
-on which functors.FreeComplex checks d o d = 0.
+
+Complexes are stored in one other layout, sparse columns: dicts
+{row: entry}, which functors.FreeComplex keeps and smith_diagonal_uncached
+reads.  dict_columns lists the nonzero entries of a matrix in that form,
+and from_dict_columns lays such columns out dense where a caller asks for
+matrices.
 """
 
 from __future__ import annotations
@@ -439,23 +443,24 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         d, left = add @ d, add @ left
 
 
-def smith_diagonal_uncached(m: IntMatrix) -> Tuple[int, ...]:
-    """Diagonal of the Smith form, without transforms.
+def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tuple[int, ...]:
+    """Diagonal of the Smith form of the rows x len(columns) matrix with
+    the dict columns {row: entry}, without transforms.
 
-    Units first: eliminate_units splits off u pivots of +-1, so the
-    diagonal is u ones followed by that of the sparse remainder R.  Then
-    Hermite passes (Havas, Majewski and Matthews, Exp. Math. 1998): a
-    column pass on R leaves its k = rank(R) echelon columns B, and
+    Units first: eliminate_units splits off u pivots of +-1 from the
+    columns as they are, so the diagonal is u ones followed by that of
+    the sparse remainder R.  Then Hermite passes (Havas, Majewski and
+    Matthews, Exp. Math. 1998): a column pass on R leaves its k = rank(R) echelon columns B, and
     column passes on the transpose of B, then of each k x k result, run
     until the block is diagonal, as in smith_normal_form.  Unimodular
     steps keep the diagonal; reducing R directly lets its entries swell.
     Last, gcd and lcm turn the diagonal into a divisibility chain:
     diag(a, b) and diag(gcd(a, b), lcm(a, b)) have the same Smith form.
     """
-    u, rest, rows, cols = _k.eliminate_units(m.entries, m.rows, m.cols)
-    h, _, piv = _k.hermite_cols(rest, rows, cols, False)
+    u, rest, n_rows, n_cols = _k.eliminate_units(columns, rows)
+    h, _, piv = _k.hermite_cols(rest, n_rows, n_cols, False)
     k = len(piv)
-    block, n = h[:k], rows
+    block, n = h[:k], n_rows
     while True:
         # the columns of the transpose are the rows of block; a full-rank
         # pass leaves k nonzero columns, each zero above its diagonal entry
@@ -468,7 +473,7 @@ def smith_diagonal_uncached(m: IntMatrix) -> Tuple[int, ...]:
         for j in range(i + 1, k):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     diag = (1,) * u + tuple(d)
-    return diag + (0,) * (min(m.rows, m.cols) - len(diag))
+    return diag + (0,) * (min(rows, len(columns)) - len(diag))
 
 
 # Most hits are small relation matrices seen again within a few calls
@@ -477,8 +482,9 @@ def smith_diagonal_uncached(m: IntMatrix) -> Tuple[int, ...]:
 # smith_diagonal_uncached and keeps them out of this cache.
 @functools.lru_cache(maxsize=256)
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
-    """smith_diagonal_uncached behind a 256-entry LRU cache."""
-    return smith_diagonal_uncached(m)
+    """smith_diagonal_uncached of the columns of m, behind a 256-entry
+    LRU cache."""
+    return smith_diagonal_uncached(m.rows, dict_columns(m))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -1,12 +1,13 @@
 """The sparse builders of the Koszul, Tor and L2Ls3 complexes against the
-dense constructions they replaced, and the d o d check of FreeComplex
-against mutants of the columns the builders hand to it."""
+dense constructions they replaced, the d o d check of FreeComplex
+against mutants of the columns the builders hand to it, and the value
+path, which reads the builders' columns without a dense differential."""
 
 import random
 
 import pytest
 
-from dfw import derived
+from dfw import derived, functors
 from dfw.abelian import PresentedGroup
 from dfw.derived import (
     Presentation,
@@ -192,24 +193,24 @@ class TestSparseDodCheck:
     def test_bumped_builder_entry_raises(self, monkeypatch, name, k):
         build = BUILDERS[name]
         build(self.P)  # the builder's own columns pass
-        real = FreeComplex.from_columns.__func__
+        real = FreeComplex.__init__
 
-        def mutant(cls, terms, columns):
-            return real(cls, terms, bumped(columns, k))
+        def mutant(self, terms, columns):
+            real(self, terms, bumped(columns, k))
 
-        monkeypatch.setattr(FreeComplex, "from_columns", classmethod(mutant))
+        monkeypatch.setattr(FreeComplex, "__init__", mutant)
         with pytest.raises(ValueError, match="d o d is nonzero"):
             build(self.P)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_bumped_dense_entry_raises(self, k):
-        # a complex given by matrices alone is checked on columns listed
-        # from its entries
+        # a complex given by matrices is checked on the columns listed
+        # from their entries
         cx = koszul_sp(3, self.P.sublattice)
         columns = bumped([dict_columns(d) for d in cx.differentials], k)
         dense = tuple(from_dict_columns(n, c) for n, c in zip(cx.terms, columns))
         with pytest.raises(ValueError, match="d o d is nonzero"):
-            FreeComplex(cx.terms, dense)
+            FreeComplex(cx.terms, tuple(dict_columns(d) for d in dense))
 
     def test_non_lie_column_of_w_raises(self, monkeypatch):
         # the pure tensor e0 (x) e0 (x) e0 in place of the first Lyndon
@@ -241,7 +242,7 @@ class TestSparseDodCheck:
         # the complex induced_cokernel reads, built from the bad f1
         d2_aug = hstack(d2, bad @ cycles)
         with pytest.raises(ValueError, match="d o d is nonzero"):
-            FreeComplex((d1.rows, d1.cols, d2_aug.cols), (d1, d2_aug))
+            FreeComplex((d1.rows, d1.cols, d2_aug.cols), (dst.columns[0], dict_columns(d2_aug)))
 
 
 class TestSmithCache:
@@ -257,3 +258,22 @@ class TestSmithCache:
         g = PresentedGroup(2, IntMatrix.from_cols([[2, 2], [0, 4]], rows=2))
         assert str(g.canonical) == "Z/2 + Z/4"
         assert smith_diagonal.cache_info().misses == 1
+
+
+class TestValuePathIsSparse:
+    def test_values_build_no_dense_differential(self, monkeypatch):
+        def refuse(rows, columns):
+            raise AssertionError("a dense differential was built")
+
+        monkeypatch.setattr(functors, "from_dict_columns", refuse)
+        p = Presentation.from_group(PresentedGroup.from_invariants(1, (2, 4)))
+        q = Presentation.from_group(PresentedGroup.from_invariants(0, (2, 4, 8)))
+        values = [l1_sp(2, p), l1_sp(3, p), l1_sp(4, p), tor(p, p), l2_superlie3(p),
+                  l1_sp(4, q), l2_superlie3(q)]
+        assert [str(v.canonical) for v in values] == [
+            "Z/2", "Z/2 + Z/2 + Z/2", " + ".join(["Z/2"] * 6), "Z/2 + Z/2 + Z/2 + Z/4",
+            "Z/2 + Z/2", " + ".join(["Z/2"] * 12 + ["Z/4"] * 3),
+            " + ".join(["Z/2"] * 6 + ["Z/4"] * 2)]
+        # a caller that asks for the matrices still gets them laid out
+        with pytest.raises(AssertionError, match="dense differential"):
+            koszul_sp(2, p.sublattice).differentials

@@ -28,13 +28,14 @@ from dfw.derived import (
 from dfw.functors import FreeComplex, induced_map, koszul_sp, lie3_embedding, lie3_split
 from dfw.linalg import (
     IntMatrix,
-    clear_caches,
     column_basis,
+    dict_columns,
     hstack,
     kernel_basis,
     kron,
     rank,
     smith_diagonal,
+    smith_diagonal_uncached,
     solve_matrix,
     vstack,
 )
@@ -184,7 +185,7 @@ def unreduced_superlie3_cone(p):
     w = kron(IntMatrix.identity(s * s), u) @ lie3_embedding(s)
     return FreeComplex(
         terms=(m.rows, m.cols + r_b.cols, w.cols),
-        differentials=(hstack(m, r_b), vstack(r_a, -w)),
+        columns=(dict_columns(hstack(m, r_b)), dict_columns(vstack(r_a, -w))),
     )
 
 
@@ -589,9 +590,10 @@ class TestSmithBlockGuard:
     only; every later Hermite pass works on the k echelon columns it
     leaves (k = rank of the remainder), transposed, and then on a k x k
     block.  Reducing the whole remainder to its Smith form let entries
-    swell: on one rank-4 L1SP^4 d2 that took over a minute."""
+    swell: on one rank-4 L1SP^4 d2 that took over a minute.  The passes
+    are those of homology_value, on the columns of the complex."""
 
-    def hermite_calls(self, monkeypatch, m):
+    def hermite_calls(self, monkeypatch, cx):
         calls = []
         hermite_cols = _kernels.hermite_cols
 
@@ -599,11 +601,12 @@ class TestSmithBlockGuard:
             calls.append((len(a), rows, cols))
             return hermite_cols(a, rows, cols, *flags, **kw)
 
+        m = cx.differentials[1]
         monkeypatch.setattr(_kernels, "hermite_cols", recording)
-        clear_caches()
-        diag = smith_diagonal(m)
+        diag = smith_diagonal_uncached(cx.terms[1], cx.columns[1])
         monkeypatch.undo()
-        units, _, rest_rows, rest_cols = _kernels.eliminate_units(m.entries, m.rows, m.cols)
+        assert diag == smith_diagonal(m)
+        units, _, rest_rows, rest_cols = _kernels.eliminate_units(cx.columns[1], m.rows)
         k = rank(m) - units
         assert sum(1 for d in diag if d) == rank(m)
         # the first pass sees the remainder; the next one the transpose of
@@ -615,15 +618,17 @@ class TestSmithBlockGuard:
 
     def test_rank4_scan_d2(self, monkeypatch):
         u = IntMatrix.from_rows([[2, 0, 0, 0], [2, 4, 0, 0], [3, 2, 4, 0], [3, 0, 3, 5]])
-        d2 = koszul_sp(4, u).differentials[1]
-        units, k = self.hermite_calls(monkeypatch, d2)
+        cx = koszul_sp(4, u)
+        d2 = cx.differentials[1]
+        units, k = self.hermite_calls(monkeypatch, cx)
         # the 80 x 60 d2 has rank 45 and no unit entry
         assert (units, k, d2.rows, d2.cols) == (0, 45, 80, 60)
 
     def test_unit_rich_cone_d2(self, monkeypatch):
         g = PresentedGroup.from_invariants(1, (2, 2, 2))
         p = scrambled_presentation(random.Random(5), g, 2)
-        d2 = superlie3_cone(p).differentials[1]
-        units, k = self.hermite_calls(monkeypatch, d2)
+        cx = superlie3_cone(p)
+        d2 = cx.differentials[1]
+        units, k = self.hermite_calls(monkeypatch, cx)
         # most of the rank is split off as unit pivots
         assert 2 * units > rank(d2)

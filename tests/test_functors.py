@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dfw.abelian import CanonicalForm, PresentedGroup
+from dfw.derived import Presentation, l1_sp
 from dfw.functors import (
     FreeComplex,
     basis,
@@ -217,19 +218,23 @@ class TestKoszul:
                 assert (cx.differentials[0] @ cx.differentials[1]).is_zero
 
     def test_dependent_columns_rejected(self):
+        # koszul_sp takes independence as a precondition; a dependent
+        # lattice is rejected where it enters, by Presentation
         u = IntMatrix.from_cols([[1, 0], [2, 0]], rows=2)
-        with pytest.raises(ValueError):
-            koszul_sp(2, u)
+        with pytest.raises(ValueError, match="independent"):
+            l1_sp(2, Presentation(2, u))
 
     def test_free_complex_validates(self):
-        with pytest.raises(ValueError):
-            FreeComplex(
-                terms=(1, 1, 1),
-                differentials=(
-                    IntMatrix.from_rows([[1]]),
-                    IntMatrix.from_rows([[1]]),
-                ),
-            )
+        with pytest.raises(ValueError, match="d o d is nonzero"):
+            FreeComplex(terms=(1, 1, 1), columns=([{0: 1}], [{0: 1}]))
+
+    @pytest.mark.parametrize("terms", [(1, 2, 1), (1, 1, 2), (1, 1), (1, 1, 1, 0)])
+    def test_free_complex_column_counts(self, terms):
+        columns = ([{0: 1}], [{}])
+        assert FreeComplex((1, 1, 1), columns).differentials == (
+            IntMatrix.from_rows([[1]]), IntMatrix.zeros(1, 1))
+        with pytest.raises(ValueError, match="differential"):
+            FreeComplex(terms, columns)
 
 
 class TestFunctorOnGroup:

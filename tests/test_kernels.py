@@ -3,11 +3,15 @@ range and a column slice) against the comprehension versions they
 replaced, which are copied below as the reference: mat_mul,
 hermite_cols (with and without transform, and rank_only) and
 eliminate_units must return exactly what the references return.
+eliminate_units reads dict columns, with explicit zero entries among
+them, and must leave them as they were; its reference reads the same
+matrix in the dense flat form.
 
 The matrices are sparse (at most a fifth of the entries nonzero), with
 entries up to 2^70, zero columns, leading zero rows (so pivots fall past
 row 0) and empty shapes."""
 
+import copy
 import signal
 from contextlib import contextmanager
 
@@ -99,14 +103,36 @@ def test_hermite_cols_matches_reference(args):
         assert got == ref_hermite_cols(*args, *flags)
 
 
+@st.composite
+def dict_columns_with_zeros(draw):
+    """(columns, a, rows, cols): a sparse_flat matrix a and its columns as
+    dicts {row: entry} in increasing row order, holding every nonzero
+    entry and explicit zeros at some of the other cells."""
+    a, rows, cols = draw(sparse_flat())
+    zeros = draw(st.sets(st.integers(min_value=0, max_value=max(rows * cols - 1, 0)),
+                         max_size=rows * cols))
+    columns = [{i: a[j * rows + i] for i in range(rows)
+                if a[j * rows + i] or j * rows + i in zeros} for j in range(cols)]
+    return columns, a, rows, cols
+
+
+# a unit pivot whose column holds an explicit zero, beside a zero column
+ZEROS_BESIDE_A_UNIT = [{0: 1, 1: 0}, {0: 2, 1: 3}, {1: 0}], (1, 0, 2, 3, 0, 0), 2, 3
+
+
 @settings(max_examples=300, deadline=None)
-@given(sparse_flat())
-@example(PAST_ROW_0)
-@example(EMPTY[0])
-@example(EMPTY[1])
-@example(EMPTY[2])
+@given(dict_columns_with_zeros())
+@example(ZEROS_BESIDE_A_UNIT)
+@example(([{2: 3}, {}, {2: BIG + 1, 3: 2}], *PAST_ROW_0))
+@example(([], *EMPTY[0]))
+@example(([{}] * 5, *EMPTY[1]))
+@example(([], *EMPTY[2]))
 def test_eliminate_units_matches_reference(args):
-    assert _k.eliminate_units(*args) == ref_eliminate_units(*args)
+    columns, a, rows, cols = args
+    before = copy.deepcopy(columns)
+    assert _k.eliminate_units(columns, rows) == ref_eliminate_units(a, rows, cols)
+    assert columns == before
+    assert [list(c) for c in columns] == [list(c) for c in before]
 
 
 def test_example_has_pivots_past_row_0():

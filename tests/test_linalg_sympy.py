@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from dfw import _kernels as _k
 from dfw.abelian import PresentedGroup
-from dfw.linalg import IntMatrix, is_unimodular, rank, smith_diagonal, smith_normal_form
+from dfw.linalg import IntMatrix, dict_columns, is_unimodular, rank, smith_diagonal, smith_normal_form
 from test_kernels import time_limit
 
 
@@ -141,7 +141,7 @@ def test_unit_rich_smith_diagonal_and_rank_match_sympy(m):
 @example(FILL_IN)
 @example(NO_UNIT)
 def test_eliminate_units_contract(m):
-    k, rest, rows, cols = _k.eliminate_units(m.entries, m.rows, m.cols)
+    k, rest, rows, cols = _k.eliminate_units(dict_columns(m), m.rows)
     assert len(rest) == rows * cols
     assert rows <= m.rows - k and cols <= m.cols - k
     rest = IntMatrix(rows, cols, rest)
@@ -153,12 +153,13 @@ def test_eliminate_units_contract(m):
 
 
 def test_eliminate_units_fill_in_and_no_unit():
-    k, rest, rows, cols = _k.eliminate_units(FILL_IN.entries, 4, 4)
+    k, rest, rows, cols = _k.eliminate_units(dict_columns(FILL_IN), 4)
     assert k >= 1 and rows * cols and any(abs(x) > 9 for x in rest)
-    assert _k.eliminate_units(NO_UNIT.entries, 3, 3) == (0, list(NO_UNIT.entries), 3, 3)
+    assert _k.eliminate_units(dict_columns(NO_UNIT), 3) == (0, list(NO_UNIT.entries), 3, 3)
 
 
 def test_eliminate_units_empty_shapes():
     for r, c in [(0, 0), (0, 3), (3, 0), (2, 3)]:
-        assert _k.eliminate_units((0,) * (r * c), r, c) == (0, [], 0, 0)
-    assert _k.eliminate_units((-1,), 1, 1) == (1, [], 0, 0)
+        assert _k.eliminate_units([{}] * c, r) == (0, [], 0, 0)
+        assert _k.eliminate_units([dict.fromkeys(range(r), 0) for _ in range(c)], r) == (0, [], 0, 0)
+    assert _k.eliminate_units([{0: -1}], 1) == (1, [], 0, 0)
