@@ -38,8 +38,12 @@ checks compare two independent computations.
 Sign conventions are fixed here once: writing i for the inclusion of a
 sublattice into its ambient lattice, the Tor differential is
 d(v (x) w) = (-v (x) i(w), i(v) (x) w) and the comparison map into the
-Koszul complex uses psi2(v (x) w) = -(v ∧ w).  With these choices every
-chain square commutes exactly; induced_cokernel verifies that on each call.
+Koszul complex uses psi2(v (x) w) = -(v ∧ w), read off
+functors.ext_relations as its negative.  With these choices every chain
+square commutes exactly; induced_cokernel verifies that on each call.
+The comparison maps and the suites of dfw.theorems read the two maps of
+Λ²(U) -> U (x) Q -> SP²(Q) from functors.koszul_sp, which fixes their
+basis order.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
     FreeComplex,
     basis,
+    ext_relations,
     induced_map,
     koszul_sp,
     lie3_columns,
@@ -217,49 +222,19 @@ def l1_sp(m: int, p: Presentation) -> PresentedGroup:
     return homology_value(koszul_sp(m, p.sublattice))
 
 
-def wedge_to_tensor_matrix(v: IntMatrix) -> IntMatrix:
-    """Λ²(Z^s) -> Z^s (x) Z^r for the inclusion v: Z^s -> Z^r with columns
-    v_a:  g_a ∧ g_b  |->  g_a (x) v_b - g_b (x) v_a."""
-    r, s = v.rows, v.cols
-    v_cols = [v.col_list(a) for a in range(s)]
-    cols = []
-    for (a, b) in basis("ext", 2, s).elements:
-        col = [0] * (s * r)
-        col[a * r:(a + 1) * r] = v_cols[b]
-        col[b * r:(b + 1) * r] = [-e for e in v_cols[a]]
-        cols.append(col)
-    return IntMatrix.from_cols(cols, rows=s * r)
-
-
-def tensor_to_sym2_matrix(v: IntMatrix) -> IntMatrix:
-    """Z^s (x) Z^r -> SP²(Z^r) for the inclusion v: Z^s -> Z^r with columns
-    v_a:  g_a (x) e_j  |->  v_a · x_j."""
-    r, s = v.rows, v.cols
-    sym2 = basis("sym", 2, r)
-    cols = []
-    for a in range(s):
-        support = [(k, e) for k, e in enumerate(v.col_list(a)) if e]
-        for j in range(r):
-            col = [0] * sym2.size
-            for k, e in support:
-                col[sym2.rank_of((k, j) if k <= j else (j, k))] += e
-            cols.append(col)
-    return IntMatrix.from_cols(cols, rows=sym2.size)
-
-
 def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
     """The four-term sequence
     0 -> L1SP^2(Q/U) -> Λ²(Q)/Λ²(U) -> Q/U (x) Q -> SP^2(Q/U) -> 0
-    as three Homs (inclusion, wedge-to-tensor, multiplication)."""
+    as three Homs (inclusion, wedge-to-tensor, multiplication).  The last
+    two are d2 and d1 of koszul_sp(2, .) on the identity lattice."""
     u = p.sublattice
     r = p.ambient_rank
     wedge_mod = PresentedGroup(basis("ext", 2, r).size, induced_map("ext", 2, u))
     quot_tensor = PresentedGroup(r * r, kron(u, IntMatrix.identity(r)))
     sp2 = PresentedGroup(basis("sym", 2, r).size, sym_relations(2, u))
-
-    ident = IntMatrix.identity(r)
-    beta = Hom(wedge_mod, quot_tensor, wedge_to_tensor_matrix(ident))
-    gamma = Hom(quot_tensor, sp2, tensor_to_sym2_matrix(ident))
+    mult, wedge = koszul_sp(2, IntMatrix.identity(r)).differentials
+    beta = Hom(wedge_mod, quot_tensor, wedge)
+    gamma = Hom(quot_tensor, sp2, mult)
     ker_group, alpha = kernel(beta)
     return alpha, beta, gamma
 
@@ -398,38 +373,23 @@ def _tor_koszul_chain_map(np: NestedPresentation):
     Koszul complex of V <= Q, already composed with the second-slot
     comparison U -> V.
 
-    psi0 multiplies Q (x) Q onto SP^2(Q); psi1 sends v (x) q to itself and
-    q (x) w to F(w) (x) q; psi2 sends v (x) w to -(v ∧ F(w)).
+    psi0 multiplies Q (x) Q onto SP^2(Q), d1 of the Koszul complex of the
+    identity lattice; psi1 sends v (x) q to itself and q (x) w to
+    F(w) (x) q; psi2 sends v (x) w to -(v ∧ F(w)), minus the relations
+    of Λ²(V/U) with their columns reordered.
     """
     r = np.ambient_rank
-    v = np.outer
-    f = np.witness
-    sv = v.cols
-    su = np.inner.cols
-
-    psi0 = tensor_to_sym2_matrix(IntMatrix.identity(r))
-
+    sv, su = np.outer.cols, np.inner.cols
+    psi0 = sym_relations(2, IntMatrix.identity(r))
     # F (x) I_r sends w (x) q to F(w) (x) q; reorder its columns from
     # U (x) Q to the Q (x) U of the Tor complex
     q_then_u = [k * r + j for j in range(r) for k in range(su)]
-    swapped = kron(f, IntMatrix.identity(r)).select_columns(q_then_u)
+    swapped = kron(np.witness, IntMatrix.identity(r)).select_columns(q_then_u)
     psi1 = hstack(IntMatrix.identity(sv * r), swapped)
-
-    wedge_v = basis("ext", 2, sv)
-    psi2_cols = []
-    for i in range(sv):
-        for k in range(su):
-            col = [0] * wedge_v.size
-            for l in range(sv):
-                e = f.entry(l, k)
-                if not e:
-                    continue
-                if i < l:
-                    col[wedge_v.rank_of((i, l))] -= e
-                elif l < i:
-                    col[wedge_v.rank_of((l, i))] += e
-            psi2_cols.append(col)
-    psi2 = IntMatrix.from_cols(psi2_cols, rows=wedge_v.size)
+    # column k * sv + i of ext_relations(2, F) is v_i ∧ F(w_k); reorder
+    # its columns from U (x) V to the V (x) U of the Tor complex
+    v_then_u = [k * sv + i for i in range(sv) for k in range(su)]
+    psi2 = -ext_relations(2, np.witness).select_columns(v_then_u)
     return psi0, psi1, psi2
 
 

@@ -157,14 +157,7 @@ def lie3_embedding(source_rank: int) -> IntMatrix:
     Column per Lyndon bracket, expanded into the word basis; e.g. for rank
     2 the bracket of the word xxy is [x,[x,y]] = xxy - 2 xyx + yxx.
     """
-    size = source_rank ** 3
-    cols = []
-    for entries in lie3_columns(source_rank):
-        col = [0] * size
-        for t, c in entries:
-            col[t] = c
-        cols.append(col)
-    return IntMatrix.from_cols(cols, rows=size)
+    return from_dict_columns(source_rank ** 3, [dict(c) for c in lie3_columns(source_rank)])
 
 
 class Lie3Split(NamedTuple):
@@ -220,12 +213,10 @@ def lie3_split(source_rank: int) -> Lie3Split:
                 elif i != j:
                     res[i] = res.get(i, 0) - q * v
         defect_columns[t] = tuple((k, v) for k, v in minus_z.items() if v)
-    defect = [0] * (m * cube.size)
-    for t, entries in enumerate(defect_columns):
-        for k, v in entries:
-            defect[t * m + k] = v
     return Lie3Split(
-        IntMatrix(n, cube.size, left), IntMatrix(m, cube.size, defect), tuple(defect_columns)
+        IntMatrix(n, cube.size, left),
+        from_dict_columns(m, [dict(c) for c in defect_columns]),
+        tuple(defect_columns),
     )
 
 
@@ -344,16 +335,23 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
 
     The independence is a precondition, not checked here.  Every caller
     passes a lattice that was checked already: l1_sp that
-    of a derived.Presentation, the cokernels of induced maps those of a
-    derived.NestedPresentation, and sym_relations the echelon basis of
-    abelian.purified_relations or the lattice of a Presentation.
+    of a derived.Presentation, the cokernels of induced maps and
+    theorems.thm_3_1_instance those of a derived.NestedPresentation (its
+    outer lattice for the suite), sym_relations the echelon basis of
+    abelian.purified_relations or the lattice of a Presentation, and
+    derived.sp2_bottom_row, the Tor comparison map and
+    theorems.thm_3_2_instance the identity lattice, whose d2 and d1 in
+    degree 2 are the wedge-to-tensor and multiplication maps of Q itself.
 
     d1 multiplies a sublattice vector into the monomial; d2 sends
     (u ∧ v) (x) s to u (x) (v·s) - v (x) (u·s).  Its middle homology is the
-    first derived functor of SP^m of the quotient.  The columns are built
-    as dicts from the nonzero entries of the sublattice vectors, with rows
-    looked up in FunctorBasis.index; no two terms of a column meet in one
-    row, since distinct letters times one monomial are distinct monomials.
+    first derived functor of SP^m of the quotient.  The middle term is
+    ordered with the U index major, the top term by the pairs a < b of
+    Λ²(U), each followed by the monomials of SP^{m-2}(Q).  The columns
+    are built as dicts from the nonzero entries of the sublattice vectors,
+    with rows looked up in FunctorBasis.index; no two terms of a column
+    meet in one row, since distinct letters times one monomial are
+    distinct monomials.
     """
     if m < 2:
         raise ValueError("need degree m >= 2")

@@ -43,12 +43,10 @@ from .derived import (
     l2_superlie3,
     sp2_bottom_row,
     superlie3_kernel_data,
-    tensor_to_sym2_matrix,
     tor,
-    wedge_to_tensor_matrix,
 )
-from .functors import basis, ext_relations, functor_on_group, induced_map
-from .linalg import IntMatrix, column_basis, hstack, kron
+from .functors import basis, ext_relations, functor_on_group, induced_map, koszul_sp
+from .linalg import IntMatrix, column_basis, hstack
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,9 @@ def thm_3_1_instance(np: NestedPresentation) -> Tuple[str, str]:
     i_tensor_e = tensor(i_group, e_group)
     sp2_e = functor_on_group("sym", 2, e_group)
 
-    map_a = Hom(lam2_i, i_tensor_e, wedge_to_tensor_matrix(np.outer))
-    map_b = Hom(i_tensor_e, sp2_e, tensor_to_sym2_matrix(np.outer))
+    mult, wedge = koszul_sp(2, np.outer).differentials
+    map_a = Hom(lam2_i, i_tensor_e, wedge)
+    map_b = Hom(i_tensor_e, sp2_e, mult)
     if not (map_b @ map_a).is_zero():
         raise AssertionError("three-term complex does not compose to zero")
 
@@ -187,13 +186,13 @@ def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
 
     r = np.ambient_rank
     u, v = np.inner, np.outer
-    ident = IntMatrix.identity(r)
     wedge_source = PresentedGroup(
         basis("ext", 2, r).size,
         hstack(induced_map("ext", 2, v), ext_relations(2, u)),
     )
-    tensor_target = PresentedGroup(r * r, hstack(kron(v, ident), kron(ident, u)))
-    ker_group, _ = kernel(Hom(wedge_source, tensor_target, wedge_to_tensor_matrix(ident)))
+    tensor_target = tensor(PresentedGroup(r, v), PresentedGroup(r, u))
+    wedge = koszul_sp(2, IntMatrix.identity(r)).differentials[1]
+    ker_group, _ = kernel(Hom(wedge_source, tensor_target, wedge))
     rhs = str(ker_group.canonical)
     return lhs, rhs
 

@@ -20,10 +20,8 @@ from dfw.derived import (
     sp2_bottom_row,
     superlie3_cone,
     superlie3_kernel_data,
-    tensor_to_sym2_matrix,
     tor,
     tor_complex,
-    wedge_to_tensor_matrix,
 )
 from dfw.functors import FreeComplex, induced_map, koszul_sp, lie3_embedding, lie3_split
 from dfw.linalg import (
@@ -123,27 +121,26 @@ class TestKernelForm:
 class TestSharedMatrices:
     def test_identity_inclusion(self):
         # Z^2: e0∧e1 -> e0(x)e1 - e1(x)e0; e_i(x)e_j -> x_i x_j on x0², x0x1, x1²
-        ident = IntMatrix.identity(2)
-        assert wedge_to_tensor_matrix(ident) == IntMatrix.from_cols([[0, 1, -1, 0]], rows=4)
-        assert tensor_to_sym2_matrix(ident) == IntMatrix.from_cols(
+        mult, wedge_to_tensor = koszul_sp(2, IntMatrix.identity(2)).differentials
+        assert wedge_to_tensor == IntMatrix.from_cols([[0, 1, -1, 0]], rows=4)
+        assert mult == IntMatrix.from_cols(
             [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], rows=3)
 
     def test_against_koszul_and_naturality(self):
-        # oracles: the degree-2 Koszul differentials of an independent v,
-        # built by functors.koszul_sp; and factoring through the identity
-        # case as (I (x) v) after the wedge map, multiplication after (v (x) I)
+        # the degree-2 Koszul differentials of an independent v factor
+        # through those of the identity lattice: (I (x) v) after the wedge
+        # map, multiplication after (v (x) I)
         rng = random.Random(77)
         for _ in range(20):
             r = rng.randint(1, 5)
             k = rng.randint(0, r)
             v = column_basis(random_matrix(rng, r, k, 3))
             s = v.cols
-            wedge_to_tensor, mult = wedge_to_tensor_matrix(v), tensor_to_sym2_matrix(v)
-            assert koszul_sp(2, v).differentials == (mult, wedge_to_tensor)
-            assert wedge_to_tensor == (
-                kron(IntMatrix.identity(s), v) @ wedge_to_tensor_matrix(IntMatrix.identity(s)))
-            assert mult == (
-                tensor_to_sym2_matrix(IntMatrix.identity(r)) @ kron(v, IntMatrix.identity(r)))
+            mult, wedge_to_tensor = koszul_sp(2, v).differentials
+            wedge_s = koszul_sp(2, IntMatrix.identity(s)).differentials[1]
+            mult_r = koszul_sp(2, IntMatrix.identity(r)).differentials[0]
+            assert wedge_to_tensor == kron(IntMatrix.identity(s), v) @ wedge_s
+            assert mult == mult_r @ kron(v, IntMatrix.identity(r))
 
 
 class TestL2SuperLie3:
@@ -329,16 +326,17 @@ class TestInducedMaps:
         assert nontrivial["thm31"] >= 20 and nontrivial["thm32"] >= 10
 
     @pytest.mark.parametrize("chain", [l1_sp2_chain, tor_chain])
-    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_perturbed_square_raises(self, chain, degree):
         outer = IntMatrix.from_cols([[2, 0, 0], [1, 3, 0]], rows=3)
         np = NestedPresentation.build(3, column_basis(outer @ IntMatrix.from_rows([[2, 0], [1, 2]])), outer)
         src, dst, maps = chain(np)
         induced_cokernel(src, dst, maps)  # the chain map itself passes
         broken = list(maps)
-        f = maps[degree]  # f1 or f2, with one entry bumped
+        f = maps[degree]  # f0, f1 or f2, with one entry bumped
         broken[degree] = IntMatrix(f.rows, f.cols, (f.entries[0] + 1,) + f.entries[1:])
-        with pytest.raises(AssertionError, match=f"degree-{degree} chain square"):
+        # f0 and f1 meet in the degree-1 square
+        with pytest.raises(AssertionError, match=f"degree-{max(degree, 1)} chain square"):
             induced_cokernel(src, dst, tuple(broken))
 
     def test_chain_squares_random(self):
