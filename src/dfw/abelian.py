@@ -8,8 +8,7 @@ relation lattices, so everything here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     IntMatrix,
@@ -27,12 +26,12 @@ class ContainmentError(ValueError):
     """A claimed subgroup containment does not hold."""
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Complete isomorphism invariant: free rank plus invariant factors.
 
     torsion is the chain d1 | d2 | ... with every d >= 2.  Two presented
-    groups are isomorphic exactly when their canonical forms are equal.
+    groups are isomorphic exactly when their canonical forms are equal;
+    as a NamedTuple, a form also equals the plain tuple of its fields.
     """
 
     free_rank: int

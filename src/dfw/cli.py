@@ -15,7 +15,6 @@ are byte-identical for identical seeds and configs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -111,7 +110,7 @@ def render_tsv(results: List[Tuple[str, Verdict]]) -> str:
 def render_json(results: List[Tuple[str, Verdict]]) -> str:
     rows = []
     for _, verdict in results:
-        rows.extend(dataclasses.asdict(r) for r in verdict.records)
+        rows.extend(r._asdict() for r in verdict.records)
     return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
 
 

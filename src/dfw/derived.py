@@ -48,8 +48,7 @@ basis order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -75,19 +74,28 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True, slots=True)
 class Presentation:
     """A quotient of a free lattice: Q = Z^ambient_rank modulo the span of
-    the independent columns of `sublattice`."""
+    the independent columns of `sublattice`.  Two presentations are equal
+    when their ranks and sublattice matrices are."""
 
-    ambient_rank: int
-    sublattice: IntMatrix
+    __slots__ = ("ambient_rank", "sublattice")
 
-    def __post_init__(self):
-        if self.sublattice.rows != self.ambient_rank:
+    def __init__(self, ambient_rank: int, sublattice: IntMatrix):
+        if sublattice.rows != ambient_rank:
             raise ValueError("sublattice must live in the ambient lattice")
-        if rank(self.sublattice) != self.sublattice.cols:
+        if rank(sublattice) != sublattice.cols:
             raise ValueError("sublattice columns must be independent")
+        self.ambient_rank = ambient_rank
+        self.sublattice = sublattice
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return self.ambient_rank == other.ambient_rank and self.sublattice == other.sublattice
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_rank, self.sublattice))
 
     @classmethod
     def from_group(cls, g: PresentedGroup) -> "Presentation":
@@ -110,25 +118,25 @@ class Presentation:
         )
 
 
-@dataclass(frozen=True, slots=True)
 class NestedPresentation:
     """Sublattices inner <= outer of a common ambient lattice, each given
     by independent columns, with the integer witness matrix:
     outer @ witness == inner."""
 
-    ambient_rank: int
-    inner: IntMatrix
-    outer: IntMatrix
-    witness: IntMatrix
+    __slots__ = ("ambient_rank", "inner", "outer", "witness")
 
-    def __post_init__(self):
-        if self.inner.rows != self.ambient_rank or self.outer.rows != self.ambient_rank:
+    def __init__(self, ambient_rank: int, inner: IntMatrix, outer: IntMatrix, witness: IntMatrix):
+        if inner.rows != ambient_rank or outer.rows != ambient_rank:
             raise ValueError("lattices must live in the ambient lattice")
-        for u, name in ((self.inner, "inner"), (self.outer, "outer")):
+        for u, name in ((inner, "inner"), (outer, "outer")):
             if rank(u) != u.cols:
                 raise ValueError(f"{name} columns must be independent")
-        if self.outer @ self.witness != self.inner:
+        if outer @ witness != inner:
             raise ValueError("witness does not factor the inner lattice")
+        self.ambient_rank = ambient_rank
+        self.inner = inner
+        self.outer = outer
+        self.witness = witness
 
     @classmethod
     def build(cls, ambient_rank: int, inner: IntMatrix, outer: IntMatrix) -> "NestedPresentation":
@@ -359,28 +367,35 @@ def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:
     return homology_value(tor_complex(pa, pb))
 
 
-def coker_induced_l1_sp2(np: NestedPresentation) -> PresentedGroup:
+def coker_induced_l1_sp2(np: NestedPresentation,
+                         dst: Optional[FreeComplex] = None) -> PresentedGroup:
     """Cokernel of the map L1SP^2(Q/U) -> L1SP^2(Q/V) induced by U <= V
-    through the chain map (id, U(x)Q -> V(x)Q, Λ²U -> Λ²V)."""
-    src, dst, f = koszul_sp(2, np.inner), koszul_sp(2, np.outer), np.witness
+    through the chain map (id, U(x)Q -> V(x)Q, Λ²U -> Λ²V).  dst is
+    koszul_sp(2, np.outer), built here unless the caller has it."""
+    if dst is None:
+        dst = koszul_sp(2, np.outer)
+    src, f = koszul_sp(2, np.inner), np.witness
     chain = (IntMatrix.identity(dst.terms[0]), kron(f, IntMatrix.identity(np.ambient_rank)),
              induced_map("ext", 2, f))
     return induced_cokernel(src, dst, chain)
 
 
-def _tor_koszul_chain_map(np: NestedPresentation):
+def _tor_koszul_chain_map(np: NestedPresentation, identity: Optional[FreeComplex] = None):
     """Chain map from the Tor complex of (V -> Q) (x) (U -> Q) to the
     Koszul complex of V <= Q, already composed with the second-slot
     comparison U -> V.
 
-    psi0 multiplies Q (x) Q onto SP^2(Q), d1 of the Koszul complex of the
-    identity lattice; psi1 sends v (x) q to itself and q (x) w to
-    F(w) (x) q; psi2 sends v (x) w to -(v ∧ F(w)), minus the relations
-    of Λ²(V/U) with their columns reordered.
+    psi0 multiplies Q (x) Q onto SP^2(Q), d1 of identity, the Koszul
+    complex koszul_sp(2, I_r) of the identity lattice (built here unless
+    given); psi1 sends v (x) q to itself and q (x) w to F(w) (x) q; psi2
+    sends v (x) w to -(v ∧ F(w)), minus the relations of Λ²(V/U) with
+    their columns reordered.
     """
     r = np.ambient_rank
     sv, su = np.outer.cols, np.inner.cols
-    psi0 = sym_relations(2, IntMatrix.identity(r))
+    if identity is None:
+        identity = koszul_sp(2, IntMatrix.identity(r))
+    psi0 = identity.differentials[0]
     # F (x) I_r sends w (x) q to F(w) (x) q; reorder its columns from
     # U (x) Q to the Q (x) U of the Tor complex
     q_then_u = [k * r + j for j in range(r) for k in range(su)]
@@ -393,9 +408,11 @@ def _tor_koszul_chain_map(np: NestedPresentation):
     return psi0, psi1, psi2
 
 
-def coker_tor_to_l1_sp2(np: NestedPresentation) -> PresentedGroup:
+def coker_tor_to_l1_sp2(np: NestedPresentation,
+                        identity: Optional[FreeComplex] = None) -> PresentedGroup:
     """Cokernel of the composite comparison map
     Tor(E/I, E) -> Tor(E/I, E/I) -> L1SP^2(E/I) for E = Q/U and I = V/U
-    given by nested sublattices U <= V."""
+    given by nested sublattices U <= V; identity is passed on to
+    _tor_koszul_chain_map."""
     src = _tor_total_complex(np.outer, np.inner)
-    return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np))
+    return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np, identity))

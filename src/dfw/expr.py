@@ -19,9 +19,8 @@ rejects the expression when one of them exceeds TERM_BUDGET.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import comb
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .abelian import PresentedGroup, direct_sum
 from .derived import Presentation, l1_sp, l2_superlie3, tor
@@ -46,49 +45,76 @@ class SemanticError(ExprError):
 
 # ------------------------------------------------------------------- AST
 # offset: the byte offset where the node starts in the source; it plays
-# no part in comparing nodes.
+# no part in comparing nodes.  Nodes are equal when they have the same
+# type and equal fields, so FreeAtom(2) != CyclicAtom(2).
 
-def _offset():
-    return field(default=0, compare=False)
+class _Node:
+    __slots__ = ("offset",)
+    _fields: Tuple[str, ...] = ()
 
+    def __init__(self, offset: int = 0):
+        self.offset = offset
 
-@dataclass(frozen=True)
-class FreeAtom:
-    copies: int
-    offset: int = _offset()
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
 
-@dataclass(frozen=True)
-class CyclicAtom:
-    order: int
-    offset: int = _offset()
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
 
-
-@dataclass(frozen=True)
-class TrivialAtom:
-    offset: int = _offset()
-
-
-@dataclass(frozen=True)
-class RelationsAtom:
-    offset: int = _offset()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields + ("offset",))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class SumExpr:
-    parts: Tuple["GroupExpr", ...]
-    offset: int = _offset()
+class FreeAtom(_Node):
+    __slots__ = _fields = ("copies",)
+
+    def __init__(self, copies: int, offset: int = 0):
+        self.copies = copies
+        self.offset = offset
+
+
+class CyclicAtom(_Node):
+    __slots__ = _fields = ("order",)
+
+    def __init__(self, order: int, offset: int = 0):
+        self.order = order
+        self.offset = offset
+
+
+class TrivialAtom(_Node):
+    __slots__ = ()
+
+
+class RelationsAtom(_Node):
+    __slots__ = ()
+
+
+class SumExpr(_Node):
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: Tuple["GroupExpr", ...], offset: int = 0):
+        self.parts = parts
+        self.offset = offset
 
 
 GroupExpr = Union[FreeAtom, CyclicAtom, TrivialAtom, RelationsAtom, SumExpr]
 
 
-@dataclass(frozen=True)
-class FunctorCall:
-    name: str
-    degree: Optional[int]
-    args: Tuple[GroupExpr, ...]
-    offset: int = _offset()
+class FunctorCall(_Node):
+    __slots__ = _fields = ("name", "degree", "args")
+
+    def __init__(self, name: str, degree: Optional[int], args: Tuple[GroupExpr, ...],
+                 offset: int = 0):
+        self.name = name
+        self.degree = degree
+        self.args = args
+        self.offset = offset
 
 
 # -------------------------------------------------------------- tokenizer
@@ -100,8 +126,7 @@ _UNARY = {"SP", "Lambda", "Ls3", "L1SP", "L2Ls3", "H2", "Lie3embed-rank"}
 _DEGREES = {"SP": (2, 5), "L1SP": (2, 4), "Lambda": (2, 2)}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # keyword text, "INT", a punctuation char, or "END"
     text: str
     offset: int  # byte offset into the source

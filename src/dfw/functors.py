@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import insort
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .abelian import PresentedGroup, purified_relations, tensor
@@ -69,14 +68,15 @@ def is_lyndon(word: Tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FunctorBasis:
     """Indexed basis of a polynomial functor of a free lattice."""
 
-    kind: str
-    degree: int
-    source_rank: int
-    elements: Tuple[Tuple[int, ...], ...]
+    def __init__(self, kind: str, degree: int, source_rank: int,
+                 elements: Tuple[Tuple[int, ...], ...]):
+        self.kind = kind
+        self.degree = degree
+        self.source_rank = source_rank
+        self.elements = elements
 
     @functools.cached_property
     def index(self) -> Dict[Tuple[int, ...], int]:
@@ -288,7 +288,6 @@ def induced_map(kind: str, degree: int, f: IntMatrix) -> IntMatrix:
     return IntMatrix.from_cols(cols, rows=dst.size)
 
 
-@dataclass(frozen=True)
 class FreeComplex:
     """Bounded chain complex of free lattices; terms[k] is the rank of the
     degree-k term and columns[k - 1], the differential from degree k to
@@ -300,10 +299,15 @@ class FreeComplex:
     checks the column counts and d o d = 0 exactly on the columns: each
     column of a composite is summed over the nonzero entries alone, and
     the check stops at the first column that is not zero.  differentials
-    lays the matrices out dense, once, for callers that work on groups."""
+    lays the matrices out dense, once, for callers that work on groups.
 
-    terms: Tuple[int, ...]
-    columns: Tuple[Sequence[Dict[int, int]], ...]
+    The checks keep the method name __post_init__, under which the
+    benchmark's span functors.complex_check.s times them."""
+
+    def __init__(self, terms: Tuple[int, ...], columns: Tuple[Sequence[Dict[int, int]], ...]):
+        self.terms = terms
+        self.columns = columns
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.columns) != len(self.terms) - 1:

@@ -22,11 +22,10 @@ matrices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _kernels as _k
 
@@ -267,8 +266,7 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return _wrap(ar * br, a.cols * b.cols, tuple(flat))
 
 
-@dataclass(frozen=True)
-class ColumnEchelon:
+class ColumnEchelon(NamedTuple):
     """a @ transform == echelon, transform unimodular, pivots positive."""
 
     echelon: IntMatrix
@@ -387,8 +385,7 @@ def preimage_basis(m: IntMatrix, span: IntMatrix) -> IntMatrix:
     return column_basis(ker.top_rows(m.cols))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """left @ input @ right == diag, with unimodular left/right.
 
     diag has the input's shape; diagonal entries are nonnegative, each

@@ -20,8 +20,8 @@ CHECKS (every suite's check_* function by name) and SUITE_NAMES (the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .abelian import (
     Hom,
@@ -49,24 +49,23 @@ from .functors import basis, ext_relations, functor_on_group, induced_map, koszu
 from .linalg import IntMatrix, column_basis, hstack
 
 
-@dataclass(frozen=True)
 class TrialConfig:
-    seed: int = 0
-    trials: int = 100
-    max_rank: int = 4
-    max_entry: int = 6
+    __slots__ = ("seed", "trials", "max_rank", "max_entry")
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
+    def __init__(self, seed: int = 0, trials: int = 100, max_rank: int = 4, max_entry: int = 6):
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("need at least one trial")
-        if self.max_rank < 1 or self.max_entry < 1:
+        if max_rank < 1 or max_entry < 1:
             raise ValueError("bounds must be >= 1")
+        self.seed = seed
+        self.trials = trials
+        self.max_rank = max_rank
+        self.max_entry = max_entry
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     suite: str
     trial: int
     status: str  # "ok" | "fail" | "error"
@@ -75,13 +74,16 @@ class TrialRecord:
     counterexample: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """monitor defaults to an empty read-only mapping, so no two verdicts
+    share a dict that one of them could change; run_suite gives each
+    verdict its own."""
+
     passed: int
     failed: int
     first_counterexample: Optional[dict]
     records: Tuple[TrialRecord, ...]
-    monitor: Dict[str, int] = field(default_factory=dict)
+    monitor: Mapping[str, int] = MappingProxyType({})
     errored: int = 0
 
 
@@ -164,7 +166,8 @@ def thm_3_1_instance(np: NestedPresentation) -> Tuple[str, str]:
     i_tensor_e = tensor(i_group, e_group)
     sp2_e = functor_on_group("sym", 2, e_group)
 
-    mult, wedge = koszul_sp(2, np.outer).differentials
+    outer_koszul = koszul_sp(2, np.outer)
+    mult, wedge = outer_koszul.differentials
     map_a = Hom(lam2_i, i_tensor_e, wedge)
     map_b = Hom(i_tensor_e, sp2_e, mult)
     if not (map_b @ map_a).is_zero():
@@ -175,23 +178,24 @@ def thm_3_1_instance(np: NestedPresentation) -> Tuple[str, str]:
     middle = subquotient(incl_b, mono_a)
     lhs = str(middle.canonical)
 
-    rhs = str(coker_induced_l1_sp2(np).canonical)
+    rhs = str(coker_induced_l1_sp2(np, outer_koszul).canonical)
     return lhs, rhs
 
 
 def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
     """Coker{Tor(E/I, E) -> L1SP^2(E/I)} versus
     Ker{Λ²(E)/Λ²(I)-image -> E/I (x) E}."""
-    lhs = str(coker_tor_to_l1_sp2(np).canonical)
-
     r = np.ambient_rank
+    identity = koszul_sp(2, IntMatrix.identity(r))
+    lhs = str(coker_tor_to_l1_sp2(np, identity).canonical)
+
     u, v = np.inner, np.outer
     wedge_source = PresentedGroup(
         basis("ext", 2, r).size,
         hstack(induced_map("ext", 2, v), ext_relations(2, u)),
     )
     tensor_target = tensor(PresentedGroup(r, v), PresentedGroup(r, u))
-    wedge = koszul_sp(2, IntMatrix.identity(r)).differentials[1]
+    wedge = identity.differentials[1]
     ker_group, _ = kernel(Hom(wedge_source, tensor_target, wedge))
     rhs = str(ker_group.canonical)
     return lhs, rhs
@@ -272,8 +276,7 @@ def exponent_shadow_instance(c: int, p: Presentation) -> Tuple[bool, str, str, b
 
 # ------------------------------------------------------------- the suites
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """One check suite (see the module docstring for sample and evaluate).
     check is the public entry point that CHECKS maps the name to;
     terms(max_rank) gives the closed-form ranks of the complexes and

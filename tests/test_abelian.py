@@ -104,6 +104,13 @@ class TestCanonicalForm:
         assert str(CanonicalForm(0, ())) == "0"
         assert str(CanonicalForm(1, ())) == "Z"
         assert str(CanonicalForm(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
+        assert f"{CanonicalForm(1, (3,))}" == "Z + Z/3"
+        assert repr(CanonicalForm(1, (3,))) == "CanonicalForm(free_rank=1, torsion=(3,))"
+
+    def test_compares_like_its_tuple(self):
+        cf = PresentedGroup.from_invariants(1, (2, 4)).canonical
+        assert cf == (1, (2, 4)) and hash(cf) == hash((1, (2, 4)))
+        assert (cf.free_rank, cf.torsion) == tuple(cf)
 
     def test_invariant_under_presentation_changes(self):
         rng = random.Random(2024)

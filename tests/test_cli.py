@@ -1,6 +1,9 @@
-import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,7 +187,7 @@ class TestErrorStatus:
         def boom(instance):
             raise RuntimeError("internal bug")
 
-        monkeypatch.setitem(SUITES, "exact4", dataclasses.replace(SUITES["exact4"], evaluate=boom))
+        monkeypatch.setitem(SUITES, "exact4", SUITES["exact4"]._replace(evaluate=boom))
 
     def test_exit_code_3_without_traceback(self, capsys, raising_suite):
         code, out, err = run(capsys, "check", "exact4", "--seed", "1", "--trials", "2")
@@ -204,7 +207,7 @@ class TestErrorStatus:
     def test_error_beats_failure(self, capsys, monkeypatch, raising_suite):
         from dfw.theorems import SUITES
 
-        failing = dataclasses.replace(SUITES["thm31"], evaluate=lambda x: (False, "Z/2", "0"))
+        failing = SUITES["thm31"]._replace(evaluate=lambda x: (False, "Z/2", "0"))
         monkeypatch.setitem(SUITES, "thm31", failing)
         code, out, _ = run(capsys, "check", "all", "--seed", "1", "--trials", "1")
         assert code == 3
@@ -311,3 +314,15 @@ class TestHelp:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    """The cold path of every command: importing dfw.cli, in a fresh
+    interpreter, loads neither dataclasses nor inspect."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, dfw.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -428,6 +428,13 @@ class TestPresentationObjects:
             assert again.inner == np.inner and again.outer == np.outer
             p = random_presentation(rng)
             assert Presentation.from_dict(p.to_dict()) == p
+            assert hash(Presentation.from_dict(p.to_dict())) == hash(p)
+
+    def test_presentation_equality(self):
+        p = pres(2, [[2, 0], [0, 3]])
+        assert p == pres(2, [[2, 0], [0, 3]]) and len({p, pres(2, [[2, 0], [0, 3]])}) == 1
+        assert p != pres(2, [[2, 0], [0, 5]]) and p != pres(3, [[2, 0, 0], [0, 3, 0]])
+        assert p != (2, p.sublattice)
 
     def test_tor_complex_shapes(self):
         a = pres(2, [[2, 0], [0, 3]])

@@ -10,6 +10,7 @@ from dfw.expr import (
     FreeAtom,
     FunctorCall,
     ParseError,
+    RelationsAtom,
     SemanticError,
     SumExpr,
     TrivialAtom,
@@ -40,6 +41,19 @@ class TestParsing:
         assert parse("(Z/2 + Z) + Z/9") == SumExpr(
             (SumExpr((CyclicAtom(2), FreeAtom(1))), CyclicAtom(9))
         )
+
+    def test_nodes_compare_without_offsets(self):
+        assert parse("Tor(Z/4, Z^2)") == FunctorCall("Tor", None, (CyclicAtom(4, 7), FreeAtom(2, 12)))
+        assert FreeAtom(2, 0) == FreeAtom(2, 9) and hash(FreeAtom(2, 0)) == hash(FreeAtom(2, 9))
+        assert SumExpr((TrivialAtom(3),), 1) == SumExpr((TrivialAtom(),))
+        assert FreeAtom(2) != FreeAtom(3)
+
+    def test_nodes_of_different_types_differ(self):
+        # equal fields, different node types
+        assert FreeAtom(2) != CyclicAtom(2)
+        assert TrivialAtom() != RelationsAtom()
+        assert parse("Z^2") != parse("Z/2")
+        assert len({FreeAtom(2), CyclicAtom(2), TrivialAtom(), RelationsAtom()}) == 4
 
     def test_cyclic_order_validation(self):
         with pytest.raises(SemanticError):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -12,6 +11,7 @@ from dfw.theorems import (
     SUITES,
     TrialConfig,
     TrialRecord,
+    Verdict,
     check_cross_effect,
     check_exact4,
     check_exponent_shadow,
@@ -170,6 +170,24 @@ EXPONENT_AT_CFG = [
 ]
 
 
+class TestRecords:
+    def test_verdicts_share_no_monitor_dict(self):
+        a = Verdict(1, 0, None, ())
+        b = Verdict(1, 0, None, ())
+        assert a.monitor == {} == b.monitor
+        with pytest.raises(TypeError):
+            a.monitor["trials"] = 1  # the default is read-only
+        c = check_exponent_shadow(TrialConfig(seed=1, trials=2))
+        d = check_exponent_shadow(TrialConfig(seed=1, trials=2))
+        assert c.monitor == d.monitor and c.monitor is not d.monitor
+        assert check_exact4(TrialConfig(seed=1, trials=1)).monitor == {}
+
+    def test_record_as_dict(self):
+        r = TrialRecord("exact4", 3, "fail", "Z/2", "0", {"instance": {}})
+        assert r._asdict() == {"suite": "exact4", "trial": 3, "status": "fail", "lhs": "Z/2",
+                               "rhs": "0", "counterexample": {"instance": {}}}
+
+
 class TestExtraSuites:
     def test_superlie_kernel(self):
         v = check_superlie_kernel(CFG)
@@ -288,7 +306,7 @@ class TestDeterminismAndReplay:
         def boom(instance):
             raise ZeroDivisionError("internal")
 
-        monkeypatch.setitem(SUITES, "exact4", dataclasses.replace(SUITES["exact4"], evaluate=boom))
+        monkeypatch.setitem(SUITES, "exact4", SUITES["exact4"]._replace(evaluate=boom))
         cfg = TrialConfig(seed=1, trials=3)
         v = check_exact4(cfg)
         assert (v.passed, v.failed, v.errored) == (0, 0, 3)
