@@ -48,7 +48,7 @@ basis order.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -367,34 +367,29 @@ def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:
     return homology_value(tor_complex(pa, pb))
 
 
-def coker_induced_l1_sp2(np: NestedPresentation,
-                         dst: Optional[FreeComplex] = None) -> PresentedGroup:
+def coker_induced_l1_sp2(np: NestedPresentation, dst: FreeComplex) -> PresentedGroup:
     """Cokernel of the map L1SP^2(Q/U) -> L1SP^2(Q/V) induced by U <= V
-    through the chain map (id, U(x)Q -> V(x)Q, Λ²U -> Λ²V).  dst is
-    koszul_sp(2, np.outer), built here unless the caller has it."""
-    if dst is None:
-        dst = koszul_sp(2, np.outer)
+    through the chain map (id, U(x)Q -> V(x)Q, Λ²U -> Λ²V); dst is
+    koszul_sp(2, np.outer)."""
     src, f = koszul_sp(2, np.inner), np.witness
     chain = (IntMatrix.identity(dst.terms[0]), kron(f, IntMatrix.identity(np.ambient_rank)),
              induced_map("ext", 2, f))
     return induced_cokernel(src, dst, chain)
 
 
-def _tor_koszul_chain_map(np: NestedPresentation, identity: Optional[FreeComplex] = None):
+def _tor_koszul_chain_map(np: NestedPresentation, identity: FreeComplex):
     """Chain map from the Tor complex of (V -> Q) (x) (U -> Q) to the
     Koszul complex of V <= Q, already composed with the second-slot
     comparison U -> V.
 
     psi0 multiplies Q (x) Q onto SP^2(Q), d1 of identity, the Koszul
-    complex koszul_sp(2, I_r) of the identity lattice (built here unless
-    given); psi1 sends v (x) q to itself and q (x) w to F(w) (x) q; psi2
-    sends v (x) w to -(v ∧ F(w)), minus the relations of Λ²(V/U) with
-    their columns reordered.
+    complex koszul_sp(2, I_r) of the identity lattice; psi1 sends v (x) q
+    to itself and q (x) w to F(w) (x) q; psi2 sends v (x) w to
+    -(v ∧ F(w)), minus the relations of Λ²(V/U) with their columns
+    reordered.
     """
     r = np.ambient_rank
     sv, su = np.outer.cols, np.inner.cols
-    if identity is None:
-        identity = koszul_sp(2, IntMatrix.identity(r))
     psi0 = identity.differentials[0]
     # F (x) I_r sends w (x) q to F(w) (x) q; reorder its columns from
     # U (x) Q to the Q (x) U of the Tor complex
@@ -408,8 +403,7 @@ def _tor_koszul_chain_map(np: NestedPresentation, identity: Optional[FreeComplex
     return psi0, psi1, psi2
 
 
-def coker_tor_to_l1_sp2(np: NestedPresentation,
-                        identity: Optional[FreeComplex] = None) -> PresentedGroup:
+def coker_tor_to_l1_sp2(np: NestedPresentation, identity: FreeComplex) -> PresentedGroup:
     """Cokernel of the composite comparison map
     Tor(E/I, E) -> Tor(E/I, E/I) -> L1SP^2(E/I) for E = Q/U and I = V/U
     given by nested sublattices U <= V; identity is passed on to

@@ -226,7 +226,8 @@ class TestSparseDodCheck:
         np = nested_over(Presentation(3, outer), random.Random(5))
         src = tor_complex(np.outer_presentation, np.inner_presentation)
         dst = koszul_sp(2, np.outer)
-        f0, f1, f2 = _tor_koszul_chain_map(np)
+        identity = koszul_sp(2, IntMatrix.identity(np.ambient_rank))
+        f0, f1, f2 = _tor_koszul_chain_map(np, identity)
         induced_cokernel(src, dst, (f0, f1, f2))
         d1, d2 = dst.differentials
         cycles = kernel_basis(src.differentials[0])
