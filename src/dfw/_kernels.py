@@ -1,8 +1,10 @@
-"""Reference integer-matrix kernels in plain Python.
+"""The integer-matrix kernels, in plain Python.
 
 These routines are the hot loops of the whole package: everything
 upstream (canonical forms, kernels of homomorphisms, homology) reduces to
-them.
+them.  Callers reach them as attributes of this module
+(``_k.hermite_cols``), so tools that rebind them, such as a tracer, see
+every call.
 
 mat_mul and hermite_cols take their inputs as flat column-major
 sequences of Python ints, the storage of dfw.linalg.IntMatrix (column j
@@ -10,7 +12,8 @@ of a rows x cols matrix is a[j * rows:(j + 1) * rows]), and return
 matrices as lists of column lists.  eliminate_units takes sparse columns,
 dicts {row: entry}, the form in which functors.FreeComplex stores a
 differential, and returns a flat column-major remainder for
-hermite_cols.  Smith forms are built in dfw.linalg from hermite_cols
+hermite_cols; linalg.smith_diagonal runs it before the Hermite passes.
+Smith forms are built in dfw.linalg from alternating hermite_cols
 passes, so no kernel works on rows.
 Arbitrary precision is non-negotiable: intermediate reduction entries
 routinely outgrow 64 bits even for small inputs.
@@ -22,7 +25,7 @@ the nonzeros reach Python code.
 
 from itertools import compress
 
-BACKEND_NAME = "pure"
+BACKEND = "pure"
 
 
 def mat_mul(a, b, n, m, k):
@@ -47,7 +50,7 @@ def mat_mul(a, b, n, m, k):
     return out
 
 
-def hermite_cols(a, rows, cols, transform=True, rank_only=False):
+def hermite_cols(a, rows, cols, transform=True):
     """Column-style Hermite reduction, tracking the transform if asked.
 
     a is the flat column-major rows x cols input.  Returns
@@ -56,13 +59,7 @@ def hermite_cols(a, rows, cols, transform=True, rank_only=False):
     entry (positive pivot) at row pivot_rows[j], entries to the left of a
     pivot in its row are reduced into [0, pivot), and all columns from
     len(pivot_rows) on are zero.  Without transform, v is None.
-
-    rank_only (no transform) skips the reduction left of each pivot and
-    returns (None, None, pivot_rows).  Later rows read only the columns
-    from the pivot on, so the pivot rows are those of the full pass.
     """
-    if rank_only:
-        transform = False
     h = [list(a[j * rows:(j + 1) * rows]) for j in range(cols)]
     if transform:
         v = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
@@ -128,8 +125,6 @@ def hermite_cols(a, rows, cols, transform=True, rank_only=False):
         if placed:
             pivot_rows.append(row)
             piv += 1
-            if rank_only:
-                continue
             # Reduce entries left of the new pivot into [0, pivot); p and
             # hnz are those of the final, clean pass.
             for j in range(piv - 1):
@@ -142,8 +137,6 @@ def hermite_cols(a, rows, cols, transform=True, rank_only=False):
                         vj = v[j]
                         for i, x in vnz:
                             vj[i] -= q * x
-    if rank_only:
-        return None, None, pivot_rows
     return h, v, pivot_rows
 
 

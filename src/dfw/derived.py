@@ -43,7 +43,8 @@ functors.ext_relations as its negative.  With these choices every chain
 square commutes exactly; induced_cokernel verifies that on each call.
 The comparison maps and the suites of dfw.theorems read the two maps of
 Λ²(U) -> U (x) Q -> SP²(Q) from functors.koszul_sp, which fixes their
-basis order.
+basis order; on the identity lattice they come from
+functors.identity_koszul_sp2, built once per rank.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .functors import (
     FreeComplex,
     basis,
     ext_relations,
+    identity_koszul_sp2,
     induced_map,
     koszul_sp,
     lie3_columns,
@@ -234,13 +236,13 @@ def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
     """The four-term sequence
     0 -> L1SP^2(Q/U) -> Λ²(Q)/Λ²(U) -> Q/U (x) Q -> SP^2(Q/U) -> 0
     as three Homs (inclusion, wedge-to-tensor, multiplication).  The last
-    two are d2 and d1 of koszul_sp(2, .) on the identity lattice."""
+    two are d2 and d1 of identity_koszul_sp2(r)."""
     u = p.sublattice
     r = p.ambient_rank
     wedge_mod = PresentedGroup(basis("ext", 2, r).size, induced_map("ext", 2, u))
     quot_tensor = PresentedGroup(r * r, kron(u, IntMatrix.identity(r)))
     sp2 = PresentedGroup(basis("sym", 2, r).size, sym_relations(2, u))
-    mult, wedge = koszul_sp(2, IntMatrix.identity(r)).differentials
+    mult, wedge = identity_koszul_sp2(r).differentials
     beta = Hom(wedge_mod, quot_tensor, wedge)
     gamma = Hom(quot_tensor, sp2, mult)
     ker_group, alpha = kernel(beta)
@@ -334,15 +336,11 @@ def l2_superlie3(p: Presentation) -> PresentedGroup:
     return homology_value(superlie3_cone(p))
 
 
-def tor_complex(pa: Presentation, pb: Presentation) -> FreeComplex:
-    """Total complex of (U_a -> Q_a) (x) (U_b -> Q_b); H_1 is Tor."""
-    return _tor_total_complex(pa.sublattice, pb.sublattice)
+def tor_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
+    """Total complex of (U_a -> Q_a) (x) (U_b -> Q_b); H_1 is Tor.
 
-
-def _tor_total_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
-    """tor_complex on the sublattices themselves, for callers whose
-    lattices were checked already.
-
+    As for koszul_sp, independent columns are a precondition that the
+    callers' Presentation or NestedPresentation checked.
     d1 = [u_a (x) I | I (x) u_b] and d2 = (-I (x) u_b; u_a (x) I), built as
     dict columns from the nonzero entries of u_a and u_b."""
     ra, rb = ua.rows, ub.rows
@@ -364,7 +362,7 @@ def _tor_total_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
 
 def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:
     """Classical torsion product of the two quotients."""
-    return homology_value(tor_complex(pa, pb))
+    return homology_value(tor_complex(pa.sublattice, pb.sublattice))
 
 
 def coker_induced_l1_sp2(np: NestedPresentation, dst: FreeComplex) -> PresentedGroup:
@@ -377,20 +375,19 @@ def coker_induced_l1_sp2(np: NestedPresentation, dst: FreeComplex) -> PresentedG
     return induced_cokernel(src, dst, chain)
 
 
-def _tor_koszul_chain_map(np: NestedPresentation, identity: FreeComplex):
+def _tor_koszul_chain_map(np: NestedPresentation):
     """Chain map from the Tor complex of (V -> Q) (x) (U -> Q) to the
     Koszul complex of V <= Q, already composed with the second-slot
     comparison U -> V.
 
-    psi0 multiplies Q (x) Q onto SP^2(Q), d1 of identity, the Koszul
-    complex koszul_sp(2, I_r) of the identity lattice; psi1 sends v (x) q
-    to itself and q (x) w to F(w) (x) q; psi2 sends v (x) w to
-    -(v ∧ F(w)), minus the relations of Λ²(V/U) with their columns
-    reordered.
+    psi0 multiplies Q (x) Q onto SP^2(Q), d1 of identity_koszul_sp2(r);
+    psi1 sends v (x) q to itself and q (x) w to F(w) (x) q; psi2 sends
+    v (x) w to -(v ∧ F(w)), minus the relations of Λ²(V/U) with their
+    columns reordered.
     """
     r = np.ambient_rank
     sv, su = np.outer.cols, np.inner.cols
-    psi0 = identity.differentials[0]
+    psi0 = identity_koszul_sp2(r).differentials[0]
     # F (x) I_r sends w (x) q to F(w) (x) q; reorder its columns from
     # U (x) Q to the Q (x) U of the Tor complex
     q_then_u = [k * r + j for j in range(r) for k in range(su)]
@@ -403,10 +400,9 @@ def _tor_koszul_chain_map(np: NestedPresentation, identity: FreeComplex):
     return psi0, psi1, psi2
 
 
-def coker_tor_to_l1_sp2(np: NestedPresentation, identity: FreeComplex) -> PresentedGroup:
+def coker_tor_to_l1_sp2(np: NestedPresentation) -> PresentedGroup:
     """Cokernel of the composite comparison map
     Tor(E/I, E) -> Tor(E/I, E/I) -> L1SP^2(E/I) for E = Q/U and I = V/U
-    given by nested sublattices U <= V; identity is passed on to
-    _tor_koszul_chain_map."""
-    src = _tor_total_complex(np.outer, np.inner)
-    return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np, identity))
+    given by nested sublattices U <= V."""
+    src = tor_complex(np.outer, np.inner)
+    return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np))

@@ -343,9 +343,7 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
     theorems.thm_3_1_instance those of a derived.NestedPresentation (its
     outer lattice for the suite), sym_relations the echelon basis of
     abelian.purified_relations or the lattice of a Presentation, and
-    derived.sp2_bottom_row, the Tor comparison map and
-    theorems.thm_3_2_instance the identity lattice, whose d2 and d1 in
-    degree 2 are the wedge-to-tensor and multiplication maps of Q itself.
+    identity_koszul_sp2 the identity lattice.
 
     d1 multiplies a sublattice vector into the monomial; d2 sends
     (u ∧ v) (x) s to u (x) (v·s) - v (x) (u·s).  Its middle homology is the
@@ -377,6 +375,14 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
                 col[b * n + mid[_sym_times_letter(mono, j)]] = -v
             d2.append(col)
     return FreeComplex((len(top), s * n, len(d2)), (d1, d2))
+
+
+@functools.lru_cache(maxsize=None)
+def identity_koszul_sp2(source_rank: int) -> FreeComplex:
+    """koszul_sp(2, I_r), built once per rank: its d2 and d1 are the
+    wedge-to-tensor and multiplication maps Λ²(Q) -> Q (x) Q -> SP²(Q)
+    of Q = Z^r itself."""
+    return koszul_sp(2, IntMatrix.identity(source_rank))
 
 
 def sym_relations(n: int, u: IntMatrix) -> IntMatrix:

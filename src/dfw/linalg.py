@@ -289,13 +289,13 @@ def column_echelon(m: IntMatrix) -> ColumnEchelon:
 
 
 def rank(m: IntMatrix) -> int:
-    """Rank of m, from one rank-only Hermite pass: no transform and no
-    reduction left of the pivots, which later rows never read.
+    """Rank of m, from one Hermite pass without transform and outside the
+    column_echelon cache.
 
     It serves only input checks (independent sublattice columns); no
     derived value needs a rank, since homology_value reads H1 off the
     Smith diagonal of d2 alone."""
-    return len(_k.hermite_cols(m.entries, m.rows, m.cols, False, rank_only=True)[2])
+    return len(_k.hermite_cols(m.entries, m.rows, m.cols, False)[2])
 
 
 def column_basis(m: IntMatrix) -> IntMatrix:

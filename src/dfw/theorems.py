@@ -45,7 +45,14 @@ from .derived import (
     superlie3_kernel_data,
     tor,
 )
-from .functors import basis, ext_relations, functor_on_group, induced_map, koszul_sp
+from .functors import (
+    basis,
+    ext_relations,
+    functor_on_group,
+    identity_koszul_sp2,
+    induced_map,
+    koszul_sp,
+)
 from .linalg import IntMatrix, column_basis, hstack
 
 
@@ -159,7 +166,7 @@ def _scrambled_sublattice(rng, g: PresentedGroup, extra_gens: int) -> IntMatrix:
 def thm_3_1_instance(np: NestedPresentation) -> Tuple[str, str]:
     """Middle homology of Λ²(I) -> I (x) E -> SP²(E) versus the cokernel of
     the induced map on the derived symmetric squares."""
-    e_group = np.inner_presentation.quotient()
+    e_group = PresentedGroup(np.ambient_rank, np.inner)
     i_group = np.middle_group()
 
     lam2_i = functor_on_group("ext", 2, i_group)
@@ -186,8 +193,7 @@ def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
     """Coker{Tor(E/I, E) -> L1SP^2(E/I)} versus
     Ker{Λ²(E)/Λ²(I)-image -> E/I (x) E}."""
     r = np.ambient_rank
-    identity = koszul_sp(2, IntMatrix.identity(r))
-    lhs = str(coker_tor_to_l1_sp2(np, identity).canonical)
+    lhs = str(coker_tor_to_l1_sp2(np).canonical)
 
     u, v = np.inner, np.outer
     wedge_source = PresentedGroup(
@@ -195,7 +201,7 @@ def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
         hstack(induced_map("ext", 2, v), ext_relations(2, u)),
     )
     tensor_target = tensor(PresentedGroup(r, v), PresentedGroup(r, u))
-    wedge = identity.differentials[1]
+    wedge = identity_koszul_sp2(r).differentials[1]
     ker_group, _ = kernel(Hom(wedge_source, tensor_target, wedge))
     rhs = str(ker_group.canonical)
     return lhs, rhs

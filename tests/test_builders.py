@@ -4,12 +4,14 @@ against mutants of the columns the builders hand to it, and the value
 path, which reads the builders' columns without a dense differential."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from dfw import derived, functors
 from dfw.abelian import PresentedGroup
 from dfw.derived import (
+    NestedPresentation,
     Presentation,
     _tor_koszul_chain_map,
     homology_value,
@@ -20,7 +22,14 @@ from dfw.derived import (
     tor,
     tor_complex,
 )
-from dfw.functors import FreeComplex, basis, koszul_sp, lie3_columns, lie3_split
+from dfw.functors import (
+    FreeComplex,
+    basis,
+    identity_koszul_sp2,
+    koszul_sp,
+    lie3_columns,
+    lie3_split,
+)
 from dfw.linalg import (
     IntMatrix,
     clear_caches,
@@ -32,6 +41,7 @@ from dfw.linalg import (
     smith_diagonal,
     vstack,
 )
+from dfw.theorems import SUITES, TrialConfig
 from test_derived import nested_over, scrambled_instances
 
 
@@ -141,7 +151,8 @@ class TestBuildersAgainstDenseOracles:
         ps = oracle_presentations()
         for p, q in zip(ps, ps[1:] + ps[:1]):
             for a, b in ((p, q), (p, p)):
-                assert tor_complex(a, b).differentials == kron_tor(a.sublattice, b.sublattice), (
+                assert tor_complex(a.sublattice, b.sublattice).differentials == kron_tor(
+                    a.sublattice, b.sublattice), (
                     a.to_dict(), b.to_dict())
 
     def test_superlie3_cone(self):
@@ -180,7 +191,7 @@ def bumped(columns, k):
 BUILDERS = {
     "koszul_sp2": lambda p: koszul_sp(2, p.sublattice),
     "koszul_sp3": lambda p: koszul_sp(3, p.sublattice),
-    "tor_complex": lambda p: tor_complex(p, p),
+    "tor_complex": lambda p: tor_complex(p.sublattice, p.sublattice),
     "superlie3_cone": superlie3_cone,
 }
 
@@ -224,10 +235,9 @@ class TestSparseDodCheck:
     def test_f1_off_the_cycles_raises(self):
         outer = IntMatrix.from_cols([[2, 0, 0], [1, 3, 0]], rows=3)
         np = nested_over(Presentation(3, outer), random.Random(5))
-        src = tor_complex(np.outer_presentation, np.inner_presentation)
+        src = tor_complex(np.outer, np.inner)
         dst = koszul_sp(2, np.outer)
-        identity = koszul_sp(2, IntMatrix.identity(np.ambient_rank))
-        f0, f1, f2 = _tor_koszul_chain_map(np, identity)
+        f0, f1, f2 = _tor_koszul_chain_map(np)
         induced_cokernel(src, dst, (f0, f1, f2))
         d1, d2 = dst.differentials
         cycles = kernel_basis(src.differentials[0])
@@ -278,3 +288,48 @@ class TestValuePathIsSparse:
         # a caller that asks for the matrices still gets them laid out
         with pytest.raises(AssertionError, match="dense differential"):
             koszul_sp(2, p.sublattice).differentials
+
+
+class TestIdentityKoszul:
+    """identity_koszul_sp2(r), the Koszul complex of the identity lattice
+    that sp2_bottom_row, the Tor comparison map and thm32 read, is
+    koszul_sp(2, I_r) built once per rank."""
+
+    def test_equals_a_fresh_build(self):
+        for r in range(1, 7):
+            cx, fresh = identity_koszul_sp2(r), koszul_sp(2, IntMatrix.identity(r))
+            assert cx.terms == fresh.terms
+            assert cx.columns == fresh.columns
+            assert cx.differentials == fresh.differentials
+            assert identity_koszul_sp2(r) is cx
+
+    def test_built_once_per_rank(self, monkeypatch):
+        # count the builds of the identity complex, leaving out those of a
+        # trial's own lattices, which may happen to be the identity
+        real = functors.koszul_sp
+        builds, own = Counter(), []
+
+        def counting(m, u):
+            if u == IntMatrix.identity(u.rows) and u not in own:
+                builds[u.rows] += 1
+            return real(m, u)
+
+        monkeypatch.setattr(functors, "koszul_sp", counting)
+        identity_koszul_sp2.cache_clear()
+        cfg, rng = TrialConfig(), random.Random(29)
+        trials = Counter()
+        for name in ("exact4", "thm32"):
+            suite = SUITES[name]
+            for _ in range(25):
+                instance = suite.sample(rng, cfg)
+                if name == "exact4":
+                    p = Presentation.from_dict(instance["presentation"])
+                    own[:] = [p.sublattice]
+                else:
+                    np = NestedPresentation.from_dict(instance["nested"])
+                    own[:] = [np.inner, np.outer]
+                trials[own[0].rows] += 1
+                assert suite.evaluate(instance)[0], (name, instance)
+        # some rank sees several trials, so building per trial would show
+        assert max(trials.values()) > 1 and builds
+        assert all(n == 1 for n in builds.values()), builds

@@ -267,19 +267,9 @@ class TestTor:
             assert tor(a, b).canonical == expected
 
 
-def identity_koszul(np):
-    """koszul_sp(2, I_r) of the identity lattice of np's ambient rank."""
-    return koszul_sp(2, IntMatrix.identity(np.ambient_rank))
-
-
 def coker_thm31(np):
     """coker_induced_l1_sp2 with the Koszul complex of np.outer."""
     return coker_induced_l1_sp2(np, koszul_sp(2, np.outer))
-
-
-def coker_thm32(np):
-    """coker_tor_to_l1_sp2 with the Koszul complex of the identity lattice."""
-    return coker_tor_to_l1_sp2(np, identity_koszul(np))
 
 
 def l1_sp2_chain(np):
@@ -293,8 +283,8 @@ def l1_sp2_chain(np):
 
 def tor_chain(np):
     """The complexes and chain map of coker_tor_to_l1_sp2."""
-    src = tor_complex(np.outer_presentation, np.inner_presentation)
-    return src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np, identity_koszul(np))
+    src = tor_complex(np.outer, np.inner)
+    return src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np)
 
 
 def cycle_path_cokernel(src, dst, chain):
@@ -334,7 +324,7 @@ class TestInducedMaps:
         nontrivial = {"thm31": 0, "thm32": 0}
         for np in nested_instances():
             for name, coker, chain in (("thm31", coker_thm31, l1_sp2_chain),
-                                       ("thm32", coker_thm32, tor_chain)):
+                                       ("thm32", coker_tor_to_l1_sp2, tor_chain)):
                 value = coker(np).canonical
                 assert value == cycle_path_cokernel(*chain(np)).canonical, (name, np.to_dict())
                 nontrivial[name] += not value.is_trivial
@@ -359,7 +349,7 @@ class TestInducedMaps:
         rng = random.Random(909)
         for _ in range(25):
             np = random_nested(rng)
-            coker_thm32(np)
+            coker_tor_to_l1_sp2(np)
             coker_thm31(np)
 
     def test_equal_lattices_give_identity(self):
@@ -390,7 +380,7 @@ class TestInducedMaps:
         inner = column_basis(outer @ IntMatrix.from_rows([[2, 0], [0, 2]]))
         np = NestedPresentation.build(2, inner, outer)
         assert l1_sp(2, np.outer_presentation).canonical.is_trivial
-        assert coker_thm32(np).canonical.is_trivial
+        assert coker_tor_to_l1_sp2(np).canonical.is_trivial
 
     def test_tor_comparison_diagonal_surjective(self):
         # I = 0: Tor(E, E) = (Z/2)^4 -> L1SP^2(E) = Z/2 for E = Z/2 + Z/2
@@ -399,7 +389,7 @@ class TestInducedMaps:
         np = NestedPresentation.build(2, p.sublattice, p.sublattice)
         assert tor(p, p).canonical == CanonicalForm(0, (2, 2, 2, 2))
         assert l1_sp(2, p).canonical == CanonicalForm(0, (2,))
-        assert coker_thm32(np).canonical.is_trivial
+        assert coker_tor_to_l1_sp2(np).canonical.is_trivial
 
     def test_exponent_shadow_for_l1sp2(self):
         rng = random.Random(55)
@@ -454,7 +444,7 @@ class TestPresentationObjects:
     def test_tor_complex_shapes(self):
         a = pres(2, [[2, 0], [0, 3]])
         b = pres(1, [[4]])
-        cx = tor_complex(a, b)
+        cx = tor_complex(a.sublattice, b.sublattice)
         assert cx.terms == (2, 2 + 2, 2)
 
 
@@ -464,7 +454,7 @@ def cycle_path_value(name, p):
     if name == "l2_superlie3":
         return superlie3_kernel_data(p)[0]
     if name == "tor":
-        return middle_homology(tor_complex(p, p))
+        return middle_homology(tor_complex(p.sublattice, p.sublattice))
     degree = {"l1_sp2": 2, "l1_sp3": 3, "l1_sp4": 4}[name]
     return middle_homology(koszul_sp(degree, p.sublattice))
 
@@ -516,7 +506,7 @@ def every_value(p, q, np):
     presentations, and both induced cokernels."""
     degrees = (2, 3, 4) if p.ambient_rank <= 4 else (2, 3)
     values = [l1_sp(m, p) for m in degrees]
-    values += [l2_superlie3(p), tor(p, q), coker_thm31(np), coker_thm32(np)]
+    values += [l2_superlie3(p), tor(p, q), coker_thm31(np), coker_tor_to_l1_sp2(np)]
     return values
 
 

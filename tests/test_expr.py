@@ -176,7 +176,8 @@ class TestBudgets:
                 r2 = rng.randint(0, 4)
                 s2 = rng.randint(0, r2)
                 q = Presentation(r2, lower_sublattice(rng, r2, s2))
-                assert term_dimensions("Tor", None, [(r, s), (r2, s2)]) == tor_complex(p, q).terms
+                assert term_dimensions("Tor", None, [(r, s), (r2, s2)]) == tor_complex(
+                    p.sublattice, q.sublattice).terms
 
     def test_over_budget_is_rejected_before_building(self, monkeypatch):
         def never(*args):
