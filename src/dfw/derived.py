@@ -147,14 +147,6 @@ class NestedPresentation:
             raise ValueError("inner lattice is not contained in the outer one")
         return cls(ambient_rank, inner, outer, witness)
 
-    @property
-    def inner_presentation(self) -> Presentation:
-        return Presentation(self.ambient_rank, self.inner)
-
-    @property
-    def outer_presentation(self) -> Presentation:
-        return Presentation(self.ambient_rank, self.outer)
-
     def middle_group(self) -> PresentedGroup:
         """outer/inner, presented on the outer generators."""
         return PresentedGroup(self.outer.cols, self.witness)

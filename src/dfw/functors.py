@@ -5,9 +5,11 @@ needs): tensor powers, symmetric powers SP^n for n <= 5, exterior powers
 for n <= 3, and the degree-3 free Lie functor with its Lyndon-bracket
 basis.  Induced maps are given in the indexed bases below; the Koszul-type
 three-term complex built here is the engine behind the derived functors.
-A FreeComplex stores each differential as sparse columns, dicts
-{row: entry}, checks d o d = 0 on them and lays them out as dense
-matrices only when asked for its differentials.
+Its rows are read off per-rank letter tables, cached like the bases: for
+each monomial of SP^d(Z^r), the indices of its r products with a letter
+in the basis of SP^{d+1}(Z^r).  A FreeComplex stores each differential
+as sparse columns, dicts {row: entry}, checks d o d = 0 on them and lays
+them out as dense matrices only when asked for its differentials.
 
 The Lie cube splits off the tensor cube without any reduction: the
 standard bracketing of a Lyndon word w expands to w plus lexicographically
@@ -88,9 +90,6 @@ class FunctorBasis:
 
     def rank_of(self, t: Sequence[int]) -> int:
         return self.index[tuple(t)]
-
-    def tuple_at(self, i: int) -> Tuple[int, ...]:
-        return self.elements[i]
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,6 +332,26 @@ class FreeComplex:
         return tuple(from_dict_columns(self.terms[k], c) for k, c in enumerate(self.columns))
 
 
+@functools.lru_cache(maxsize=None)
+def _sym_letter_table(degree: int, source_rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """Multiplication by a letter, SP^degree(Z^r) -> SP^{degree+1}(Z^r), as
+    row indices: entry j of tuple i is the index of mono_i·x_j in
+    basis("sym", degree + 1, r), one tuple per monomial in basis order."""
+    index = basis("sym", degree + 1, source_rank).index
+    letters = range(source_rank)
+    return tuple(
+        tuple(index[_sym_times_letter(mono, j)] for j in letters)
+        for mono in basis("sym", degree, source_rank).elements
+    )
+
+
+def _sym_d1_columns(m: int, support: List[List[Tuple[int, int]]], r: int) -> List[Dict[int, int]]:
+    """The columns of d1: U (x) SP^{m-1}(Q) -> SP^m(Q), u_i (x) mono to
+    u_i·mono, from the nonzero entries (j, u_ji) of each u_i."""
+    table = _sym_letter_table(m - 1, r)
+    return [{row[j]: v for j, v in sup} for sup in support for row in table]
+
+
 def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
     """Three-term complex  Λ²(U) (x) SP^{m-2}(Q) -> U (x) SP^{m-1}(Q) -> SP^m(Q)
     for a sublattice U of Q = Z^rows given by independent columns.
@@ -341,9 +360,8 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
     passes a lattice that was checked already: l1_sp that
     of a derived.Presentation, the cokernels of induced maps and
     theorems.thm_3_1_instance those of a derived.NestedPresentation (its
-    outer lattice for the suite), sym_relations the echelon basis of
-    abelian.purified_relations or the lattice of a Presentation, and
-    identity_koszul_sp2 the identity lattice.
+    outer lattice for the suite), and identity_koszul_sp2 the identity
+    lattice.
 
     d1 multiplies a sublattice vector into the monomial; d2 sends
     (u ∧ v) (x) s to u (x) (v·s) - v (x) (u·s).  Its middle homology is the
@@ -351,30 +369,28 @@ def koszul_sp(m: int, u: IntMatrix) -> FreeComplex:
     ordered with the U index major, the top term by the pairs a < b of
     Λ²(U), each followed by the monomials of SP^{m-2}(Q).  The columns
     are built as dicts from the nonzero entries of the sublattice vectors,
-    with rows looked up in FunctorBasis.index; no two terms of a column
+    with rows read off the per-rank letter tables _sym_letter_table(m - 1)
+    for d1 and _sym_letter_table(m - 2) for d2; no two terms of a column
     meet in one row, since distinct letters times one monomial are
     distinct monomials.
     """
     if m < 2:
         raise ValueError("need degree m >= 2")
     r, s = u.rows, u.cols
-    top = basis("sym", m, r).index
-    sp_mid = basis("sym", m - 1, r)
-    mid, n = sp_mid.index, sp_mid.size
-    low = basis("sym", m - 2, r).elements
+    n = basis("sym", m - 1, r).size
     # the nonzero entries (j, u_ji) of each sublattice vector u_i
     support = [list(c.items()) for c in dict_columns(u)]
-
-    d1 = [{top[_sym_times_letter(mono, j)]: v for j, v in sup}
-          for sup in support for mono in sp_mid.elements]
+    d1 = _sym_d1_columns(m, support, r)
     d2 = []
+    table = _sym_letter_table(m - 2, r)
     for (a, b) in basis("ext", 2, s).elements:
-        for mono in low:
-            col = {a * n + mid[_sym_times_letter(mono, j)]: v for j, v in support[b]}
-            for j, v in support[a]:
-                col[b * n + mid[_sym_times_letter(mono, j)]] = -v
+        sup_a, sup_b, off_a, off_b = support[a], support[b], a * n, b * n
+        for row in table:
+            col = {off_a + row[j]: v for j, v in sup_b}
+            for j, v in sup_a:
+                col[off_b + row[j]] = -v
             d2.append(col)
-    return FreeComplex((len(top), s * n, len(d2)), (d1, d2))
+    return FreeComplex((basis("sym", m, r).size, s * n, len(d2)), (d1, d2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,12 +402,14 @@ def identity_koszul_sp2(source_rank: int) -> FreeComplex:
 
 
 def sym_relations(n: int, u: IntMatrix) -> IntMatrix:
-    """Relation columns presenting SP^n(Q/U) on the SP^n(Q) basis."""
+    """Relation columns presenting SP^n(Q/U) on the SP^n(Q) basis: d1 of
+    koszul_sp(n, u), written alone, without d2 or the d o d check."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return u
-    return koszul_sp(n, u).differentials[0]
+    support = [list(c.items()) for c in dict_columns(u)]
+    return from_dict_columns(basis("sym", n, u.rows).size, _sym_d1_columns(n, support, u.rows))
 
 
 def ext_relations(n: int, u: IntMatrix) -> IntMatrix:

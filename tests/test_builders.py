@@ -1,6 +1,7 @@
 """The sparse builders of the Koszul, Tor and L2Ls3 complexes against the
-dense constructions they replaced, the d o d check of FreeComplex
-against mutants of the columns the builders hand to it, and the value
+dense constructions they replaced, the letter tables of koszul_sp against
+sorted monomials, the d o d check of FreeComplex against mutants of the
+columns the builders hand to it and of a letter table, and the value
 path, which reads the builders' columns without a dense differential."""
 
 import random
@@ -29,6 +30,7 @@ from dfw.functors import (
     koszul_sp,
     lie3_columns,
     lie3_split,
+    sym_relations,
 )
 from dfw.linalg import (
     IntMatrix,
@@ -147,6 +149,22 @@ class TestBuildersAgainstDenseOracles:
             for m in (2, 3, 4):
                 assert koszul_sp(m, u).differentials == dense_koszul_sp(m, u), (m, p.to_dict())
 
+    def test_sym_relations(self):
+        # d1 written alone, without d2
+        for p in oracle_presentations():
+            u = p.sublattice
+            for n in (2, 3, 4, 5):
+                assert sym_relations(n, u) == dense_koszul_sp(n, u)[0], (n, p.to_dict())
+
+    def test_sym_letter_table(self):
+        for r in range(7):
+            for d in range(5):
+                index = basis("sym", d + 1, r).index
+                table = functors._sym_letter_table(d, r)
+                assert len(table) == basis("sym", d, r).size
+                for mono, row in zip(basis("sym", d, r).elements, table):
+                    assert row == tuple(index[_sym_times_letter(mono, j)] for j in range(r)), (d, r, mono)
+
     def test_tor_complex(self):
         ps = oracle_presentations()
         for p, q in zip(ps, ps[1:] + ps[:1]):
@@ -212,6 +230,29 @@ class TestSparseDodCheck:
         monkeypatch.setattr(FreeComplex, "__init__", mutant)
         with pytest.raises(ValueError, match="d o d is nonzero"):
             build(self.P)
+
+    def test_swapped_letter_table_raises(self, monkeypatch):
+        # two entries of the row of x_0 in the table d2 of koszul_sp(3)
+        # reads swapped, at the letters of the first two sublattice vectors
+        u = self.P.sublattice
+        p, q = (next(iter(c)) for c in dict_columns(u)[:2])
+        real = functors._sym_letter_table
+        real.cache_clear()
+
+        def mutant(d, r):
+            table = real(d, r)
+            if d != 1:
+                return table
+            row = list(table[0])
+            row[p], row[q] = row[q], row[p]
+            return (tuple(row),) + table[1:]
+
+        monkeypatch.setattr(functors, "_sym_letter_table", mutant)
+        try:
+            with pytest.raises(ValueError, match="d o d is nonzero"):
+                koszul_sp(3, u)
+        finally:
+            real.cache_clear()
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_bumped_dense_entry_raises(self, k):

@@ -357,14 +357,14 @@ class TestInducedMaps:
         # its cokernel is trivial
         u = column_basis(IntMatrix.from_cols([[2, 0], [2, 4]], rows=2))
         np = NestedPresentation.build(2, u, u)
-        assert l1_sp(2, np.inner_presentation).canonical == CanonicalForm(0, (2,))
+        assert l1_sp(2, Presentation(np.ambient_rank, np.inner)).canonical == CanonicalForm(0, (2,))
         assert coker_thm31(np).canonical.is_trivial
 
     def test_full_outer_gives_zero_into_trivial(self):
         u = IntMatrix.from_cols([[2, 0], [0, 2]], rows=2)
         np = NestedPresentation.build(2, u, IntMatrix.identity(2))
-        assert l1_sp(2, np.inner_presentation).canonical == CanonicalForm(0, (2,))
-        assert l1_sp(2, np.outer_presentation).canonical.is_trivial
+        assert l1_sp(2, Presentation(np.ambient_rank, np.inner)).canonical == CanonicalForm(0, (2,))
+        assert l1_sp(2, Presentation(np.ambient_rank, np.outer)).canonical.is_trivial
         assert coker_thm31(np).canonical.is_trivial
 
     def test_zero_inner_gives_target(self):
@@ -379,7 +379,7 @@ class TestInducedMaps:
         outer = IntMatrix.from_cols([[2, 0], [0, 1]], rows=2)
         inner = column_basis(outer @ IntMatrix.from_rows([[2, 0], [0, 2]]))
         np = NestedPresentation.build(2, inner, outer)
-        assert l1_sp(2, np.outer_presentation).canonical.is_trivial
+        assert l1_sp(2, Presentation(np.ambient_rank, np.outer)).canonical.is_trivial
         assert coker_tor_to_l1_sp2(np).canonical.is_trivial
 
     def test_tor_comparison_diagonal_surjective(self):

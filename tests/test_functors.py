@@ -40,7 +40,7 @@ class TestBases:
         for kind, degree in [("tensor", 2), ("sym", 3), ("ext", 2), ("lie3", 3)]:
             b = basis(kind, degree, 4)
             for i in range(b.size):
-                assert b.rank_of(b.tuple_at(i)) == i
+                assert b.rank_of(b.elements[i]) == i
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
