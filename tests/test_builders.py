@@ -232,8 +232,9 @@ class TestSparseDodCheck:
             build(self.P)
 
     def test_swapped_letter_table_raises(self, monkeypatch):
-        # two entries of the row of x_0 in the table d2 of koszul_sp(3)
-        # reads swapped, at the letters of the first two sublattice vectors
+        # swap two entries of the row of x_0 in the table that d2 of
+        # koszul_sp(3) reads, at the letters of the first two sublattice
+        # vectors
         u = self.P.sublattice
         p, q = (next(iter(c)) for c in dict_columns(u)[:2])
         real = functors._sym_letter_table
