@@ -1,13 +1,17 @@
+import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from dfw.cli import main
+from dfw.cli import HELP, RENDERERS, main, parse_args
+from dfw.theorems import SUITE_NAMES
 
 
 def run(capsys, *argv):
@@ -217,8 +221,7 @@ class TestErrorStatus:
 class TestFailureRendering:
     @pytest.fixture()
     def broken_suite(self, monkeypatch):
-        import dfw.cli as cli_mod
-        from dfw.theorems import TrialRecord, Verdict
+        from dfw.theorems import CHECKS, TrialRecord, Verdict
 
         ce = {"instance": {"presentation": {"ambient_rank": 1, "sublattice": [[2]]}},
               "lhs": "Z/2", "rhs": "Z/3"}
@@ -231,7 +234,7 @@ class TestFailureRendering:
                 TrialRecord("exact4", 1, "fail", "Z/2", "Z/3", ce),
             ),
         )
-        monkeypatch.setitem(cli_mod.CHECKS, "exact4", lambda cfg: verdict)
+        monkeypatch.setitem(CHECKS, "exact4", lambda cfg: verdict)
 
     def test_exit_code_1_and_text_detail(self, capsys, broken_suite):
         code, out, _ = run(capsys, "check", "exact4", "--trials", "2")
@@ -292,7 +295,7 @@ class TestSection4:
         def never(*args):
             raise AssertionError("an over-budget report was evaluated")
 
-        monkeypatch.setattr("dfw.cli.evaluate_section4", never)
+        monkeypatch.setattr("dfw.theorems.evaluate_section4", never)
         # L2Ls3 of H2 = (Z/2)^21 would need 21³ - 3080 = 6181 word coordinates
         code, out, err = run(capsys, "section4", " + ".join(["Z/2"] * 7))
         assert code == 2 and out == "" and "budget" in err
@@ -316,13 +319,149 @@ class TestHelp:
         assert code == 2
 
 
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser `dfw` used before parse_args: the oracle that
+    parse_args is tested against."""
+    parser = argparse.ArgumentParser(
+        prog="dfw",
+        description="exact workbench for derived functors of abelian groups",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_eval = sub.add_parser("eval", help="evaluate an expression to a canonical form")
+    p_eval.add_argument("expression")
+    p_eval.add_argument("--relations", metavar="FILE",
+                        help="relation matrix file binding the atom G")
+
+    p_check = sub.add_parser("check", help="run a verification suite")
+    p_check.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
+    p_check.add_argument("--seed", type=int, default=None)
+    p_check.add_argument("--trials", type=int, default=100)
+    p_check.add_argument("--max-rank", type=int, default=4)
+    p_check.add_argument("--max-entry", type=int, default=6)
+    p_check.add_argument("--format", choices=sorted(RENDERERS), default="text")
+
+    p_sec = sub.add_parser("section4", help="derived-functor report for an abelian group")
+    p_sec.add_argument("expression", nargs="?")
+    p_sec.add_argument("--relations", metavar="FILE")
+    return parser
+
+
+def reference(argv):
+    """argparse's reading of argv: its fields, or the exit code (0 after
+    help, 2 on a rejected argv)."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(reference_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+# argparse kept a `--` that follows an option's value as an extra argument
+# up to Python 3.11; later versions may read `--` otherwise
+_OLD_DASHES = pytest.mark.skipif(sys.version_info >= (3, 12),
+                                 reason="argparse's reading of `--` changed after 3.11")
+
+# (argv, what argparse does with it: "ok", "help" or "error")
+ARGV_TABLE = [
+    (["eval", "Tor(Z/4, Z/6)"], "ok"),
+    (["eval", "Z", "--relations", "g.txt"], "ok"),
+    (["eval", "--relations", "g.txt", "Z"], "ok"),
+    (["eval", "Z", "--rel", "g.txt"], "ok"),
+    (["eval", "Z", "--relations=g.txt"], "ok"),
+    (["eval", "Z", "--re=g.txt"], "ok"),
+    (["eval", "Z", "--rel="], "ok"),
+    (["eval", "--", "-Z"], "ok"),
+    (["eval", "Z", "--"], "ok"),
+    (["eval", "-5"], "ok"),
+    (["check", "all"], "ok"),
+    (["check", "--seed", "-3", "thm31"], "ok"),
+    (["check", "thm31", "--seed=-3"], "ok"),
+    (["check", "all", "--trials", "1", "--max-r", "2"], "ok"),
+    (["check", "exact4", "--max-e", "3", "--f", "tsv", "--t", "7", "--s", "9"], "ok"),
+    (["check", "all", "--format=json", "--format", "text"], "ok"),
+    (["check", "--", "all"], "ok"),
+    (["section4", "Z/2 + Z/2"], "ok"),
+    (["section4", "--relations", "g.txt"], "ok"),
+    (["section4"], "ok"),
+    (["section4", "--rel", "g.txt", "--"], "ok"),
+    (["--help"], "help"),
+    (["-h", "nonsense"], "help"),
+    (["eval", "Z", "--help"], "help"),
+    (["eval", "--he"], "help"),
+    (["check", "all", "--seed", "3", "-h"], "help"),
+    (["check", "-h", "nonsense"], "help"),
+    (["section4", "-hh"], "help"),
+    ([], "error"),
+    (["nonsense"], "error"),
+    (["--", "eval", "Z"], "error"),
+    (["-hx"], "error"),
+    (["eval"], "error"),
+    (["eval", "Z", "--bogus"], "error"),
+    (["--bogus", "eval", "Z"], "error"),
+    (["eval", "Z", "W"], "error"),
+    (["eval", "Z", "--rel"], "error"),
+    (["eval", "Z", "--relations", "--", "g.txt"], "error"),
+    (["eval", "--", "Z", "--relations", "g.txt"], "error"),
+    (["eval", "Z", "--help=yes"], "error"),
+    (["check", "all", "--max", "3"], "error"),
+    (["check", "all", "--help", "--max=3"], "error"),
+    (["check", "all", "--seed"], "error"),
+    (["check", "all", "--trials", "x"], "error"),
+    (["check", "all", "--seed", "-1.5"], "error"),
+    (["check", "all", "--format", "xml"], "error"),
+    (["check", "nonsense"], "error"),
+    (["check", "all", "--trials", "2", "extra"], "error"),
+    pytest.param(["check", "all", "--seed", "1", "--"], "error", marks=_OLD_DASHES),
+]
+
+
+class TestParserAgainstArgparse:
+    @pytest.mark.parametrize("argv, outcome", ARGV_TABLE)
+    def test_table(self, capsys, argv, outcome):
+        want = reference(argv)
+        if outcome == "ok":
+            assert vars(parse_args(argv)) == want
+            return
+        assert want == {"help": 0, "error": 2}[outcome]
+        code, out, err = run(capsys, *argv)
+        assert code == want
+        if outcome == "help":
+            assert out.startswith("usage: dfw") and err == ""
+        else:
+            assert out == "" and "dfw: error: " in err
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        # the console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["dfw", "eval", "Tor(Z/4, Z/6)", "--rel="])
+        assert main() == 0
+        assert capsys.readouterr().out == "Z/2\n"
+        monkeypatch.setattr(sys, "argv", ["dfw", "check", "nonsense"])
+        assert main() == 2 == reference(None)
+
+    def test_help_anywhere_wins_over_the_suite_name(self, capsys):
+        # `check` checks its suite name itself, so help read after a bad
+        # suite name still prints, where argparse exited 2
+        assert reference(["check", "nonsense", "--help"]) == 2
+        code, out, _ = run(capsys, "check", "nonsense", "--help")
+        assert code == 0 and out == HELP["check"]
+
+    def test_check_help_names_every_suite_and_format(self):
+        for name in list(SUITE_NAMES) + ["all"] + sorted(RENDERERS):
+            assert name in HELP["check"]
+
 def test_import_leaves_out_dataclasses_and_inspect():
     """The cold path of every command: importing dfw.cli, in a fresh
-    interpreter, loads neither dataclasses nor inspect."""
+    interpreter, loads neither dataclasses nor inspect, and adds none of
+    argparse, gettext, json or dfw.theorems to the modules the bare
+    interpreter had loaded (`eval` uses none of them)."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, dfw.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys; bare = set(sys.modules); import dfw.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+            "print(sorted({'argparse', 'gettext', 'json', 'dfw.theorems'} "
+            "& (set(sys.modules) - bare)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"
