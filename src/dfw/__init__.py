@@ -3,18 +3,14 @@ polynomial functors, and their derived functors."""
 
 __version__ = "0.1.0"
 
-from .linalg import IntMatrix, SmithDecomposition, kernel_basis, smith_normal_form, solve
-from .abelian import CanonicalForm, Hom, PresentedGroup, canonical_form
+from .linalg import IntMatrix, kernel_basis
+from .abelian import CanonicalForm, Hom, PresentedGroup
 
 __all__ = [
     "IntMatrix",
-    "SmithDecomposition",
-    "smith_normal_form",
     "kernel_basis",
-    "solve",
     "PresentedGroup",
     "Hom",
     "CanonicalForm",
-    "canonical_form",
     "__version__",
 ]

@@ -128,10 +128,6 @@ class PresentedGroup:
         return f"PresentedGroup(rank={self.rank}, canonical={self.canonical})"
 
 
-def canonical_form(g: PresentedGroup) -> CanonicalForm:
-    return g.canonical
-
-
 class Hom:
     """Homomorphism between presented groups, given on generators.
 
@@ -252,13 +248,6 @@ def subgroup_leq(f: Hom, g: Hom) -> bool:
         raise ValueError("subgroups of different ambient groups")
     sys = hstack(g.matrix, f.target.relations)
     return solve_matrix(sys, f.matrix) is not None
-
-
-def subgroup_contains(incl: Hom, vec: Sequence[int]) -> bool:
-    """Does the image of incl contain the target element with these
-    generator coordinates?"""
-    col = IntMatrix.from_cols([list(vec)], rows=incl.target.rank)
-    return solve_matrix(hstack(incl.matrix, incl.target.relations), col) is not None
 
 
 def direct_sum(*groups: PresentedGroup) -> PresentedGroup:

@@ -30,10 +30,10 @@ and no solve, which is where exact entries used to swell.  It computes every
 value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
 theorems 3.1 and 3.2 compare with: induced_cokernel reads coker H1(f) of
 a chain map f: C -> D as H1 of D with the columns of f1 of a kernel
-basis of C's d1 added to the boundaries.  middle_homology (a kernel
-basis of d1 with the boundaries solved against it) is only the tests'
-oracle.  No presentation is normalized first, so presentation-independence
-checks compare two independent computations.
+basis of C's d1 added to the boundaries.  The tests hold homology_value
+against the cycle path (a kernel basis of d1 with the boundaries solved
+against it), which only they keep.  No presentation is normalized first, so
+presentation-independence checks compare two independent computations.
 
 Sign conventions are fixed here once: writing i for the inclusion of a
 sublattice into its ambient lattice, the Tor differential is
@@ -188,17 +188,6 @@ def homology_value(cx: FreeComplex) -> PresentedGroup:
     return PresentedGroup.from_invariants(0, [d for d in diag if d > 1])
 
 
-def middle_homology(cx: FreeComplex) -> PresentedGroup:
-    """H1 presented on a kernel basis of d1, the boundaries solved against
-    it: the tests' reference for homology_value, not used for values."""
-    d1, d2 = cx.differentials
-    cycles = kernel_basis(d1)
-    boundaries = solve_matrix(cycles, d2)
-    if boundaries is None:
-        raise AssertionError("boundaries are not cycles; differentials are inconsistent")
-    return PresentedGroup(cycles.cols, boundaries)
-
-
 def induced_cokernel(src: FreeComplex, dst: FreeComplex,
                      chain: Tuple[IntMatrix, IntMatrix, IntMatrix]) -> PresentedGroup:
     """Cokernel of the map H1(src) -> H1(dst) induced by the chain map
@@ -239,13 +228,6 @@ def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
     gamma = Hom(quot_tensor, sp2, mult)
     ker_group, alpha = kernel(beta)
     return alpha, beta, gamma
-
-
-def l1_sp2_kernel_form(p: Presentation) -> PresentedGroup:
-    """The same derived functor as l1_sp(2, .), realized as the kernel of
-    Λ²(Q)/Λ²(U) -> Q/U (x) Q.  The two constructions are mutual oracles."""
-    alpha, _, _ = sp2_bottom_row(p)
-    return alpha.source
 
 
 def _superlie3_maps(p: Presentation) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -7,10 +7,10 @@ reduction loops themselves live in dfw._kernels.
 Entries are stored column-major, the layout in which the kernels read and
 return matrices, so no matrix is transposed on its way to a kernel or
 back.  Entry types are checked once, where data enters: IntMatrix(...)
-(and so from_rows, from_cols, identity and zeros) and the right-hand side
-of solve.  Kernel results, matrix arithmetic and the dict columns of the
-complex builders (from_dict_columns, whose entries are sums of products
-of checked entries) are wrapped by _wrap without a second check.
+(and so from_rows, from_cols, identity and zeros).  Kernel results,
+matrix arithmetic and the dict columns of the complex builders
+(from_dict_columns, whose entries are sums of products of checked
+entries) are wrapped by _wrap without a second check.
 
 Complexes are stored in one other layout, sparse columns: dicts
 {row: entry}, which functors.FreeComplex keeps and smith_diagonal_uncached
@@ -97,10 +97,6 @@ class IntMatrix:
         r, e = self.rows, self.entries
         return [list(e[i::r]) for i in range(r)]
 
-    def transpose(self) -> "IntMatrix":
-        r, e = self.rows, self.entries
-        return _wrap(self.cols, r, tuple(_flatten(e[i::r] for i in range(r))))
-
     def select_columns(self, idxs: Sequence[int]) -> "IntMatrix":
         r, e = self.rows, self.entries
         if idxs and not (0 <= min(idxs) and max(idxs) < self.cols):
@@ -131,10 +127,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return _wrap(self.rows, self.cols, tuple(map(neg, self.entries)))
-
-    def scaled(self, c: int) -> "IntMatrix":
-        _check_ints((c,))
-        return _wrap(self.rows, self.cols, tuple([c * a for a in self.entries]))
 
     @property
     def is_zero(self) -> bool:
@@ -214,19 +206,6 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch")
     return _wrap(rows, sum(m.cols for m in mats), tuple(_flatten(m.entries for m in mats)))
-
-
-def vstack(*mats: IntMatrix) -> IntMatrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column count mismatch")
-    flat: List[int] = []
-    for j in range(cols):
-        for m in mats:
-            flat.extend(m.entries[j * m.rows:(j + 1) * m.rows])
-    return _wrap(sum(m.rows for m in mats), cols, tuple(flat))
 
 
 def block_diag(*mats: IntMatrix) -> IntMatrix:
@@ -350,14 +329,6 @@ def _solve_echelon(ech: ColumnEchelon, b: Sequence[int]) -> Optional[List[int]]:
     return x
 
 
-def solve(m: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:
-    """Some integer x with m @ x = b, or None when unsolvable over Z."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    _check_ints(b)
-    return _solve_echelon(column_echelon(m), b)
-
-
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """Integer X with m @ X = b, or None if any column is unsolvable."""
     if b.rows != m.rows:
@@ -385,61 +356,6 @@ def preimage_basis(m: IntMatrix, span: IntMatrix) -> IntMatrix:
     return column_basis(ker.top_rows(m.cols))
 
 
-class SmithDecomposition(NamedTuple):
-    """left @ input @ right == diag, with unimodular left/right.
-
-    diag has the input's shape; diagonal entries are nonnegative, each
-    divides the next, and zeros trail.
-    """
-
-    left: IntMatrix
-    diag: IntMatrix
-    right: IntMatrix
-
-    def diagonal(self) -> Tuple[int, ...]:
-        n = min(self.diag.rows, self.diag.cols)
-        return tuple(self.diag.entry(i, i) for i in range(n))
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith form with its transforms, from alternating Hermite passes
-    (Kannan and Bachem, SIAM J. Comput. 1979).
-
-    A column pass (column_echelon of d) and a row pass (column_echelon of
-    d^T) alternate, and their transforms accumulate into right and left,
-    until d is diagonal.  A column pass leaves its pivots first and in
-    increasing rows, so zeros trail.  Where d_i does not divide a later
-    d_j, row j is added to row i and the passes go on.  It must be a row
-    operation: a column operation would be undone by the next column
-    pass, which reduces the entries left of each pivot.
-
-    The passes end: each pivot is the gcd of its row or its column, so
-    it never grows; each pass either lowers a pivot or clears that
-    pivot's row and column; and a row fix lowers d_i to
-    gcd(d_i, d_j) < d_i.
-    """
-    rows = m.rows
-    d, left, right = m, IntMatrix.identity(rows), IntMatrix.identity(m.cols)
-    while True:
-        ech = column_echelon(d)
-        d, right = ech.echelon, right @ ech.transform
-        ech = column_echelon(d.transpose())
-        d, left = ech.echelon.transpose(), ech.transform.transpose() @ left
-        # entry n of d sits at row n % rows, column n // rows
-        if any(e for n, e in enumerate(d.entries) if n % rows != n // rows):
-            continue
-        dec = SmithDecomposition(left, d, right)
-        diag = [e for e in dec.diagonal() if e]
-        fix = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
-                    if diag[j] % diag[i]), None)
-        if fix is None:
-            return dec
-        # row i += row j, in d and in left
-        add = IntMatrix.from_rows([[int(r == c or (r, c) == fix) for c in range(rows)]
-                                   for r in range(rows)])
-        d, left = add @ d, add @ left
-
-
 def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tuple[int, ...]:
     """Diagonal of the Smith form of the rows x len(columns) matrix with
     the dict columns {row: entry}, without transforms.
@@ -447,10 +363,12 @@ def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tup
     Units first: eliminate_units splits off u pivots of +-1 from the
     columns as they are, so the diagonal is u ones followed by that of
     the sparse remainder R.  Then Hermite passes (Havas, Majewski and
-    Matthews, Exp. Math. 1998): a column pass on R leaves its k = rank(R) echelon columns B, and
-    column passes on the transpose of B, then of each k x k result, run
-    until the block is diagonal, as in smith_normal_form.  Unimodular
-    steps keep the diagonal; reducing R directly lets its entries swell.
+    Matthews, Exp. Math. 1998): a column pass on R leaves its k = rank(R)
+    echelon columns B, and column passes on the transpose of B, then of
+    each k x k result, run until the block is diagonal, so that column
+    and row passes alternate (Kannan and Bachem, SIAM J. Comput. 1979).
+    Unimodular steps keep the diagonal; reducing R directly lets its
+    entries swell.
     Last, gcd and lcm turn the diagonal into a divisibility chain:
     diag(a, b) and diag(gcd(a, b), lcm(a, b)) have the same Smith form.
     """
@@ -482,41 +400,6 @@ def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     """smith_diagonal_uncached of the columns of m, behind a 256-entry
     LRU cache."""
     return smith_diagonal_uncached(m.rows, dict_columns(m))
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            ak = a[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and determinant(m) in (1, -1)
 
 
 def clear_caches() -> None:

@@ -61,7 +61,7 @@ class TrialConfig:
 
     def __init__(self, seed: int = 0, trials: int = 100, max_rank: int = 4, max_entry: int = 6):
         if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
         if trials < 1:
             raise ValueError("need at least one trial")
         if max_rank < 1 or max_entry < 1:

@@ -9,13 +9,11 @@ from dfw.abelian import (
     ContainmentError,
     Hom,
     PresentedGroup,
-    canonical_form,
     cokernel,
     direct_sum,
     image,
     kernel,
     purified_relations,
-    subgroup_contains,
     subgroup_leq,
     subquotient,
     tensor,
@@ -25,6 +23,12 @@ from dfw.linalg import IntMatrix, smith_diagonal
 
 def grp(rank, cols):
     return PresentedGroup(rank, IntMatrix.from_cols(cols, rows=rank))
+
+
+def cyclic_subgroup(g, coords):
+    """The subgroup of g generated by the element with these generator
+    coordinates, as a Hom from Z."""
+    return Hom(PresentedGroup.free(1), g, IntMatrix.from_cols([coords], rows=g.rank))
 
 
 def random_group(rng, max_rank=4, max_entry=6):
@@ -63,7 +67,7 @@ class TestCanonicalForm:
 
     def test_free(self):
         g = PresentedGroup.free(3)
-        assert canonical_form(g) == CanonicalForm(3, ())
+        assert g.canonical == CanonicalForm(3, ())
 
     @pytest.mark.parametrize("bad", [1.5, "3", True])
     def test_from_invariants_rejects_non_int(self, bad):
@@ -151,8 +155,9 @@ class TestKernel:
         assert k.canonical == CanonicalForm(0, (2,))
         # enumeration oracle: kernel of x -> 2x on {0,1,2,3} is {0, 2}
         assert incl.is_injective()
-        assert subgroup_contains(incl, [2])
-        assert not subgroup_contains(incl, [1])
+        two = cyclic_subgroup(z4, [2])
+        assert subgroup_leq(incl, two) and subgroup_leq(two, incl)
+        assert not subgroup_leq(cyclic_subgroup(z4, [1]), incl)
 
     def test_identity_and_zero(self):
         g = grp(2, [[2, 0], [0, 4]])
@@ -195,8 +200,9 @@ class TestImage:
         assert mono.is_injective()
         assert epi.is_surjective()
         # enumeration oracle: image of Z/2 -> Z/4, 1 |-> 2 is {0, 2}
-        assert subgroup_contains(mono, [2])
-        assert not subgroup_contains(mono, [1])
+        two = cyclic_subgroup(z4, [2])
+        assert subgroup_leq(mono, two) and subgroup_leq(two, mono)
+        assert not subgroup_leq(cyclic_subgroup(z4, [1]), mono)
 
     def test_zero_and_identity(self):
         g = grp(2, [[2, 0], [0, 4]])

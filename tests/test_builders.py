@@ -41,7 +41,6 @@ from dfw.linalg import (
     kernel_basis,
     kron,
     smith_diagonal,
-    vstack,
 )
 from dfw.theorems import SUITES, TrialConfig
 from test_derived import nested_over, scrambled_instances
@@ -77,6 +76,12 @@ def dense_koszul_sp(m, u):
             d2_cols.append(col)
     return (IntMatrix.from_cols(d1_cols, rows=sp_top.size),
             IntMatrix.from_cols(d2_cols, rows=mid_dim))
+
+
+def vstack(*mats):
+    """The matrices, all with the same number of columns, stacked top to
+    bottom."""
+    return IntMatrix.from_rows([row for m in mats for row in m.to_rows()], cols=mats[0].cols)
 
 
 def kron_tor(ua, ub):

@@ -150,6 +150,26 @@ class TestCheck:
         code, _, err = run(capsys, "check", "exact4", "--trials", "2")
         assert code == 2 and "DFW_SEED" in err
 
+    @pytest.mark.parametrize("flag, env", [
+        (["--seed", "-3"], None),
+        (["--seed", "18446744073709551616"], None),
+        ([], "-1"),
+    ])
+    def test_seed_out_of_range_exits_2(self, capsys, monkeypatch, recorded_checks, flag, env):
+        if env is None:
+            monkeypatch.delenv("DFW_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DFW_SEED", env)
+        seed = flag[1] if flag else env
+        code, out, err = run(capsys, "check", "all", *flag, "--trials", "1")
+        assert code == 2 and out == ""
+        assert err == f"dfw: error: seed must be in 0..2**64-1, got {seed}\n"
+        assert recorded_checks == []
+
+    def test_largest_seed_runs(self, capsys, recorded_checks):
+        code, _, _ = run(capsys, "check", "all", "--seed", str(2**64 - 1), "--trials", "1")
+        assert code == 0 and recorded_checks[0].seed == 2**64 - 1
+
 
 # sha256 of `dfw check all` stdout at the default config, per format
 GOLDEN_CHECK_ALL = {

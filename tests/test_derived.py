@@ -14,9 +14,7 @@ from dfw.derived import (
     homology_value,
     induced_cokernel,
     l1_sp,
-    l1_sp2_kernel_form,
     l2_superlie3,
-    middle_homology,
     sp2_bottom_row,
     superlie3_cone,
     superlie3_kernel_data,
@@ -35,7 +33,6 @@ from dfw.linalg import (
     smith_diagonal,
     smith_diagonal_uncached,
     solve_matrix,
-    vstack,
 )
 from dfw.theorems import _DERIVED_OPS, random_matrix, scrambled_presentation
 
@@ -103,11 +100,11 @@ class TestKernelForm:
         rng = random.Random(2718)
         for _ in range(50):
             p = random_presentation(rng)
-            assert l1_sp2_kernel_form(p).canonical == l1_sp(2, p).canonical
+            assert sp2_bottom_row(p)[0].source.canonical == l1_sp(2, p).canonical
 
     def test_rank_one_and_free(self):
-        assert l1_sp2_kernel_form(pres(1, [[7]])).canonical.is_trivial
-        assert l1_sp2_kernel_form(Presentation(2, IntMatrix.zeros(2, 0))).canonical.is_trivial
+        assert sp2_bottom_row(pres(1, [[7]]))[0].source.canonical.is_trivial
+        assert sp2_bottom_row(Presentation(2, IntMatrix.zeros(2, 0)))[0].source.canonical.is_trivial
 
     def test_bottom_row_composes_to_zero(self):
         p = pres(2, [[2, 0], [0, 4]])
@@ -175,6 +172,8 @@ def unreduced_superlie3_cone(p):
     """The mapping cone before the Lyndon pivots are cancelled:
     d1 = [M | R_B], d2 = (R_A; -W), with R_A the Lie coordinates of the
     bracket expansions of the sublattice, solved against the embedding."""
+    from test_builders import vstack  # test_builders imports this module
+
     u, r, s = p.sublattice, p.ambient_rank, p.sublattice.cols
     m = lie3_embedding(r)
     r_a = solve_matrix(m, induced_map("tensor", 3, u) @ lie3_embedding(s))
@@ -446,6 +445,18 @@ class TestPresentationObjects:
         b = pres(1, [[4]])
         cx = tor_complex(a.sublattice, b.sublattice)
         assert cx.terms == (2, 2 + 2, 2)
+
+
+def middle_homology(cx):
+    """H1 of a three-term complex by the cycle path: presented on a kernel
+    basis of d1, with the boundaries solved against it.  The reference for
+    homology_value, independent of its Smith diagonal."""
+    d1, d2 = cx.differentials
+    cycles = kernel_basis(d1)
+    boundaries = solve_matrix(cycles, d2)
+    if boundaries is None:
+        raise AssertionError("boundaries are not cycles; differentials are inconsistent")
+    return PresentedGroup(cycles.cols, boundaries)
 
 
 def cycle_path_value(name, p):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dfw.abelian import PresentedGroup, direct_sum, tensor
 from dfw.expr import evaluate, parse
-from dfw.linalg import IntMatrix, solve
+from dfw.linalg import IntMatrix, solve_matrix
 
 small = st.integers(min_value=-6, max_value=6)
 
@@ -23,8 +23,9 @@ def matrices(draw, max_dim=4):
 def test_solve_is_sound(m, x0):
     x0 = x0[: m.cols]
     b = [sum(m.entry(i, j) * x0[j] for j in range(m.cols)) for i in range(m.rows)]
-    x = solve(m, b)
+    x = solve_matrix(m, IntMatrix.from_cols([b], rows=m.rows))
     assert x is not None
+    x = x.col_list(0)
     assert [sum(m.entry(i, j) * x[j] for j in range(m.cols)) for i in range(m.rows)] == b
 
 
