@@ -41,12 +41,6 @@ class CanonicalForm(NamedTuple):
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def exponent_divides(self, c: int) -> bool:
-        """True when c annihilates the group (requires no free part)."""
-        if self.free_rank:
-            return False
-        return all(c % d == 0 for d in self.torsion)
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -60,8 +60,7 @@ from .functors import (
     induced_map,
     koszul_sp,
     lie3_columns,
-    lie3_embedding,
-    lie3_split,
+    lie3_defect,
     sym_relations,
 )
 from .linalg import (
@@ -230,38 +229,16 @@ def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
     return alpha, beta, gamma
 
 
-def _superlie3_maps(p: Presentation) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(R_A, R_B, M): the relations of 𝓛³(Q)/𝓛³(U) on the Lyndon basis,
-    those of ((Q(x)Q)/(U(x)U)) (x) Q on the word basis, and the map
-    between the two free lattices."""
-    u = p.sublattice
-    r_a = induced_map("lie3", 3, u)
-    r_b = kron(kron(u, u), IntMatrix.identity(p.ambient_rank))
-    return r_a, r_b, lie3_embedding(p.ambient_rank)
-
-
-def superlie3_kernel_data(p: Presentation) -> Tuple[PresentedGroup, Hom, Hom]:
-    """Kernel of  𝓛³(Q)/𝓛³(U) -> ((Q(x)Q)/(U(x)U)) (x) Q  together with its
-    inclusion and the defining map.
-
-    Well-definedness rests on bracket expansions of the sublattice staying
-    inside U (x) U (x) Q, which the Hom constructor verifies by solving.
-    """
-    r_a, r_b, m = _superlie3_maps(p)
-    h = Hom(PresentedGroup(r_a.rows, r_a), PresentedGroup(r_b.rows, r_b), m)
-    ker_group, incl = kernel(h)
-    return ker_group, incl, h
-
-
 def superlie3_cone(p: Presentation) -> FreeComplex:
     """Mapping cone of the chain map (W, M) from the presentation R_A of
     𝓛³(Q)/𝓛³(U) to the presentation R_B of ((Q(x)Q)/(U(x)U)) (x) Q, reduced
-    along the unit pivots of M = lie3_embedding(r):
+    along the unit pivots of M = emb(r), the embedding of the Lie cube
+    whose columns are functors.lie3_columns(r):
 
         Z^lie(s) --W--> Z^(s²r) --K R_B--> Z^(r³ - lie(r))
 
-    with R_B = (u (x) u) (x) I, W = (I_{s²} (x) u) emb(s) and K the defect of
-    functors.lie3_split(r).
+    with R_B = (u (x) u) (x) I, W = (I_{s²} (x) u) emb(s) and K the map
+    whose columns are functors.lie3_defect(r).
 
     The unreduced cone has d1 = [M | R_B] and d2 = (R_A; -W).  Changing the
     basis of Z^{r³} to (Lie coordinates, K) turns M into (I; 0); cancelling
@@ -269,8 +246,8 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
     has independent columns, so the long exact sequence of the cone makes
     H1 the kernel of the induced map.  The d o d check of FreeComplex is
     K R_B W = 0: R_B W = (u (x) u (x) u) emb(s) lies in the Lie lattice,
-    which is the well-definedness of the map (R_A = left_inverse R_B W
-    is never built).
+    which is the well-definedness of the map (R_A, the Lie coordinates of
+    R_B W, is never built).
 
     Both differentials are built as dict columns from the nonzero entries
     of u and the sparse columns of K and emb(s), without the r³ x s²r
@@ -280,8 +257,7 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
     """
     u = p.sublattice
     r, s = u.rows, u.cols
-    split = lie3_split(r)
-    k_cols = split.defect_columns
+    k_cols = lie3_defect(r)
     support = [list(c.items()) for c in dict_columns(u)]
     d1 = []
     for a in range(s):
@@ -302,7 +278,7 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
                 row = ab * r + i
                 col[row] = col.get(row, 0) + coeff * v
         w.append(col)
-    return FreeComplex((split.defect.rows, s * s * r, len(w)), (d1, w))
+    return FreeComplex((r**3 - len(lie3_columns(r)), s * s * r, len(w)), (d1, w))
 
 
 def l2_superlie3(p: Presentation) -> PresentedGroup:

@@ -3,8 +3,9 @@
 Supported functor kinds (with the degree bounds the rest of the package
 needs): tensor powers, symmetric powers SP^n for n <= 5, exterior powers
 for n <= 3, and the degree-3 free Lie functor with its Lyndon-bracket
-basis.  Induced maps are given in the indexed bases below; the Koszul-type
-three-term complex built here is the engine behind the derived functors.
+basis.  Induced maps of symmetric and exterior powers are given in the
+indexed bases below; the Koszul-type three-term complex built here is the
+engine behind the derived functors.
 Its rows are read off per-rank letter tables, cached like the bases: for
 each monomial of SP^d(Z^r), the indices of its r products with a letter
 in the basis of SP^{d+1}(Z^r).  A FreeComplex stores each differential
@@ -13,12 +14,11 @@ them out as dense matrices only when asked for its differentials.
 
 The Lie cube splits off the tensor cube without any reduction: the
 standard bracketing of a Lyndon word w expands to w plus lexicographically
-greater words, so the Lyndon rows of lie3_embedding(r) form a lower
-unitriangular block.  lie3_split(r) inverts that block by substitution and
-returns an integer left inverse of the embedding together with the map
+greater words, so the Lyndon rows of the embedding of the Lie cube (the
+columns lie3_columns(r)) form a lower unitriangular block.  lie3_defect(r)
+inverts that block by substitution and returns the columns of the map K
 onto the non-Lyndon word coordinates that vanishes exactly on the Lie
-lattice.  Induced maps on the Lie cube and the L2Ls3 cone of dfw.derived
-read Lie coordinates and Lie membership off these two matrices.
+lattice; the L2Ls3 cone of dfw.derived reads Lie membership off K.
 
 Basis orderings are lexicographic throughout: words for tensor powers,
 non-decreasing tuples (monomials) for symmetric powers, strictly
@@ -32,16 +32,14 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import insort
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .abelian import PresentedGroup, purified_relations, tensor
+from .abelian import PresentedGroup, purified_relations
 from .linalg import IntMatrix, dict_columns, from_dict_columns, hstack, kron
 
 SYM_MAX_DEGREE = 5
 EXT_MAX_DEGREE = 3
 TENSOR_MAX_DEGREE = 6
-
-KINDS = ("tensor", "sym", "ext", "lie3")
 
 
 def _check_degree(kind: str, degree: int) -> None:
@@ -136,9 +134,10 @@ def _expand_bracket(tree) -> Dict[Tuple[int, ...], int]:
 
 @functools.lru_cache(maxsize=None)
 def lie3_columns(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """The columns of lie3_embedding as their nonzero entries
-    (word index, coefficient): one Lyndon bracket each, expanded into the
-    word basis of the tensor cube."""
+    """The inclusion of the degree-3 free Lie lattice into the tensor cube,
+    as the nonzero entries (word index, coefficient) of its columns: one
+    Lyndon bracket each, expanded into the word basis; e.g. for rank 2 the
+    bracket of the word xxy is [x,[x,y]] = xxy - 2 xyx + yxx."""
     cube = basis("tensor", 3, source_rank)
     return tuple(
         tuple(
@@ -150,50 +149,27 @@ def lie3_columns(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def lie3_embedding(source_rank: int) -> IntMatrix:
-    """Inclusion of the degree-3 free Lie lattice into the tensor cube.
+def lie3_defect(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The columns of K: Z^{r³} -> Z^{r³ - lie(r)}, as the nonzero entries
+    (row, value) of each, one column per word of the tensor cube.
 
-    Column per Lyndon bracket, expanded into the word basis; e.g. for rank
-    2 the bracket of the word xxy is [x,[x,y]] = xxy - 2 xyx + yxx.
-    """
-    return from_dict_columns(source_rank ** 3, [dict(c) for c in lie3_columns(source_rank)])
-
-
-class Lie3Split(NamedTuple):
-    """Z^{r³} = 𝓛³(Z^r) ⊕ Z^{non-Lyndon words}, with emb = lie3_embedding(r).
-
-    left_inverse (lie(r) x r³) reads the Lyndon word coordinates of x and
-    applies the inverse of the unitriangular Lyndon block of emb, so
-    left_inverse @ emb = I.  defect ((r³ - lie(r)) x r³) sends x to the
-    non-Lyndon word coordinates of x - emb @ left_inverse @ x: it is the
-    identity on the non-Lyndon coordinates, and defect @ x = 0 exactly when
-    x lies in the Lie lattice, which is then x = emb @ left_inverse @ x.
-    defect_columns lists the nonzero entries (row, value) of each column
-    of defect.
-    """
-
-    left_inverse: IntMatrix
-    defect: IntMatrix
-    defect_columns: Tuple[Tuple[Tuple[int, int], ...], ...]
-
-
-@functools.lru_cache(maxsize=None)
-def lie3_split(source_rank: int) -> Lie3Split:
-    """The split of the tensor cube along the Lie cube, from the sparse
-    columns of the embedding alone: the inverse of the Lyndon block by
-    forward substitution, no Hermite reduction."""
+    With Z^{r³} = 𝓛³(Z^r) ⊕ Z^{non-Lyndon words}, K sends x to the
+    non-Lyndon word coordinates of x minus its Lie part, the Lie element
+    with the same Lyndon word coordinates as x.  K is the identity on the
+    non-Lyndon coordinates, and K x = 0 exactly when x lies in the Lie
+    lattice.  The Lie parts come from the sparse columns of the embedding
+    alone: the inverse of its Lyndon block by forward substitution, no
+    Hermite reduction."""
     columns = lie3_columns(source_rank)
     cube = basis("tensor", 3, source_rank)
     lyndon = {cube.rank_of(w): c for c, w in enumerate(basis("lie3", 3, source_rank).elements)}
     other = {t: k for k, t in enumerate(t for t in range(cube.size) if t not in lyndon)}
-    n, m = len(lyndon), len(other)
-    left = [0] * (n * cube.size)
-    defect_columns: List[Tuple[Tuple[int, int], ...]] = [
+    defect: List[Tuple[Tuple[int, int], ...]] = [
         ((other[t], 1),) if t in other else () for t in range(cube.size)
     ]
     for t, c in lyndon.items():
         # y = column c of the inverse Lyndon block, so that emb @ y is the
-        # Lie element with Lyndon coordinates e_c; defect column t is minus
+        # Lie element with Lyndon coordinates e_c; column t of K is minus
         # its non-Lyndon part.  res holds the Lyndon coordinates of
         # e_c - emb @ y, cleared from the smallest index up.
         minus_z: Dict[int, int] = {}
@@ -203,7 +179,6 @@ def lie3_split(source_rank: int) -> Lie3Split:
             q = res.pop(j)
             if not q:
                 continue
-            left[t * n + j] = q
             for word, v in columns[j]:
                 i = lyndon.get(word)
                 if i is None:
@@ -211,12 +186,8 @@ def lie3_split(source_rank: int) -> Lie3Split:
                     minus_z[k] = minus_z.get(k, 0) - q * v
                 elif i != j:
                     res[i] = res.get(i, 0) - q * v
-        defect_columns[t] = tuple((k, v) for k, v in minus_z.items() if v)
-    return Lie3Split(
-        IntMatrix(n, cube.size, left),
-        from_dict_columns(m, [dict(c) for c in defect_columns]),
-        tuple(defect_columns),
-    )
+        defect[t] = tuple((k, v) for k, v in minus_z.items() if v)
+    return tuple(defect)
 
 
 def _sym_times_letter(mono: Tuple[int, ...], j: int) -> Tuple[int, ...]:
@@ -240,25 +211,14 @@ def _wedge_insert(combo: Tuple[int, ...], j: int):
 
 
 def induced_map(kind: str, degree: int, f: IntMatrix) -> IntMatrix:
-    """Matrix of the functor applied to f: Z^cols -> Z^rows, in the
-    indexed bases.  Functorial: identity to identity, composition to
-    product."""
+    """Matrix of the symmetric or exterior power of f: Z^cols -> Z^rows,
+    in the indexed bases.  Functorial: identity to identity, composition
+    to product."""
+    if kind not in ("sym", "ext"):
+        raise ValueError(f"induced maps are built for 'sym' and 'ext', not {kind!r}")
     _check_degree(kind, degree)
     src = basis(kind, degree, f.cols)
     dst = basis(kind, degree, f.rows)
-    if kind == "tensor":
-        if degree == 0:
-            return IntMatrix.identity(1)
-        out = f
-        for _ in range(degree - 1):
-            out = kron(out, f)
-        return out
-    if kind == "lie3":
-        split = lie3_split(f.rows)
-        image = induced_map("tensor", 3, f) @ lie3_embedding(f.cols)
-        if not (split.defect @ image).is_zero:
-            raise AssertionError("tensor cube of f does not preserve Lie brackets")
-        return split.left_inverse @ image
     cols = []
     for elem in src.elements:
         acc: Dict[Tuple[int, ...], int] = {(): 1}
@@ -477,13 +437,6 @@ def functor_on_group(kind: str, degree: int, a: PresentedGroup) -> PresentedGrou
         )
         return PresentedGroup(cube.size, hstack(*slot_rels, bracket_rels))
     _check_degree(kind, degree)
-    if kind == "tensor":
-        if degree == 0:
-            return PresentedGroup.free(1)
-        out = a
-        for _ in range(degree - 1):
-            out = tensor(out, a)
-        return out
     u = purified_relations(a)
     if kind == "sym":
         return PresentedGroup(basis("sym", degree, a.rank).size, sym_relations(degree, u))

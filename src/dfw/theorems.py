@@ -13,15 +13,15 @@ functions of the seed: trial i of suite s draws from an RNG keyed by
 "{seed}:{s}:{i}", so identical configs reproduce identical verdicts byte
 for byte.  A trial whose sides differ has status "fail"; one whose
 evaluation raises has status "error".  Both carry the replayable instance.
-CHECKS (every suite's check_* function by name) and SUITE_NAMES (the
-`dfw check` choices) are read off the table.
+SUITES holds exactly the `dfw check` suites; CHECKS (every suite's
+check_* function by name) and SUITE_NAMES (the `dfw check` choices) are
+read off it.
 """
 
 from __future__ import annotations
 
 import random
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .abelian import (
     Hom,
@@ -42,7 +42,6 @@ from .derived import (
     l1_sp,
     l2_superlie3,
     sp2_bottom_row,
-    superlie3_kernel_data,
     tor,
 )
 from .functors import (
@@ -82,15 +81,10 @@ class TrialRecord(NamedTuple):
 
 
 class Verdict(NamedTuple):
-    """monitor defaults to an empty read-only mapping, so no two verdicts
-    share a dict that one of them could change; run_suite gives each
-    verdict its own."""
-
     passed: int
     failed: int
     first_counterexample: Optional[dict]
     records: Tuple[TrialRecord, ...]
-    monitor: Mapping[str, int] = MappingProxyType({})
     errored: int = 0
 
 
@@ -208,18 +202,15 @@ def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
 
 
 def exact4_instance(p: Presentation) -> Tuple[str, str]:
-    """Exactness of 0 -> L1SP² -> Λ²Q/Λ²U -> Q/U (x) Q -> SP²(Q/U) -> 0 by
-    injectivity, mutual image/kernel containment, and surjectivity."""
+    """Exactness of 0 -> L1SP² -> Λ²Q/Λ²U -> Q/U (x) Q -> SP²(Q/U) -> 0.
+    The left map is the inclusion of the kernel at spot 1, so the check
+    there is that this kernel is L1SP², computed independently from the
+    Koszul complex; then mutual image/kernel containment at spot 2, and
+    surjectivity."""
     alpha, beta, gamma = sp2_bottom_row(p)
     failures = []
-    if not alpha.is_injective():
-        failures.append("left map not injective")
-    _, _, mono_alpha = image(alpha)
-    _, incl_beta_ker = kernel(beta)
-    if not subgroup_leq(mono_alpha, incl_beta_ker):
-        failures.append("image not inside kernel at spot 1")
-    if not subgroup_leq(incl_beta_ker, mono_alpha):
-        failures.append("kernel not inside image at spot 1")
+    if alpha.source.canonical != l1_sp(2, p).canonical:
+        failures.append("kernel at spot 1 is not L1SP^2")
     _, _, mono_beta = image(beta)
     _, incl_gamma_ker = kernel(gamma)
     if not subgroup_leq(mono_beta, incl_gamma_ker):
@@ -257,29 +248,6 @@ def presentation_independence_instance(p1: Presentation, p2: Presentation) -> Tu
     return lhs, rhs
 
 
-def superlie_kernel_instance(p: Presentation) -> Tuple[str, str]:
-    """Left-exactness data for the super-Lie kernel: the constructed
-    inclusion is injective and the composite into the reduced tensor cube
-    vanishes."""
-    _, incl, h = superlie3_kernel_data(p)
-    failures = []
-    if not incl.is_injective():
-        failures.append("kernel inclusion not injective")
-    if not (h @ incl).is_zero():
-        failures.append("composite into the target is nonzero")
-    return ("exact" if not failures else "; ".join(failures)), "exact"
-
-
-def exponent_shadow_instance(c: int, p: Presentation) -> Tuple[bool, str, str, bool]:
-    """Exponent divisibility by c for the two derived functors of a group
-    annihilated by c: (asserted for L1SP², lhs, rhs, monitored for L2Ls3)."""
-    v1 = l1_sp(2, p).canonical
-    v2 = l2_superlie3(p).canonical
-    lhs = f"c={c};l1_sp2={v1};l2={v2}"
-    rhs = f"c={c};l1_sp2 exponent divides c"
-    return v1.exponent_divides(c), lhs, rhs, v2.exponent_divides(c)
-
-
 # ------------------------------------------------------------- the suites
 
 class Suite(NamedTuple):
@@ -287,18 +255,13 @@ class Suite(NamedTuple):
     check is the public entry point that CHECKS maps the name to;
     terms(max_rank) gives the closed-form ranks of the complexes and
     presentations a trial can evaluate at that max_rank, which `dfw check`
-    holds against the expression budget before running; cli
-    suites are the choices of `dfw check`.  A suite with a monitor key has
-    evaluate append whether a monitored, not asserted, property held, and
-    its Verdict.monitor counts those trials."""
+    holds against the expression budget before running."""
 
     name: str
     check: Callable[[TrialConfig], Verdict]
     sample: Callable[[random.Random, TrialConfig], dict]
     evaluate: Callable[[dict], tuple]
     terms: Callable[[int], Tuple[int, ...]]
-    cli: bool = True
-    monitor: str = ""
 
 
 def run_suite(suite: Suite, cfg: TrialConfig) -> Verdict:
@@ -307,22 +270,19 @@ def run_suite(suite: Suite, cfg: TrialConfig) -> Verdict:
     and replay_counterexample on it raises again with the traceback."""
     records: List[TrialRecord] = []
     counts = {"ok": 0, "fail": 0, "error": 0}
-    monitored = 0
     for i in range(cfg.trials):
         instance = suite.sample(_trial_rng(cfg, suite.name, i), cfg)
         try:
-            ok, lhs, rhs, *held = suite.evaluate(instance)
+            ok, lhs, rhs = suite.evaluate(instance)
         except Exception as exc:
             status, lhs, rhs = "error", f"error: {type(exc).__name__}: {exc}", ""
         else:
             status = "ok" if ok else "fail"
-            monitored += sum(held)
         counts[status] += 1
         ce = None if status == "ok" else {"instance": instance, "lhs": lhs, "rhs": rhs}
         records.append(TrialRecord(suite.name, i, status, lhs, rhs, ce))
     first = next((r.counterexample for r in records if r.counterexample), None)
-    monitor = {suite.monitor: monitored, "trials": cfg.trials} if suite.monitor else {}
-    return Verdict(counts["ok"], counts["fail"], first, tuple(records), monitor, counts["error"])
+    return Verdict(counts["ok"], counts["fail"], first, tuple(records), counts["error"])
 
 
 # The samplers draw instance dicts straight from the column bases, so the
@@ -352,16 +312,6 @@ def _sample_two_presentations(rng, cfg: TrialConfig) -> dict:
     p1 = _presentation_dict(column_basis(g.relations))
     extra = rng.randint(0, min(2, cfg.max_rank - g.rank))
     return {"first": p1, "second": _presentation_dict(_scrambled_sublattice(rng, g, extra))}
-
-
-def _sample_annihilated(rng, cfg: TrialConfig) -> dict:
-    """c <= 12 and a scrambled presentation of a sum of cyclic groups of
-    orders dividing c."""
-    c = rng.randint(1, 12)
-    divisors = [d for d in range(2, c + 1) if c % d == 0]
-    parts = [rng.choice(divisors) for _ in range(rng.randint(0, 3))] if divisors else []
-    g = direct_sum(*(PresentedGroup.cyclic(d) for d in parts))
-    return {"c": c, "presentation": _presentation_dict(_scrambled_sublattice(rng, g, rng.randint(0, 1)))}
 
 
 def _terms(*calls) -> Callable[[int], Tuple[int, ...]]:
@@ -396,16 +346,7 @@ def check_presentation_independence(cfg: TrialConfig) -> Verdict:
     return run_suite(SUITES["presindep"], cfg)
 
 
-def check_superlie_kernel(cfg: TrialConfig) -> Verdict:
-    return run_suite(SUITES["superlie"], cfg)
-
-
-def check_exponent_shadow(cfg: TrialConfig) -> Verdict:
-    return run_suite(SUITES["exponent"], cfg)
-
-
-# Tor's terms bound the tensor products the nested and exact4 suites build,
-# Ls3's the tensor cube of superlie; exponent's groups have rank <= 4.
+# Tor's terms bound the tensor products the nested and exact4 suites build.
 _NESTED_TERMS = _terms(("L1SP", 2, 1), ("Lambda", 2, 1), ("Tor", None, 1))
 
 SUITES: Dict[str, Suite] = {s.name: s for s in (
@@ -426,18 +367,10 @@ SUITES: Dict[str, Suite] = {s.name: s for s in (
           lambda x: _agree(presentation_independence_instance(
               Presentation.from_dict(x["first"]), Presentation.from_dict(x["second"]))),
           _terms(*(("L1SP", m, 1) for m in (2, 3, 4)), ("L2Ls3", None, 1), ("Tor", None, 1))),
-    # acceptance-level suites, not offered by `dfw check`
-    Suite("superlie", check_superlie_kernel, _sample_presentation,
-          lambda x: _agree(superlie_kernel_instance(Presentation.from_dict(x["presentation"]))),
-          _terms(("L2Ls3", None, 1), ("Ls3", None, 1)), cli=False),
-    Suite("exponent", check_exponent_shadow, _sample_annihilated,
-          lambda x: exponent_shadow_instance(x["c"], Presentation.from_dict(x["presentation"])),
-          lambda r: _terms(("L1SP", 2, 1), ("L2Ls3", None, 1))(4),
-          cli=False, monitor="l2_superlie3_exponent_divides"),
 )}
 
 CHECKS: Dict[str, Callable[[TrialConfig], Verdict]] = {n: s.check for n, s in SUITES.items()}
-SUITE_NAMES = tuple(n for n, s in SUITES.items() if s.cli)
+SUITE_NAMES = tuple(SUITES)
 
 
 def replay_counterexample(suite: str, counterexample: dict) -> Tuple[str, str]:
@@ -445,7 +378,7 @@ def replay_counterexample(suite: str, counterexample: dict) -> Tuple[str, str]:
     same evaluate as the run that recorded it."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    _, lhs, rhs, *_ = SUITES[suite].evaluate(counterexample["instance"])
+    _, lhs, rhs = SUITES[suite].evaluate(counterexample["instance"])
     return lhs, rhs
 
 

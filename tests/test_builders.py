@@ -29,7 +29,7 @@ from dfw.functors import (
     identity_koszul_sp2,
     koszul_sp,
     lie3_columns,
-    lie3_split,
+    lie3_defect,
     sym_relations,
 )
 from dfw.linalg import (
@@ -94,22 +94,22 @@ def kron_tor(ua, ub):
 
 
 def dense_defect_of_uuq(u):
-    """K R_B = defect @ ((u (x) u) (x) I_r), summed over the nonzero entries
-    of u into dense columns."""
+    """K R_B = K @ ((u (x) u) (x) I_r), with K the columns lie3_defect(r),
+    summed over the nonzero entries of u into dense columns."""
     r, s = u.rows, u.cols
-    split = lie3_split(r)
+    k_cols, k_rows = lie3_defect(r), r**3 - len(lie3_columns(r))
     support = [[(i, v) for i, v in enumerate(u.col_list(a)) if v] for a in range(s)]
     cols = []
     for a in range(s):
         for b in range(s):
             pairs = [((i * r + j) * r, x * y) for i, x in support[a] for j, y in support[b]]
             for c in range(r):
-                col = [0] * split.defect.rows
+                col = [0] * k_rows
                 for base, xy in pairs:
-                    for row, v in split.defect_columns[base + c]:
+                    for row, v in k_cols[base + c]:
                         col[row] += xy * v
                 cols.append(col)
-    return IntMatrix.from_cols(cols, rows=split.defect.rows)
+    return IntMatrix.from_cols(cols, rows=k_rows)
 
 
 def dense_lie3_in_uuq(u):

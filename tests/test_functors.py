@@ -13,17 +13,54 @@ from dfw.functors import (
     induced_map,
     is_lyndon,
     koszul_sp,
-    lie3_embedding,
-    lie3_split,
+    lie3_columns,
+    lie3_defect,
     sym_relations,
 )
-from dfw.linalg import IntMatrix, kron, rank, smith_diagonal, solve_matrix
+from dfw.linalg import (
+    IntMatrix,
+    dict_columns,
+    from_dict_columns,
+    kron,
+    rank,
+    smith_diagonal,
+    solve_matrix,
+)
 
 
 def random_matrix(rng, rows, cols, bound=3):
     return IntMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols
     )
+
+
+def lie3_embedding(r):
+    """The inclusion of the Lie cube into the tensor cube, laid out dense
+    from its columns lie3_columns(r)."""
+    return from_dict_columns(r**3, [dict(c) for c in lie3_columns(r)])
+
+
+def lie3_defect_matrix(r):
+    """K: Z^{r³} -> Z^{r³ - lie(r)}, laid out dense from its columns
+    lie3_defect(r)."""
+    return from_dict_columns(r**3 - len(lie3_columns(r)), [dict(c) for c in lie3_defect(r)])
+
+
+def lie3_induced(f):
+    """𝓛³(f) in the Lyndon bases: the tensor cube of f on the Lie cube of
+    its source, solved against the embedding of the Lie cube of its
+    target (None if the image left the Lie lattice)."""
+    return solve_matrix(lie3_embedding(f.rows), kron(kron(f, f), f) @ lie3_embedding(f.cols))
+
+
+def induced(kind, degree, f):
+    """functors.induced_map, with the tensor square as kron(f, f) and 𝓛³(f)
+    from lie3_induced."""
+    if kind == "tensor":
+        return kron(f, f)
+    if kind == "lie3":
+        return lie3_induced(f)
+    return induced_map(kind, degree, f)
 
 
 class TestBases:
@@ -83,13 +120,21 @@ class TestInducedMaps:
                 c = rng.randint(1, 3)
                 f = random_matrix(rng, a, b)
                 g = random_matrix(rng, b, c)
-                lhs = induced_map(kind, degree, f @ g)
-                rhs = induced_map(kind, degree, f) @ induced_map(kind, degree, g)
+                lhs = induced(kind, degree, f @ g)
+                rhs = induced(kind, degree, f) @ induced(kind, degree, g)
                 assert lhs == rhs
             n = rng.randint(1, 4)
-            assert induced_map(kind, degree, IntMatrix.identity(n)) == IntMatrix.identity(
+            assert induced(kind, degree, IntMatrix.identity(n)) == IntMatrix.identity(
                 basis(kind, degree, n).size
             )
+
+    def test_only_sym_and_ext(self):
+        f = IntMatrix.identity(2)
+        for kind, degree in (("tensor", 2), ("lie3", 3)):
+            with pytest.raises(ValueError):
+                induced_map(kind, degree, f)
+            with pytest.raises(ValueError):
+                functor_on_group(kind, degree, PresentedGroup.cyclic(4))
 
 
 class TestLie3Embedding:
@@ -132,64 +177,64 @@ class TestLie3Embedding:
             u = column_basis(u)
             if u.cols < 2:
                 continue
-            cube_u = induced_map("tensor", 3, u)
-            mapped = cube_u @ lie3_embedding(u.cols)
+            mapped = kron(kron(u, u), u) @ lie3_embedding(u.cols)
             uuq = kron(kron(u, u), IntMatrix.identity(r))
             assert solve_matrix(uuq, mapped) is not None
 
 
 class TestLie3Split:
-    """The split read off the unitriangular Lyndon block, against the
-    embedding itself and against solving over the integers."""
+    """The columns of K, read off the unitriangular Lyndon block, against
+    the embedding itself and against solving over the integers."""
 
-    def test_left_inverse_and_defect_of_the_embedding(self):
+    def test_defect_of_the_embedding(self):
         for r in range(0, 7):
             emb = lie3_embedding(r)
-            split = lie3_split(r)
-            assert split.left_inverse.rows == emb.cols and split.left_inverse.cols == r**3
-            assert split.defect.rows == r**3 - emb.cols and split.defect.cols == r**3
-            assert split.left_inverse @ emb == IntMatrix.identity(emb.cols)
-            assert (split.defect @ emb).is_zero
+            k = lie3_defect_matrix(r)
+            assert len(lie3_defect(r)) == r**3
+            assert k.rows == r**3 - emb.cols and k.cols == r**3
+            assert (k @ emb).is_zero
 
     def test_defect_is_identity_on_non_lyndon_words(self):
         for r in range(0, 7):
             cube = basis("tensor", 3, r)
             other = [i for i, w in enumerate(cube.elements) if not is_lyndon(w)]
-            assert lie3_split(r).defect.select_columns(other) == IntMatrix.identity(len(other))
+            assert lie3_defect_matrix(r).select_columns(other) == IntMatrix.identity(len(other))
 
     def test_defect_vanishes_exactly_on_the_lie_lattice(self):
         rng = random.Random(31)
         for r in range(0, 7):
             emb = lie3_embedding(r)
-            split = lie3_split(r)
+            k = lie3_defect_matrix(r)
             for trial in range(12):
                 if trial % 3 == 0:  # a random Lie element
                     y = random_matrix(rng, emb.cols, 1)
                     x = emb @ y
                 else:  # a random word vector, almost never a Lie element
                     x = random_matrix(rng, r**3, 1, bound=rng.choice((0, 1, 3)))
-                in_lie = x == emb @ (split.left_inverse @ x)
-                assert (split.defect @ x).is_zero == in_lie
+                coords = solve_matrix(emb, x)
+                assert (k @ x).is_zero == (coords is not None)
                 if trial % 3 == 0:
-                    assert in_lie and split.left_inverse @ x == y
+                    assert coords == y
 
     def test_defect_columns_are_the_nonzero_entries(self):
+        # no zero entry and no row listed twice, so the dense layout keeps
+        # every entry of every column
         for r in range(0, 7):
-            split = lie3_split(r)
-            assert len(split.defect_columns) == r**3
-            for t, entries in enumerate(split.defect_columns):
-                col = [0] * split.defect.rows
-                for i, v in entries:
-                    col[i] = v
-                assert col == split.defect.col_list(t)
+            columns = [dict(c) for c in lie3_defect(r)]
+            assert all(len(dict(c)) == len(c) for c in lie3_defect(r))
+            assert dict_columns(lie3_defect_matrix(r)) == columns
 
-    def test_induced_map_matches_solving_against_the_embedding(self):
+    def test_tensor_cube_of_f_keeps_the_lie_lattice(self):
+        # K of the target vanishes on the tensor cube of f applied to the
+        # Lie cube of the source, which is then 𝓛³(f) read back through
+        # the embedding
         rng = random.Random(77)
         for _ in range(30):
             a, b = rng.randint(0, 4), rng.randint(0, 4)
             f = random_matrix(rng, a, b)
-            image = induced_map("tensor", 3, f) @ lie3_embedding(b)
-            assert induced_map("lie3", 3, f) == solve_matrix(lie3_embedding(a), image)
+            image = kron(kron(f, f), f) @ lie3_embedding(b)
+            assert (lie3_defect_matrix(a) @ image).is_zero
+            assert lie3_embedding(a) @ lie3_induced(f) == image
 
 
 class TestKoszul:
@@ -252,12 +297,6 @@ class TestFunctorOnGroup:
         # one bracket {x,x,x} with the cyclic relation 3{x,x,x} = 0
         v = functor_on_group("superlie3", 3, PresentedGroup.free(1))
         assert v.canonical == CanonicalForm(0, (3,))
-
-    def test_tensor_power(self):
-        g = PresentedGroup.cyclic(4)
-        v = functor_on_group("tensor", 3, g)
-        assert v.canonical == CanonicalForm(0, (4,))
-        assert functor_on_group("tensor", 0, g).canonical == CanonicalForm(1, ())
 
     def test_sym_relations_free_quotient(self):
         u = IntMatrix.zeros(3, 0)

@@ -2,21 +2,20 @@ import json
 
 import pytest
 
-from dfw.abelian import PresentedGroup
-from dfw.derived import NestedPresentation, Presentation
+from dfw.abelian import PresentedGroup, direct_sum
+from dfw.derived import NestedPresentation, Presentation, l1_sp, l2_superlie3
 from dfw.linalg import IntMatrix
 from dfw.theorems import (
     CHECKS,
     SUITE_NAMES,
     SUITES,
+    Suite,
     TrialConfig,
     TrialRecord,
     Verdict,
     check_cross_effect,
     check_exact4,
-    check_exponent_shadow,
     check_presentation_independence,
-    check_superlie_kernel,
     check_thm_3_1,
     check_thm_3_2,
     evaluate_section4,
@@ -24,10 +23,63 @@ from dfw.theorems import (
     replay_counterexample,
     thm_3_1_instance,
     thm_3_2_instance,
+    _presentation_dict,
+    _sample_presentation,
+    _scrambled_sublattice,
     _trial_rng,
 )
+from test_derived import superlie3_kernel_data
 
 CFG = TrialConfig(seed=11, trials=25)
+
+
+# ------------------------- the acceptance-level trials, not `dfw check` suites
+
+def sample_annihilated(rng, cfg):
+    """c <= 12 and a scrambled presentation of a sum of cyclic groups of
+    orders dividing c."""
+    c = rng.randint(1, 12)
+    divisors = [d for d in range(2, c + 1) if c % d == 0]
+    parts = [rng.choice(divisors) for _ in range(rng.randint(0, 3))] if divisors else []
+    g = direct_sum(*(PresentedGroup.cyclic(d) for d in parts))
+    return {"c": c, "presentation": _presentation_dict(_scrambled_sublattice(rng, g, rng.randint(0, 1)))}
+
+
+# the instance samplers by the key of their trial RNGs
+SAMPLERS = {**{n: s.sample for n, s in SUITES.items()},
+            "superlie": _sample_presentation, "exponent": sample_annihilated}
+
+
+def annihilates(c, g):
+    """c kills the group of canonical form g: no free part, and every
+    invariant factor divides c."""
+    return not g.free_rank and all(c % d == 0 for d in g.torsion)
+
+
+def superlie_trials(cfg):
+    """Left-exactness data of the super-Lie kernel on the instances keyed
+    "superlie": per trial, "exact" when the inclusion of the kernel is
+    injective and its composite into the reduced tensor cube vanishes, or
+    what failed."""
+    for i in range(cfg.trials):
+        x = _sample_presentation(_trial_rng(cfg, "superlie", i), cfg)
+        _, incl, h = superlie3_kernel_data(Presentation.from_dict(x["presentation"]))
+        failures = []
+        if not incl.is_injective():
+            failures.append("kernel inclusion not injective")
+        if not (h @ incl).is_zero():
+            failures.append("composite into the target is nonzero")
+        yield "; ".join(failures) or "exact"
+
+
+def exponent_trials(cfg):
+    """(c, L1SP², L2Ls3) per trial on the instances keyed "exponent": a
+    group annihilated by c and the canonical forms of its two derived
+    functors."""
+    for i in range(cfg.trials):
+        x = sample_annihilated(_trial_rng(cfg, "exponent", i), cfg)
+        p = Presentation.from_dict(x["presentation"])
+        yield x["c"], l1_sp(2, p).canonical, l2_superlie3(p).canonical
 
 
 def nested(r, inner_cols, outer_cols):
@@ -100,6 +152,18 @@ class TestExact4:
         v = check_exact4(CFG)
         assert (v.passed, v.failed, v.errored) == (CFG.trials, 0, 0)
 
+    def test_kernel_at_spot_1_is_held_against_l1sp2(self, monkeypatch):
+        # the left map is the inclusion of the kernel at spot 1, so its
+        # injectivity and exactness there hold by construction; the check
+        # must instead notice an L1SP² that is not that kernel.  L1SP² is
+        # trivial on most sampled groups: 3 of the 100 trials of the
+        # default config have a nontrivial one.
+        for wrong, cfg in ((PresentedGroup.free(0), TrialConfig()), (PresentedGroup.cyclic(2), CFG)):
+            monkeypatch.setattr("dfw.theorems.l1_sp", lambda m, p: wrong)
+            v = check_exact4(cfg)
+            assert v.failed > 0 and v.errored == 0
+            assert v.first_counterexample["lhs"] == "kernel at spot 1 is not L1SP^2"
+
 
 class TestCrossEffect:
     def test_worked_pair(self):
@@ -171,17 +235,6 @@ EXPONENT_AT_CFG = [
 
 
 class TestRecords:
-    def test_verdicts_share_no_monitor_dict(self):
-        a = Verdict(1, 0, None, ())
-        b = Verdict(1, 0, None, ())
-        assert a.monitor == {} == b.monitor
-        with pytest.raises(TypeError):
-            a.monitor["trials"] = 1  # the default is read-only
-        c = check_exponent_shadow(TrialConfig(seed=1, trials=2))
-        d = check_exponent_shadow(TrialConfig(seed=1, trials=2))
-        assert c.monitor == d.monitor and c.monitor is not d.monitor
-        assert check_exact4(TrialConfig(seed=1, trials=1)).monitor == {}
-
     def test_record_as_dict(self):
         r = TrialRecord("exact4", 3, "fail", "Z/2", "0", {"instance": {}})
         assert r._asdict() == {"suite": "exact4", "trial": 3, "status": "fail", "lhs": "Z/2",
@@ -190,21 +243,12 @@ class TestRecords:
 
 class TestExtraSuites:
     def test_superlie_kernel(self):
-        v = check_superlie_kernel(CFG)
-        assert (v.passed, v.failed, v.errored, v.monitor) == (CFG.trials, 0, 0, {})
-        assert v.records == tuple(
-            TrialRecord("superlie", i, "ok", "exact", "exact") for i in range(CFG.trials)
-        )
+        assert list(superlie_trials(CFG)) == ["exact"] * CFG.trials
 
     def test_exponent_shadow(self):
-        v = check_exponent_shadow(CFG)
-        assert (v.passed, v.failed, v.errored) == (CFG.trials, 0, 0)
-        assert v.monitor == {"l2_superlie3_exponent_divides": CFG.trials, "trials": CFG.trials}
-        assert v.records == tuple(
-            TrialRecord("exponent", i, "ok", f"c={c};l1_sp2={l1};l2={l2}",
-                        f"c={c};l1_sp2 exponent divides c")
-            for i, (c, l1, l2) in enumerate(EXPONENT_AT_CFG)
-        )
+        trials = list(exponent_trials(CFG))
+        assert [(c, str(l1), str(l2)) for c, l1, l2 in trials] == EXPONENT_AT_CFG
+        assert all(annihilates(c, l1) and annihilates(c, l2) for c, l1, l2 in trials)
 
 
 class TestDeterminismAndReplay:
@@ -253,28 +297,29 @@ class TestDeterminismAndReplay:
         with pytest.raises(TypeError):
             replay_counterexample("exact4", {"instance": {"presentation": p}})
 
-    @pytest.mark.parametrize("suite", list(SUITES))
+    @pytest.mark.parametrize("suite", list(SAMPLERS))
     def test_sampled_instances_are_canonical_dicts(self, suite):
         # the samplers build dicts without the objects; decoding and
         # encoding again must give the same dict back
         cfg = TrialConfig(seed=4, trials=1, max_rank=5)
         for i in range(30):
-            instance = SUITES[suite].sample(_trial_rng(cfg, suite, i), cfg)
+            instance = SAMPLERS[suite](_trial_rng(cfg, suite, i), cfg)
             for key, data in instance.items():
                 if key == "c":
                     continue
                 cls = NestedPresentation if key == "nested" else Presentation
                 assert cls.from_dict(data).to_dict() == data
 
-    @pytest.mark.parametrize("suite", list(SUITES))
+    @pytest.mark.parametrize("suite", list(SAMPLERS))
     def test_samples_within_the_budgeted_sizes(self, suite):
         # Suite.terms assumes every sampled presentation has at most
-        # max_rank generators and relations (exponent: at most 4)
+        # max_rank generators and relations; the exponent sampler draws
+        # at most 4 of each
         for max_rank in (1, 3, 6):
             cfg = TrialConfig(seed=5, trials=1, max_rank=max_rank)
             bound = 4 if suite == "exponent" else max_rank
             for i in range(30):
-                instance = SUITES[suite].sample(_trial_rng(cfg, suite, i), cfg)
+                instance = SAMPLERS[suite](_trial_rng(cfg, suite, i), cfg)
                 for key, data in instance.items():
                     if key == "c":
                         continue
@@ -295,7 +340,9 @@ class TestDeterminismAndReplay:
 
     def test_table_drives_checks_and_cli_choices(self):
         assert SUITE_NAMES == ("thm31", "thm32", "exact4", "crosseffect", "presindep")
-        assert set(CHECKS) == set(SUITES) == set(SUITE_NAMES) | {"superlie", "exponent"}
+        assert set(CHECKS) == set(SUITES) == set(SUITE_NAMES)
+        assert Suite._fields == ("name", "check", "sample", "evaluate", "terms")
+        assert Verdict._fields == ("passed", "failed", "first_counterexample", "records", "errored")
         assert CHECKS["thm31"] is check_thm_3_1
         # the layered benchmark reads per-suite seconds from these span names
         assert [CHECKS[n].__name__ for n in SUITE_NAMES] == [
