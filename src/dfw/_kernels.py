@@ -12,9 +12,11 @@ of a rows x cols matrix is a[j * rows:(j + 1) * rows]), and return
 matrices as lists of column lists.  eliminate_units takes sparse columns,
 dicts {row: entry}, the form in which functors.FreeComplex stores a
 differential, and returns a flat column-major remainder for
-hermite_cols; linalg.smith_diagonal runs it before the Hermite passes.
-Smith forms are built in dfw.linalg from alternating hermite_cols
-passes, so no kernel works on rows.
+hermite_cols and local_valuations; linalg.smith_diagonal runs it before
+the Hermite passes.  Smith forms are built in dfw.linalg from
+alternating hermite_cols passes, so no kernel works on rows;
+local_valuations reads the Smith form over Z/p^e of a flat column-major
+matrix, whose entries never exceed p^e.
 Arbitrary precision is non-negotiable: intermediate reduction entries
 routinely outgrow 64 bits even for small inputs.
 
@@ -217,3 +219,87 @@ def eliminate_units(columns, rows):
             rest_cols += 1
     return k, rest, rest_rows, rest_cols
 
+
+def local_valuations(a, rows, cols, p, e):
+    """p-valuations below e of the Smith invariants of a, by elimination
+    over Z/p^e with pivots of minimal valuation (Dumas, Saunders and
+    Villard, JSC 2001).
+
+    a is the flat column-major rows x cols input, such as the remainder
+    of eliminate_units, and p a prime.  Its nonzero entries are read,
+    reduced mod p^e, into sparse columns, and the sweep is that of
+    eliminate_units with "unit" read as "entry prime to p": level t
+    sweeps the columns in order of increasing nonzero count, the unit of
+    the sparsest row in a column is its pivot, column operations clear
+    the pivot row, and the pivot splits off as an invariant factor of
+    valuation t.  A cleared column keeps every entry divisible by p if it
+    had them, so after the sweep every entry is, and the whole is divided
+    by p for level t + 1.  Returns the valuations found, in increasing
+    order: one for each invariant factor not divisible by p^e.  For
+    e = 1 their number is the rank of a mod p.
+    """
+    m = p ** e
+    rows_range = range(rows)
+    col = []
+    for j in range(cols):
+        c = a[j * rows:(j + 1) * rows]
+        cj = {}
+        for i in compress(rows_range, c):
+            x = c[i] % m
+            if x:
+                cj[i] = x
+        col.append(cj)
+    occ = [set() for _ in range(rows)]
+    for j, cj in enumerate(col):
+        for i in cj:
+            occ[i].add(j)
+    live = {j for j, cj in enumerate(col) if cj}
+    out = []
+    t = 0
+    while live and t < e:
+        for j in sorted(live, key=lambda j: len(col[j])):
+            cj = col[j]
+            pivot = -1
+            fewest = 0
+            for i, x in cj.items():
+                if x % p:
+                    n = len(occ[i])
+                    if pivot < 0 or n < fewest:
+                        pivot, fewest = i, n
+                        if n == 1:
+                            break
+            if pivot < 0:
+                continue
+            inv = pow(cj.pop(pivot), -1, m)
+            others = list(cj.items())
+            for c in occ[pivot]:
+                if c == j:
+                    continue
+                cc = col[c]
+                # column c -= f column j clears row pivot
+                f = cc.pop(pivot) * inv % m
+                for i, x in others:
+                    y = (cc.get(i, 0) - f * x) % m
+                    if y:
+                        if i not in cc:
+                            occ[i].add(c)
+                        cc[i] = y
+                    elif i in cc:
+                        del cc[i]
+                        occ[i].discard(c)
+            for i in cj:
+                occ[i].discard(j)
+            occ[pivot] = set()
+            col[j] = {}
+            live.discard(j)
+            out.append(t)
+        m //= p
+        t += 1
+        for j in list(live):
+            cj = col[j]
+            if cj:
+                for i in cj:
+                    cj[i] //= p
+            else:
+                live.discard(j)
+    return out

@@ -16,24 +16,28 @@ The three builders (functors.koszul_sp, tor_complex, superlie3_cone)
 write each differential as dict columns {row: entry} straight from the
 nonzero entries of the sublattices.  Those columns are the complex:
 FreeComplex checks d o d = 0 exactly on them, and homology_value hands
-d2's columns to the Smith diagonal as they are, so no value builds a
+d2's columns to linalg.local_torsion as they are, so no value builds a
 dense differential.
 
-One routine, homology_value, reads H1 off such a complex from one Smith
-diagonal, that of d2, outside the Smith cache of linalg (which serves
-relation matrices): since ker d1 is saturated,
+One routine, homology_value, reads H1 off such a complex from the Smith
+form of d2 alone: since ker d1 is saturated,
 H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2), and every complex built
 here is exact at C1 after tensoring with the rationals (derived functors
 commute with that flat base change and vanish on vector spaces), so the
-free part is 0 and H1 = tors(coker d2).  No rank of d1, no kernel basis
-and no solve, which is where exact entries used to swell.  It computes every
+free part is 0 and H1 = tors(coker d2).  The same argument over Z[1/N],
+N = |tors(Q/U)| (Presentation.torsion_order), puts every prime of H1 in
+N, so the invariant factors > 1 of d2 are read over Z/p^e for the
+primes p | N only, with entries below p^e, and N = 1 gives 0 without a
+reduction.  No rank of d1, no kernel basis, no solve and no Hermite
+pass, which is where exact entries used to swell.  It computes every
 value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
 theorems 3.1 and 3.2 compare with: induced_cokernel reads coker H1(f) of
 a chain map f: C -> D as H1 of D with the columns of f1 of a kernel
-basis of C's d1 added to the boundaries.  The tests hold homology_value
-against the cycle path (a kernel basis of d1 with the boundaries solved
-against it), which only they keep.  No presentation is normalized first, so
-presentation-independence checks compare two independent computations.
+basis of C's d1 added to the boundaries, at the primes of D's N.  The
+tests hold homology_value against the cycle path (a kernel basis of d1
+with the boundaries solved against it), which only they keep.  No
+presentation is normalized first, so presentation-independence checks
+compare two independent computations.
 
 Sign conventions are fixed here once: writing i for the inclusion of a
 sublattice into its ambient lattice, the Tor differential is
@@ -49,7 +53,8 @@ functors.identity_koszul_sp2, built once per rank.
 
 from __future__ import annotations
 
-from typing import Tuple
+from math import gcd, prod
+from typing import Optional, Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -69,10 +74,17 @@ from .linalg import (
     hstack,
     kernel_basis,
     kron,
+    local_torsion,
     rank,
     smith_diagonal_uncached,
     solve_matrix,
 )
+
+
+def _torsion_order(lattice: IntMatrix) -> int:
+    """|tors(Z^rows / span)| for a lattice of independent columns: the
+    product of its Smith diagonal, read outside the Smith cache."""
+    return prod(smith_diagonal_uncached(lattice.rows, dict_columns(lattice)))
 
 
 class Presentation:
@@ -80,7 +92,7 @@ class Presentation:
     the independent columns of `sublattice`.  Two presentations are equal
     when their ranks and sublattice matrices are."""
 
-    __slots__ = ("ambient_rank", "sublattice")
+    __slots__ = ("ambient_rank", "sublattice", "_torsion_order")
 
     def __init__(self, ambient_rank: int, sublattice: IntMatrix):
         if sublattice.rows != ambient_rank:
@@ -89,6 +101,15 @@ class Presentation:
             raise ValueError("sublattice columns must be independent")
         self.ambient_rank = ambient_rank
         self.sublattice = sublattice
+        self._torsion_order: Optional[int] = None
+
+    @property
+    def torsion_order(self) -> int:
+        """|tors(Q/U)|, computed once; every prime of a derived value of
+        Q/U divides it (see homology_value)."""
+        if self._torsion_order is None:
+            self._torsion_order = _torsion_order(self.sublattice)
+        return self._torsion_order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Presentation):
@@ -124,7 +145,7 @@ class NestedPresentation:
     by independent columns, with the integer witness matrix:
     outer @ witness == inner."""
 
-    __slots__ = ("ambient_rank", "inner", "outer", "witness")
+    __slots__ = ("ambient_rank", "inner", "outer", "witness", "_outer_torsion_order")
 
     def __init__(self, ambient_rank: int, inner: IntMatrix, outer: IntMatrix, witness: IntMatrix):
         if inner.rows != ambient_rank or outer.rows != ambient_rank:
@@ -138,6 +159,15 @@ class NestedPresentation:
         self.inner = inner
         self.outer = outer
         self.witness = witness
+        self._outer_torsion_order: Optional[int] = None
+
+    @property
+    def outer_torsion_order(self) -> int:
+        """|tors(Q/V)| for the outer lattice V, computed once: every prime
+        of a cokernel induced into a derived value of Q/V divides it."""
+        if self._outer_torsion_order is None:
+            self._outer_torsion_order = _torsion_order(self.outer)
+        return self._outer_torsion_order
 
     @classmethod
     def build(cls, ambient_rank: int, inner: IntMatrix, outer: IntMatrix) -> "NestedPresentation":
@@ -167,13 +197,15 @@ class NestedPresentation:
         )
 
 
-def homology_value(cx: FreeComplex) -> PresentedGroup:
+def homology_value(cx: FreeComplex, torsion: int) -> PresentedGroup:
     """H1 of a three-term complex as a group in invariant-factor form,
-    from the Smith diagonal of d2 alone.
+    from the Smith form of d2 alone, read locally at the primes of
+    torsion.
 
-    Precondition: cx is exact at C1 after tensoring with the rationals,
-    so H1 is a torsion group.  Since ker d1 is saturated,
-    H1 = Z^f + tors(coker d2) with f = c1 - rk d1 - rk d2; the
+    Preconditions: cx is exact at C1 after tensoring with the rationals,
+    so H1 is a torsion group, and every prime of H1 divides the positive
+    integer torsion.  Since ker d1 is saturated,
+    H1 = Z^f + tors(coker d2) with f = c1 - rk d1 - rk d2; the first
     precondition says f = 0, so H1 is read off the invariant factors > 1
     of d2 and rank(d1) is never computed.  Every complex of this module
     meets it: koszul_sp, tor_complex and superlie3_cone compute a derived
@@ -182,15 +214,23 @@ def homology_value(cx: FreeComplex) -> PresentedGroup:
     the cone, rationally a Lie element lying in U (x) U (x) Q lies in
     𝓛³(U).  induced_cokernel passes a complex whose H1 is a quotient of
     the torsion H1 of its target.
+
+    The same argument over Z[1/N], N = |tors(Q/U)|, gives the second:
+    Q/U (x) Z[1/N] is projective over Z[1/N], so L_i vanishes after that
+    flat base change, and no prime outside N divides an invariant factor
+    > 1 of d2.  The callers pass N (Presentation.torsion_order), for Tor
+    the gcd of the two orders, and for an induced cokernel the order of
+    its target.  linalg.local_torsion then needs only the Smith form of
+    d2 over Z/p^e for the primes p | N; torsion = 1 gives 0 at once.
     """
-    diag = smith_diagonal_uncached(cx.terms[1], cx.columns[1])
-    return PresentedGroup.from_invariants(0, [d for d in diag if d > 1])
+    return PresentedGroup.from_invariants(0, local_torsion(cx.terms[1], cx.columns[1], torsion))
 
 
 def induced_cokernel(src: FreeComplex, dst: FreeComplex,
-                     chain: Tuple[IntMatrix, IntMatrix, IntMatrix]) -> PresentedGroup:
+                     chain: Tuple[IntMatrix, IntMatrix, IntMatrix], torsion: int) -> PresentedGroup:
     """Cokernel of the map H1(src) -> H1(dst) induced by the chain map
-    chain = (f0, f1, f2), in invariant-factor form.
+    chain = (f0, f1, f2), in invariant-factor form; every prime of
+    H1(dst) divides torsion.
 
     coker H1(f) = Z1(dst) / (B1(dst) + f1 Z1(src)) is H1 of
     dst2 (+) Z^k --[d2 | f1 K]--> dst1 --d1--> dst0, K a kernel basis of
@@ -203,13 +243,14 @@ def induced_cokernel(src: FreeComplex, dst: FreeComplex,
     if d2 @ f2 != f1 @ s2:
         raise AssertionError("degree-2 chain square does not commute")
     d2_aug = [*dst.columns[1], *dict_columns(f1 @ kernel_basis(s1))]
-    return homology_value(FreeComplex((d1.rows, d1.cols, len(d2_aug)), (dst.columns[0], d2_aug)))
+    return homology_value(FreeComplex((d1.rows, d1.cols, len(d2_aug)), (dst.columns[0], d2_aug)),
+                          torsion)
 
 
 def l1_sp(m: int, p: Presentation) -> PresentedGroup:
     """First derived functor of the m-th symmetric power of the quotient,
     as the middle homology of the Koszul-type complex."""
-    return homology_value(koszul_sp(m, p.sublattice))
+    return homology_value(koszul_sp(m, p.sublattice), p.torsion_order)
 
 
 def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
@@ -283,7 +324,7 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
 
 def l2_superlie3(p: Presentation) -> PresentedGroup:
     """Second derived functor of the super-Lie cube of the quotient."""
-    return homology_value(superlie3_cone(p))
+    return homology_value(superlie3_cone(p), p.torsion_order)
 
 
 def tor_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
@@ -312,7 +353,8 @@ def tor_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
 
 def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:
     """Classical torsion product of the two quotients."""
-    return homology_value(tor_complex(pa.sublattice, pb.sublattice))
+    torsion = gcd(pa.torsion_order, pb.torsion_order)
+    return homology_value(tor_complex(pa.sublattice, pb.sublattice), torsion)
 
 
 def coker_induced_l1_sp2(np: NestedPresentation, dst: FreeComplex) -> PresentedGroup:
@@ -322,7 +364,7 @@ def coker_induced_l1_sp2(np: NestedPresentation, dst: FreeComplex) -> PresentedG
     src, f = koszul_sp(2, np.inner), np.witness
     chain = (IntMatrix.identity(dst.terms[0]), kron(f, IntMatrix.identity(np.ambient_rank)),
              induced_map("ext", 2, f))
-    return induced_cokernel(src, dst, chain)
+    return induced_cokernel(src, dst, chain, np.outer_torsion_order)
 
 
 def _tor_koszul_chain_map(np: NestedPresentation):
@@ -355,4 +397,5 @@ def coker_tor_to_l1_sp2(np: NestedPresentation) -> PresentedGroup:
     Tor(E/I, E) -> Tor(E/I, E/I) -> L1SP^2(E/I) for E = Q/U and I = V/U
     given by nested sublattices U <= V."""
     src = tor_complex(np.outer, np.inner)
-    return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np))
+    return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np),
+                            np.outer_torsion_order)

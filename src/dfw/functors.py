@@ -253,7 +253,7 @@ class FreeComplex:
     degree k - 1, holds terms[k] dicts {row: entry}, one per column.
 
     The columns are the only stored form: the builders write them from
-    the nonzero entries of the sublattices, and the Smith diagonal of
+    the nonzero entries of the sublattices, and the local Smith form of
     derived.homology_value reads them as they are.  The constructor
     checks the column counts and d o d = 0 exactly on the columns: each
     column of a composite is summed over the nonzero entries alone, and

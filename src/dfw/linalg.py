@@ -13,10 +13,10 @@ matrix arithmetic and the dict columns of the complex builders
 entries) are wrapped by _wrap without a second check.
 
 Complexes are stored in one other layout, sparse columns: dicts
-{row: entry}, which functors.FreeComplex keeps and smith_diagonal_uncached
-reads.  dict_columns lists the nonzero entries of a matrix in that form,
-and from_dict_columns lays such columns out dense where a caller asks for
-matrices.
+{row: entry}, which functors.FreeComplex keeps and local_torsion and
+smith_diagonal_uncached read.  dict_columns lists the nonzero entries of
+a matrix in that form, and from_dict_columns lays such columns out dense
+where a caller asks for matrices.
 """
 
 from __future__ import annotations
@@ -272,8 +272,9 @@ def rank(m: IntMatrix) -> int:
     column_echelon cache.
 
     It serves only input checks (independent sublattice columns); no
-    derived value needs a rank, since homology_value reads H1 off the
-    Smith diagonal of d2 alone."""
+    derived value needs this rank, since homology_value reads H1 off the
+    Smith form of d2 alone (local_torsion counts the rank of d2's
+    remainder mod a prime)."""
     return len(_k.hermite_cols(m.entries, m.rows, m.cols, False)[2])
 
 
@@ -391,10 +392,77 @@ def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tup
     return diag + (0,) * (min(rows, len(columns)) - len(diag))
 
 
+# The primes of n are those up to TRIAL_DIVISION_BOUND and a last cofactor
+# below its square; RANK_PRIME, a prime above that square, divides no
+# such n.
+TRIAL_DIVISION_BOUND = 1 << 12
+RANK_PRIME = (1 << 31) - 1
+
+
+def _prime_factors(n: int) -> Optional[List[Tuple[int, int]]]:
+    """The pairs (p, v_p(n)) of n >= 1 by trial division up to
+    TRIAL_DIVISION_BOUND, or None if a cofactor of at least its square
+    is left unsplit."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if d > TRIAL_DIVISION_BOUND:
+            return None
+        if n % d == 0:
+            v = 0
+            while n % d == 0:
+                n //= d
+                v += 1
+            out.append((d, v))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int) -> Tuple[int, ...]:
+    """The invariant factors > 1 of the rows x len(columns) matrix with the
+    dict columns {row: entry}, as a divisibility chain, given n >= 1 such
+    that every prime of them divides n.
+
+    Nothing is reduced when n = 1.  Otherwise eliminate_units splits off
+    the +-1 pivots, units at every prime; on the remainder R, the rank r
+    is the pivot count of local_valuations mod RANK_PRIME, which divides
+    no invariant factor of R, and for each p | n the valuations of the r
+    invariant factors come from local_valuations over Z/p^e, with e
+    doubled from v_p(n) + 1 until all r are found.  The i-th invariant
+    factor is the product over p of p to the i-th smallest valuation.
+    No Hermite pass and no gcd/lcm sweep run, and entries stay below p^e.
+    When n does not split by trial division (a cofactor of at least
+    TRIAL_DIVISION_BOUND squared is left), the factors are read off
+    smith_diagonal_uncached instead.
+    """
+    if n == 1:
+        return ()
+    factors = _prime_factors(n)
+    if factors is None:
+        return tuple(d for d in smith_diagonal_uncached(rows, columns) if d > 1)
+    _, rest, n_rows, n_cols = _k.eliminate_units(columns, rows)
+    if not n_cols:
+        return ()
+    r = len(_k.local_valuations(rest, n_rows, n_cols, RANK_PRIME, 1))
+    diag = [1] * r
+    for p, v in factors:
+        e = v + 1
+        while len(vals := _k.local_valuations(rest, n_rows, n_cols, p, e)) < r:
+            e *= 2
+        for i, t in enumerate(vals):
+            if t:
+                diag[i] *= p ** t
+    return tuple(d for d in diag if d > 1)
+
+
 # Most hits are small relation matrices seen again within a few calls
 # (PresentedGroup.canonical).  The differentials of derived values are
-# large and rarely repeat, so derived.homology_value reads them through
-# smith_diagonal_uncached and keeps them out of this cache.
+# large and rarely repeat; derived.homology_value reads them through
+# local_torsion, whose fallback and the torsion orders of
+# derived.Presentation use smith_diagonal_uncached, so they stay out of
+# this cache.
 @functools.lru_cache(maxsize=256)
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     """smith_diagonal_uncached of the columns of m, behind a 256-entry

@@ -1,10 +1,14 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
+from sympy import ZZ, Matrix, isprime
+from sympy.matrices.normalforms import invariant_factors
 
-from dfw import _kernels, derived
+from dfw import _kernels, derived, linalg
 from dfw.abelian import CanonicalForm, Hom, PresentedGroup, cokernel, direct_sum, kernel
+from dfw.cli import load_relations
 from dfw.derived import (
     NestedPresentation,
     Presentation,
@@ -22,12 +26,15 @@ from dfw.derived import (
 )
 from dfw.functors import FreeComplex, induced_map, koszul_sp
 from dfw.linalg import (
+    TRIAL_DIVISION_BOUND,
     IntMatrix,
+    _prime_factors as prime_factors,
     column_basis,
     dict_columns,
     hstack,
     kernel_basis,
     kron,
+    local_torsion,
     rank,
     smith_diagonal,
     smith_diagonal_uncached,
@@ -205,7 +212,7 @@ class TestReducedSuperLie3Cone:
         for p in scrambled_cyclic_sums(60):
             ranks.add(p.ambient_rank)
             value = l2_superlie3(p).canonical
-            assert value == homology_value(unreduced_superlie3_cone(p)).canonical, p.to_dict()
+            assert value == homology_value(unreduced_superlie3_cone(p), p.torsion_order).canonical, p.to_dict()
             nontrivial += not value.is_trivial
         assert max(ranks) == 6
         assert nontrivial >= 30
@@ -226,7 +233,7 @@ class TestReducedSuperLie3Cone:
     def test_pinned_values(self, invariants, expected):
         p = Presentation.from_group(PresentedGroup.from_invariants(0, invariants))
         assert str(l2_superlie3(p).canonical) == expected
-        assert str(homology_value(unreduced_superlie3_cone(p)).canonical) == expected
+        assert str(homology_value(unreduced_superlie3_cone(p), p.torsion_order).canonical) == expected
 
 
 class TestTor:
@@ -332,13 +339,13 @@ class TestInducedMaps:
         outer = IntMatrix.from_cols([[2, 0, 0], [1, 3, 0]], rows=3)
         np = NestedPresentation.build(3, column_basis(outer @ IntMatrix.from_rows([[2, 0], [1, 2]])), outer)
         src, dst, maps = chain(np)
-        induced_cokernel(src, dst, maps)  # the chain map itself passes
+        induced_cokernel(src, dst, maps, np.outer_torsion_order)  # the chain map itself passes
         broken = list(maps)
         f = maps[degree]  # f0, f1 or f2, with one entry bumped
         broken[degree] = IntMatrix(f.rows, f.cols, (f.entries[0] + 1,) + f.entries[1:])
         # f0 and f1 meet in the degree-1 square
         with pytest.raises(AssertionError, match=f"degree-{max(degree, 1)} chain square"):
-            induced_cokernel(src, dst, tuple(broken))
+            induced_cokernel(src, dst, tuple(broken), np.outer_torsion_order)
 
     def test_chain_squares_random(self):
         # both cokernels verify their chain squares internally
@@ -543,20 +550,43 @@ def every_value(p, q, np):
     return values
 
 
-class TestTorsionPrecondition:
-    """homology_value reads H1 as tors(coker d2), which needs every
-    complex it is given to be exact at C1 after tensoring with the
-    rationals: rank(d1) + rank(d2) == c1."""
+def primes_divide(d, n):
+    """Whether every prime of d divides n."""
+    g = math.gcd(d, n)
+    while g > 1:
+        d //= g
+        g = math.gcd(d, n)
+    return d == 1
 
-    def test_every_complex_is_rationally_exact(self, monkeypatch):
-        seen = []
-        read = derived.homology_value
 
-        def recording(cx):
-            seen.append(cx)
-            return read(cx)
+def smith_torsion(cx):
+    """The invariant factors > 1 of d2 by smith_diagonal_uncached."""
+    return tuple(d for d in smith_diagonal_uncached(cx.terms[1], cx.columns[1]) if d > 1)
 
-        monkeypatch.setattr(derived, "homology_value", recording)
+
+def sympy_torsion(cx):
+    """The invariant factors > 1 of d2 by sympy."""
+    d2 = cx.differentials[1]
+    m = Matrix(d2.rows, d2.cols, [e for row in d2.to_rows() for e in row])
+    return tuple(sorted(int(abs(d)) for d in invariant_factors(m, domain=ZZ) if abs(d) > 1))
+
+
+@pytest.fixture(scope="module")
+def received():
+    """Every (complex, torsion) that homology_value receives while
+    every_value runs on 120 scrambled presentations up to rank 6, each
+    with its value, and the instances with their counts of presentations
+    with a free quotient and of nontrivial values."""
+    seen = []
+    read = derived.homology_value
+
+    def recording(cx, torsion):
+        value = read(cx, torsion)
+        seen.append((cx, torsion, value))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(derived, "homology_value", recording)
         instances = scrambled_instances(120)
         with_free = nontrivial = 0
         for i, p in enumerate(instances):
@@ -564,12 +594,54 @@ class TestTorsionPrecondition:
             values = every_value(p, q, nested_over(p, random.Random(f"torsion-oracle-nested:{i}")))
             with_free += p.quotient().canonical.free_rank > 0
             nontrivial += sum(not v.canonical.is_trivial for v in values)
-        for cx in seen:
+    return instances, seen, with_free, nontrivial
+
+
+class TestTorsionPrecondition:
+    """homology_value reads H1 as tors(coker d2), which needs every
+    complex it is given to be exact at C1 after tensoring with the
+    rationals: rank(d1) + rank(d2) == c1.  It reads tors(coker d2) at the
+    primes of the torsion order N it is given, which needs every prime
+    of the invariant factors > 1 of d2 to divide N."""
+
+    def test_every_complex_is_rationally_exact(self, received):
+        instances, seen, with_free, nontrivial = received
+        for cx, _, _ in seen:
             d1, d2 = cx.differentials
             assert rank(d1) + rank(d2) == cx.terms[1], cx.terms
         assert max(p.ambient_rank for p in instances) == 6
         assert with_free >= 60 and nontrivial >= 200
         assert len(seen) >= 6 * len(instances)
+
+    def test_primes_of_the_torsion_divide_n(self, received):
+        _, seen, _, _ = received
+        for cx, n, value in seen:
+            factors = smith_torsion(cx)
+            assert all(primes_divide(d, n) for d in factors), (cx.terms, n, factors)
+            assert value.canonical.torsion == factors
+        assert sum(n == 1 for _, n, _ in seen) >= 300
+        assert sum(len(prime_factors(n)) >= 2 for _, n, _ in seen) >= 250
+
+    def test_local_path_against_sympy(self, received):
+        # sympy on every complex whose d2 has at most 3000 entries; the
+        # larger ones are held against smith_diagonal_uncached above
+        _, seen, _, _ = received
+        checked = 0
+        for cx, n, _ in seen:
+            if cx.terms[1] * cx.terms[2] <= 3000:
+                assert local_torsion(cx.terms[1], cx.columns[1], n) == sympy_torsion(cx), cx.terms
+                checked += 1
+        assert checked >= 700
+
+    def test_dropping_a_prime_from_n_changes_values(self, received):
+        # the mutant passes N without its smallest prime
+        _, seen, _, _ = received
+        changed = 0
+        for cx, n, value in seen:
+            if n > 1:
+                p, v = prime_factors(n)[0]
+                changed += derived.homology_value(cx, n // p**v).canonical != value.canonical
+        assert changed >= 200
 
     def test_values_never_read_a_rank(self, monkeypatch):
         def refuse(m):
@@ -613,6 +685,9 @@ class TestStallRegressions:
         assert str(p.quotient().canonical) == quotient
         assert str(l1_sp(4, p).canonical) == expected
         assert str(cycle_path_value("l1_sp4", p).canonical) == expected
+        # sympy's Smith form does not finish on these d2s within minutes
+        cx = koszul_sp(4, u)
+        assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order) == smith_torsion(cx)
 
     def test_pinned_presindep_instance(self):
         # second presentation of presindep, seed 7, trial 5, --max-rank 6
@@ -634,7 +709,10 @@ class TestSmithBlockGuard:
     leaves (k = rank of the remainder), transposed, and then on a k x k
     block.  Reducing the whole remainder to its Smith form let entries
     swell: on one rank-4 L1SP^4 d2 that took over a minute.  The passes
-    are those of homology_value, on the columns of the complex."""
+    are now those of relation matrices and of the fallback of
+    local_torsion; homology_value reads these d2s locally, which is held
+    against the passes here, and on the cone against sympy (whose Smith
+    form does not finish on the 80 x 60 d2 within minutes)."""
 
     def hermite_calls(self, monkeypatch, cx):
         calls = []
@@ -657,6 +735,8 @@ class TestSmithBlockGuard:
         assert calls[0] == (rest_rows * rest_cols, rest_rows, rest_cols)
         assert calls[1] == (k * rest_rows, k, rest_rows)
         assert all(call == (k * k, k, k) for call in calls[2:])
+        n = math.prod(d for d in diag if d)
+        assert local_torsion(cx.terms[1], cx.columns[1], n) == smith_torsion(cx)
         return units, k
 
     def test_rank4_scan_d2(self, monkeypatch):
@@ -675,3 +755,105 @@ class TestSmithBlockGuard:
         units, k = self.hermite_calls(monkeypatch, cx)
         # most of the rank is split off as unit pivots
         assert 2 * units > rank(d2)
+        assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order) == sympy_torsion(cx)
+
+
+def closed_form_tor(a, b):
+    """Tor of two groups in invariant-factor form: the sum of
+    Z/gcd(m, n) over pairs of their invariant factors."""
+    pairs = [math.gcd(m, n) for m in a.canonical.torsion for n in b.canonical.torsion]
+    return PresentedGroup.from_invariants(0, [g for g in pairs if g > 1]).canonical
+
+
+class TestLocalTorsion:
+    """linalg.local_torsion, the Smith form of d2 read at the primes of N,
+    against smith_diagonal_uncached, sympy and closed forms."""
+
+    def test_tor_closed_form(self):
+        n_one = 0
+        for m in range(2, 13):
+            for n in range(2, 13):
+                for free_a, free_b in ((0, 0), (1, 0), (1, 2)):
+                    pa = Presentation.from_group(PresentedGroup.from_invariants(free_a, (m,)))
+                    pb = Presentation.from_group(PresentedGroup.from_invariants(free_b, (n,)))
+                    cx = tor_complex(pa.sublattice, pb.sublattice)
+                    torsion = math.gcd(pa.torsion_order, pb.torsion_order)
+                    assert torsion == math.gcd(m, n)
+                    value = tor(pa, pb).canonical
+                    assert value == CanonicalForm(0, (torsion,) if torsion > 1 else ())
+                    assert value.torsion == smith_torsion(cx) == sympy_torsion(cx)
+                    n_one += torsion == 1
+        assert n_one >= 100
+
+    def test_n_one_reduces_nothing(self, monkeypatch):
+        def refuse(columns, rows):
+            raise AssertionError("a complex was reduced with N = 1")
+
+        # Tor of coprime orders, and every value of a free group
+        a = Presentation.from_group(PresentedGroup.from_invariants(1, (4,)))
+        b = Presentation.from_group(PresentedGroup.from_invariants(0, (9,)))
+        free = Presentation(3, IntMatrix.zeros(3, 0))
+        np = NestedPresentation.build(2, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
+        assert (a.torsion_order, b.torsion_order, free.torsion_order) == (4, 9, 1)
+        assert np.outer_torsion_order == 1
+        monkeypatch.setattr(_kernels, "eliminate_units", refuse)
+        values = [tor(a, b), tor(free, a), l1_sp(2, free), l1_sp(4, free), l2_superlie3(free),
+                  coker_thm31(np), coker_tor_to_l1_sp2(np)]
+        assert all(v.canonical.is_trivial for v in values)
+
+    def test_valuations_beyond_n(self):
+        # diag(8, 16) with N = 2: e is doubled from 2 to 8
+        columns = [{0: 8}, {1: 16}]
+        assert local_torsion(2, columns, 2) == (8, 16)
+        assert _kernels.local_valuations((8, 0, 0, 16), 2, 2, 2, 2) == []
+        assert _kernels.local_valuations((8, 0, 0, 16), 2, 2, 2, 4) == [3]
+
+    def test_unfactored_n_falls_back(self, monkeypatch):
+        # n = 4099 * 4111, both primes above TRIAL_DIVISION_BOUND = 4096
+        n = 4099 * 4111
+        assert TRIAL_DIVISION_BOUND == 4096 and isprime(4099) and isprime(4111)
+        p = Presentation.from_group(PresentedGroup.from_invariants(0, (n, n)))
+        small = Presentation.from_group(PresentedGroup.from_invariants(0, (2, 4099)))
+        assert prime_factors(p.torsion_order) is None
+        assert prime_factors(small.torsion_order) == [(2, 1), (4099, 1)]
+        g, h = p.quotient(), small.quotient()
+        closed = [closed_form_tor(g, g), closed_form_l1sp2(g), closed_form_tor(h, h)]
+        assert closed == [CanonicalForm(0, (n,) * 4), CanonicalForm(0, (n,)),
+                          CanonicalForm(0, (2 * 4099,))]
+        fallbacks = []
+        fallback = linalg.smith_diagonal_uncached
+
+        def counting(rows, columns):
+            fallbacks.append(rows)
+            return fallback(rows, columns)
+
+        monkeypatch.setattr(linalg, "smith_diagonal_uncached", counting)
+        assert tor(p, p).canonical == closed[0]
+        assert l1_sp(2, p).canonical == closed[1]
+        assert len(fallbacks) == 2
+        # a last cofactor below the bound squared is a prime, read locally
+        assert tor(small, small).canonical == closed[2]
+        assert len(fallbacks) == 2
+
+
+CASE_A = Path(__file__).parent / "data" / "case_a.txt"
+
+
+class TestCaseA:
+    """L1SP^4 of a rank-8 scrambled presentation of
+    Z + (Z/2)^2 + Z/4 + Z/8 + Z/3 + Z/9, an 840 x 756 d2: the README's
+    case (a), pinned by the CI through tests/data/case_a.txt."""
+
+    def presentation(self):
+        g = PresentedGroup.from_invariants(1, (2, 2, 4, 8, 3, 9))
+        return scrambled_presentation(random.Random(5), g, 1)
+
+    def test_file_is_the_scrambled_presentation(self):
+        p = self.presentation()
+        assert load_relations(str(CASE_A)).relations == p.sublattice
+        assert Presentation.from_group(load_relations(str(CASE_A))) == p
+
+    def test_value(self):
+        p = self.presentation()
+        assert koszul_sp(4, p.sublattice).terms[1:] == (840, 756)
+        assert l1_sp(4, p).canonical == CanonicalForm(0, (2,) * 65 + (12,) * 6)

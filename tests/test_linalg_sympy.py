@@ -1,9 +1,13 @@
 """Hypothesis tests of the Smith diagonal, the rank, the unit-pivot
-elimination and the canonical form of a presented group against sympy, an
-independent implementation (tests only; dfw has no runtime dependencies).
+elimination, the local Smith valuations and the local invariant factors
+(local_valuations, local_torsion) and the canonical form of a presented
+group against sympy, an independent implementation (tests only; dfw has
+no runtime dependencies).
 The Smith diagonal alternates Hermite passes until its block is diagonal,
 so each call runs under a time limit: a loop that never ends fails instead
 of hanging."""
+
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +16,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from dfw import _kernels as _k
 from dfw.abelian import PresentedGroup
-from dfw.linalg import IntMatrix, dict_columns, rank, smith_diagonal
+from dfw.linalg import IntMatrix, dict_columns, local_torsion, rank, smith_diagonal
 from test_kernels import time_limit
 
 
@@ -152,3 +156,30 @@ def test_eliminate_units_empty_shapes():
         assert _k.eliminate_units([{}] * c, r) == (0, [], 0, 0)
         assert _k.eliminate_units([dict.fromkeys(range(r), 0) for _ in range(c)], r) == (0, [], 0, 0)
     assert _k.eliminate_units([{0: -1}], 1) == (1, [], 0, 0)
+
+
+def _valuation(d, p):
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices(), st.sampled_from((2, 3, 5, 7)), st.integers(min_value=1, max_value=4))
+@example(NO_UNIT, 2, 1)
+@example(NO_UNIT, 3, 3)
+def test_local_valuations_match_sympy(m, p, e):
+    expected = sorted(v for v in (_valuation(d, p) for d in _factors(m)) if v < e)
+    assert _k.local_valuations(m.entries, m.rows, m.cols, p, e) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices(), unit_rich_matrices()))
+@example(FILL_IN)
+@example(NO_UNIT)
+def test_local_torsion_matches_sympy(m):
+    # n is the product of the factors, so every prime of them divides it
+    factors = [d for d in _factors(m) if d > 1]
+    assert local_torsion(m.rows, dict_columns(m), prod(factors)) == tuple(factors)
