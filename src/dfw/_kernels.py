@@ -12,8 +12,9 @@ of a rows x cols matrix is a[j * rows:(j + 1) * rows]), and return
 matrices as lists of column lists.  eliminate_units takes sparse columns,
 dicts {row: entry}, the form in which functors.FreeComplex stores a
 differential, and returns a flat column-major remainder for
-hermite_cols and local_valuations; linalg.smith_diagonal runs it before
-the Hermite passes.  Smith forms are built in dfw.linalg from
+hermite_cols and local_valuations; linalg.smith_diagonal_uncached runs
+it before the Hermite passes, and linalg.local_torsion before the
+local_valuations sweeps.  Smith forms are built in dfw.linalg from
 alternating hermite_cols passes, so no kernel works on rows;
 local_valuations reads the Smith form over Z/p^e of a flat column-major
 matrix, whose entries never exceed p^e.

@@ -147,14 +147,6 @@ class Hom:
         self.target = target
         self.matrix = matrix
 
-    @classmethod
-    def identity(cls, g: PresentedGroup) -> "Hom":
-        return cls(g, g, IntMatrix.identity(g.rank), check=False)
-
-    @classmethod
-    def zero(cls, source: PresentedGroup, target: PresentedGroup) -> "Hom":
-        return cls(source, target, IntMatrix.zeros(target.rank, source.rank), check=False)
-
     def __matmul__(self, other: "Hom") -> "Hom":
         """Composition self(other(x)); other.target must equal self.source."""
         if other.target != self.source:
@@ -174,10 +166,6 @@ class Hom:
 
     def is_zero(self) -> bool:
         return _lands_in_relations(self.matrix, self.target)
-
-    def is_injective(self) -> bool:
-        pre = preimage_basis(self.matrix, self.target.relations)
-        return solve_matrix(self.source.relations, pre) is not None
 
     def is_surjective(self) -> bool:
         return cokernel(self)[0].canonical.is_trivial

@@ -25,9 +25,10 @@ H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2), and every complex built
 here is exact at C1 after tensoring with the rationals (derived functors
 commute with that flat base change and vanish on vector spaces), so the
 free part is 0 and H1 = tors(coker d2).  The same argument over Z[1/N],
-N = |tors(Q/U)| (Presentation.torsion_order), puts every prime of H1 in
-N, so the invariant factors > 1 of d2 are read over Z/p^e for the
-primes p | N only, with entries below p^e, and N = 1 gives 0 without a
+N = |tors(Q/U)| (Presentation.torsion_order, the product of the Smith
+diagonal that checks U's independence), puts every prime of H1 in N, so
+the invariant factors > 1 of d2 are read over Z/p^e for the primes
+p | N only, with entries below p^e, and N = 1 gives 0 without a
 reduction.  No rank of d1, no kernel basis, no solve and no Hermite
 pass, which is where exact entries used to swell.  It computes every
 value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
@@ -54,7 +55,7 @@ functors.identity_koszul_sp2, built once per rank.
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -75,41 +76,34 @@ from .linalg import (
     kernel_basis,
     kron,
     local_torsion,
-    rank,
     smith_diagonal_uncached,
     solve_matrix,
 )
 
 
-def _torsion_order(lattice: IntMatrix) -> int:
-    """|tors(Z^rows / span)| for a lattice of independent columns: the
-    product of its Smith diagonal, read outside the Smith cache."""
-    return prod(smith_diagonal_uncached(lattice.rows, dict_columns(lattice)))
+def _torsion_order(lattice: IntMatrix, name: str) -> int:
+    """|tors(Z^rows / span)|, the product of the lattice's Smith diagonal
+    (outside its cache); ValueError unless that has cols nonzero entries."""
+    diag = smith_diagonal_uncached(lattice.rows, dict_columns(lattice))
+    if len(diag) < lattice.cols or 0 in diag:
+        raise ValueError(f"{name} columns must be independent")
+    return prod(diag)
 
 
 class Presentation:
     """A quotient of a free lattice: Q = Z^ambient_rank modulo the span of
-    the independent columns of `sublattice`.  Two presentations are equal
-    when their ranks and sublattice matrices are."""
+    the independent columns of `sublattice`, with N = torsion_order
+    (see homology_value).  Two presentations are equal when their ranks
+    and sublattice matrices are."""
 
-    __slots__ = ("ambient_rank", "sublattice", "_torsion_order")
+    __slots__ = ("ambient_rank", "sublattice", "torsion_order")
 
     def __init__(self, ambient_rank: int, sublattice: IntMatrix):
         if sublattice.rows != ambient_rank:
             raise ValueError("sublattice must live in the ambient lattice")
-        if rank(sublattice) != sublattice.cols:
-            raise ValueError("sublattice columns must be independent")
+        self.torsion_order = _torsion_order(sublattice, "sublattice")
         self.ambient_rank = ambient_rank
         self.sublattice = sublattice
-        self._torsion_order: Optional[int] = None
-
-    @property
-    def torsion_order(self) -> int:
-        """|tors(Q/U)|, computed once; every prime of a derived value of
-        Q/U divides it (see homology_value)."""
-        if self._torsion_order is None:
-            self._torsion_order = _torsion_order(self.sublattice)
-        return self._torsion_order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Presentation):
@@ -143,31 +137,21 @@ class Presentation:
 class NestedPresentation:
     """Sublattices inner <= outer of a common ambient lattice, each given
     by independent columns, with the integer witness matrix:
-    outer @ witness == inner."""
+    outer @ witness == inner; outer_torsion_order is N of the outer one."""
 
-    __slots__ = ("ambient_rank", "inner", "outer", "witness", "_outer_torsion_order")
+    __slots__ = ("ambient_rank", "inner", "outer", "witness", "outer_torsion_order")
 
     def __init__(self, ambient_rank: int, inner: IntMatrix, outer: IntMatrix, witness: IntMatrix):
         if inner.rows != ambient_rank or outer.rows != ambient_rank:
             raise ValueError("lattices must live in the ambient lattice")
-        for u, name in ((inner, "inner"), (outer, "outer")):
-            if rank(u) != u.cols:
-                raise ValueError(f"{name} columns must be independent")
+        _torsion_order(inner, "inner")
+        self.outer_torsion_order = _torsion_order(outer, "outer")
         if outer @ witness != inner:
             raise ValueError("witness does not factor the inner lattice")
         self.ambient_rank = ambient_rank
         self.inner = inner
         self.outer = outer
         self.witness = witness
-        self._outer_torsion_order: Optional[int] = None
-
-    @property
-    def outer_torsion_order(self) -> int:
-        """|tors(Q/V)| for the outer lattice V, computed once: every prime
-        of a cokernel induced into a derived value of Q/V divides it."""
-        if self._outer_torsion_order is None:
-            self._outer_torsion_order = _torsion_order(self.outer)
-        return self._outer_torsion_order
 
     @classmethod
     def build(cls, ambient_rank: int, inner: IntMatrix, outer: IntMatrix) -> "NestedPresentation":

@@ -16,7 +16,9 @@ Complexes are stored in one other layout, sparse columns: dicts
 {row: entry}, which functors.FreeComplex keeps and local_torsion and
 smith_diagonal_uncached read.  dict_columns lists the nonzero entries of
 a matrix in that form, and from_dict_columns lays such columns out dense
-where a caller asks for matrices.
+where a caller asks for matrices.  derived's presentations check that a
+lattice's columns are independent, and read its torsion order, on one
+smith_diagonal_uncached pass.
 """
 
 from __future__ import annotations
@@ -267,17 +269,6 @@ def column_echelon(m: IntMatrix) -> ColumnEchelon:
     )
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank of m, from one Hermite pass without transform and outside the
-    column_echelon cache.
-
-    It serves only input checks (independent sublattice columns); no
-    derived value needs this rank, since homology_value reads H1 off the
-    Smith form of d2 alone (local_torsion counts the rank of d2's
-    remainder mod a prime)."""
-    return len(_k.hermite_cols(m.entries, m.rows, m.cols, False)[2])
-
-
 def column_basis(m: IntMatrix) -> IntMatrix:
     """Echelon basis (independent columns) of the column span of m."""
     ech = column_echelon(m)
@@ -460,9 +451,9 @@ def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int) -> Tuple
 # Most hits are small relation matrices seen again within a few calls
 # (PresentedGroup.canonical).  The differentials of derived values are
 # large and rarely repeat; derived.homology_value reads them through
-# local_torsion, whose fallback and the torsion orders of
-# derived.Presentation use smith_diagonal_uncached, so they stay out of
-# this cache.
+# local_torsion, whose fallback, like the sublattice checks of
+# derived.Presentation and NestedPresentation, uses
+# smith_diagonal_uncached, so they stay out of this cache.
 @functools.lru_cache(maxsize=256)
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     """smith_diagonal_uncached of the columns of m, behind a 256-entry

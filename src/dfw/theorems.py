@@ -118,11 +118,6 @@ def _random_sublattice(rng, cfg: TrialConfig) -> IntMatrix:
     return column_basis(random_matrix(rng, r, k, cfg.max_entry))
 
 
-def random_presentation(rng, cfg: TrialConfig) -> Presentation:
-    u = _random_sublattice(rng, cfg)
-    return Presentation(u.rows, u)
-
-
 def random_group(rng, cfg: TrialConfig, max_rank: Optional[int] = None) -> PresentedGroup:
     r = rng.randint(1, max_rank or cfg.max_rank)
     k = rng.randint(0, r + 1)

@@ -18,7 +18,22 @@ from dfw.abelian import (
     subquotient,
     tensor,
 )
-from dfw.linalg import IntMatrix, smith_diagonal
+from dfw.linalg import IntMatrix, preimage_basis, smith_diagonal, solve_matrix
+
+
+def identity_hom(g):
+    return Hom(g, g, IntMatrix.identity(g.rank))
+
+
+def zero_hom(source, target):
+    return Hom(source, target, IntMatrix.zeros(target.rank, source.rank))
+
+
+def is_injective(f):
+    """Whether the Hom f is injective: every element that f sends into the
+    target's relations is a relation of the source."""
+    pre = preimage_basis(f.matrix, f.target.relations)
+    return solve_matrix(f.source.relations, pre) is not None
 
 
 def grp(rank, cols):
@@ -154,18 +169,18 @@ class TestKernel:
         k, incl = kernel(f)
         assert k.canonical == CanonicalForm(0, (2,))
         # enumeration oracle: kernel of x -> 2x on {0,1,2,3} is {0, 2}
-        assert incl.is_injective()
+        assert is_injective(incl)
         two = cyclic_subgroup(z4, [2])
         assert subgroup_leq(incl, two) and subgroup_leq(two, incl)
         assert not subgroup_leq(cyclic_subgroup(z4, [1]), incl)
 
     def test_identity_and_zero(self):
         g = grp(2, [[2, 0], [0, 4]])
-        k, _ = kernel(Hom.identity(g))
+        k, _ = kernel(identity_hom(g))
         assert k.canonical.is_trivial
-        k2, incl2 = kernel(Hom.zero(g, g))
+        k2, incl2 = kernel(zero_hom(g, g))
         assert k2.canonical == g.canonical
-        assert incl2.is_injective()
+        assert is_injective(incl2)
 
 
 class TestCokernel:
@@ -197,7 +212,7 @@ class TestImage:
         img, epi, mono = image(f)
         assert img.canonical == CanonicalForm(0, (2,))
         assert (mono @ epi) == f
-        assert mono.is_injective()
+        assert is_injective(mono)
         assert epi.is_surjective()
         # enumeration oracle: image of Z/2 -> Z/4, 1 |-> 2 is {0, 2}
         two = cyclic_subgroup(z4, [2])
@@ -206,9 +221,9 @@ class TestImage:
 
     def test_zero_and_identity(self):
         g = grp(2, [[2, 0], [0, 4]])
-        img, _, _ = image(Hom.zero(g, g))
+        img, _, _ = image(zero_hom(g, g))
         assert img.canonical.is_trivial
-        img2, _, mono2 = image(Hom.identity(g))
+        img2, _, mono2 = image(identity_hom(g))
         assert img2.canonical == g.canonical
         assert mono2.is_surjective()
 
@@ -216,13 +231,13 @@ class TestImage:
 class TestSubquotient:
     def test_whole_by_zero(self):
         g = grp(2, [[3, 0], [0, 9]])
-        k = Hom.identity(g)
+        k = identity_hom(g)
         j = Hom(PresentedGroup.trivial(), g, IntMatrix.zeros(2, 0), check=False)
         assert subquotient(k, j).canonical == g.canonical
 
     def test_self_quotient(self):
         g = grp(1, [[5]])
-        k = Hom.identity(g)
+        k = identity_hom(g)
         assert subquotient(k, k).canonical.is_trivial
 
     def test_index_three(self):
@@ -291,9 +306,9 @@ class TestFirstIsomorphismTheorem:
             img, _, mono = image(f)
             k, incl = kernel(f)
             # source / kernel is isomorphic to the image
-            q = subquotient(Hom.identity(src), incl)
+            q = subquotient(identity_hom(src), incl)
             assert q.canonical == img.canonical
-            assert subgroup_leq(mono, Hom.identity(tgt))
+            assert subgroup_leq(mono, identity_hom(tgt))
 
     def test_purified_relations_span(self):
         g = grp(2, [[2, 4], [0, 0]])

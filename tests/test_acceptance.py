@@ -14,7 +14,7 @@ import time
 
 from dfw.abelian import PresentedGroup, direct_sum
 from dfw.cli import main
-from dfw.derived import l1_sp
+from dfw.derived import Presentation, l1_sp
 from dfw.linalg import IntMatrix, smith_diagonal
 from dfw.theorems import (
     TrialConfig,
@@ -22,7 +22,7 @@ from dfw.theorems import (
     check_presentation_independence,
     check_thm_3_1,
     check_thm_3_2,
-    random_presentation,
+    _random_sublattice,
     _trial_rng,
 )
 from test_theorems import annihilates, exponent_trials, superlie_trials
@@ -32,6 +32,11 @@ def report(num, label, ok, detail):
     line = f"ACCEPTANCE {num} ({label}): {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
+
+
+def random_presentation(rng, cfg: TrialConfig) -> Presentation:
+    u = _random_sublattice(rng, cfg)
+    return Presentation(u.rows, u)
 
 
 def closed_form_l1sp2(g: PresentedGroup):

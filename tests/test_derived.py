@@ -30,17 +30,18 @@ from dfw.linalg import (
     IntMatrix,
     _prime_factors as prime_factors,
     column_basis,
+    column_echelon,
     dict_columns,
     hstack,
     kernel_basis,
     kron,
     local_torsion,
-    rank,
     smith_diagonal,
     smith_diagonal_uncached,
     solve_matrix,
 )
 from dfw.theorems import _DERIVED_OPS, random_matrix, scrambled_presentation
+from test_abelian import is_injective
 from test_functors import lie3_defect_matrix, lie3_embedding
 
 
@@ -119,7 +120,7 @@ class TestKernelForm:
         assert (beta @ alpha).is_zero()
         assert (gamma @ beta).is_zero()
         assert gamma.is_surjective()
-        assert alpha.is_injective()
+        assert is_injective(alpha)
 
 
 class TestSharedMatrices:
@@ -171,7 +172,7 @@ class TestL2SuperLie3:
         for _ in range(15):
             p = random_presentation(rng, 3)
             group, incl, h = superlie3_kernel_data(p)
-            assert incl.is_injective()
+            assert is_injective(incl)
             assert (h @ incl).is_zero()
 
 
@@ -428,6 +429,50 @@ class TestPresentationObjects:
         with pytest.raises(ValueError, match="inner columns must be independent"):
             NestedPresentation.build(2, IntMatrix.from_cols([[1, 0], [2, 0]], rows=2), col)
 
+    def test_independence_and_order_against_oracles(self):
+        # one Smith pass per lattice decides independence and gives N:
+        # held against the echelon rank and sympy's invariant factors on
+        # dependent, zero-column, wide (more columns than rows) and random
+        # lattices
+        rng = random.Random("one-pass-check")
+        rejected = accepted = with_torsion = 0
+        for n in range(200):
+            r = rng.randint(0, 5)
+            if n % 4 == 0:
+                c = rng.randint(1, 4)
+                k = rng.randint(0, c - 1)
+                m = random_matrix(rng, r, k, 4) @ random_matrix(rng, k, c, 4)
+            elif n % 4 == 1:
+                base = random_matrix(rng, r, rng.randint(0, r), 6)
+                cols = [base.col_list(j) for j in range(base.cols)]
+                cols.insert(rng.randint(0, len(cols)), [0] * r)
+                m = IntMatrix.from_cols(cols, rows=r)
+            elif n % 4 == 2:
+                r = rng.randint(0, 3)
+                m = random_matrix(rng, r, r + rng.randint(1, 2), 6)
+            else:
+                m = random_matrix(rng, r, rng.randint(0, r), 6)
+            dependent = column_echelon(m).rank != m.cols
+            order = 0 if dependent else sympy_order(m)
+            slots = [
+                (lambda: Presentation(r, m).torsion_order, "sublattice", order),
+                (lambda: NestedPresentation(r, m, IntMatrix.identity(r), m).outer_torsion_order,
+                 "inner", 1),
+                (lambda: NestedPresentation(r, IntMatrix.zeros(r, 0), m,
+                                            IntMatrix.zeros(m.cols, 0)).outer_torsion_order,
+                 "outer", order),
+            ]
+            for build, name, expected in slots:
+                if dependent:
+                    with pytest.raises(ValueError, match=f"^{name} columns must be independent$"):
+                        build()
+                else:
+                    assert build() == expected, (name, m)
+            rejected += dependent
+            accepted += not dependent
+            with_torsion += order > 1
+        assert rejected >= 150 and accepted >= 40 and with_torsion >= 15
+
     def test_round_trip_serialization(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -564,6 +609,15 @@ def smith_torsion(cx):
     return tuple(d for d in smith_diagonal_uncached(cx.terms[1], cx.columns[1]) if d > 1)
 
 
+def sympy_order(m):
+    """|tors(Z^rows / span)| of a lattice of independent columns, by
+    sympy."""
+    if not m.cols:
+        return 1
+    sm = Matrix(m.rows, m.cols, [e for row in m.to_rows() for e in row])
+    return math.prod(int(abs(d)) for d in invariant_factors(sm, domain=ZZ))
+
+
 def sympy_torsion(cx):
     """The invariant factors > 1 of d2 by sympy."""
     d2 = cx.differentials[1]
@@ -608,7 +662,7 @@ class TestTorsionPrecondition:
         instances, seen, with_free, nontrivial = received
         for cx, _, _ in seen:
             d1, d2 = cx.differentials
-            assert rank(d1) + rank(d2) == cx.terms[1], cx.terms
+            assert column_echelon(d1).rank + column_echelon(d2).rank == cx.terms[1], cx.terms
         assert max(p.ambient_rank for p in instances) == 6
         assert with_free >= 60 and nontrivial >= 200
         assert len(seen) >= 6 * len(instances)
@@ -644,8 +698,10 @@ class TestTorsionPrecondition:
         assert changed >= 200
 
     def test_values_never_read_a_rank(self, monkeypatch):
-        def refuse(m):
-            raise AssertionError("rank called while computing a value")
+        # the constructors read N off the Smith diagonal of each sublattice;
+        # computing a value then runs no Smith pass over the integers
+        def refuse(rows, columns):
+            raise AssertionError("Smith pass run while computing a value")
 
         # Z + Z/2 + Z/4, Z + Z/4 and Z^2 + Z/6, the groups the CI pins
         p = Presentation.from_group(PresentedGroup.from_invariants(1, (2, 4)))
@@ -655,11 +711,13 @@ class TestTorsionPrecondition:
         instances = scrambled_instances(13)
         for i, (x, y) in enumerate(zip(instances, instances[1:])):
             built.append((x, y, nested_over(x, random.Random(f"no-rank:{i}"))))
-        monkeypatch.setattr(derived, "rank", refuse)
+        monkeypatch.setattr(derived, "smith_diagonal_uncached", refuse)
+        monkeypatch.setattr(linalg, "smith_diagonal_uncached", refuse)
         values = [every_value(*args) for args in built]
-        assert str(l1_sp(3, p).canonical) == "Z/2 + Z/2 + Z/2"
-        assert str(l2_superlie3(p).canonical) == "Z/2 + Z/2"
-        assert str(tor(a, b).canonical) == "Z/2"
+        pinned = [str(l1_sp(3, p).canonical), str(l2_superlie3(p).canonical),
+                  str(tor(a, b).canonical)]
+        monkeypatch.undo()
+        assert pinned == ["Z/2 + Z/2 + Z/2", "Z/2 + Z/2", "Z/2"]
         for (x, _, _), vs in zip(built, values):
             assert vs[0].canonical == closed_form_l1sp2(x.quotient())
 
@@ -728,8 +786,8 @@ class TestSmithBlockGuard:
         monkeypatch.undo()
         assert diag == smith_diagonal(m)
         units, _, rest_rows, rest_cols = _kernels.eliminate_units(cx.columns[1], m.rows)
-        k = rank(m) - units
-        assert sum(1 for d in diag if d) == rank(m)
+        k = column_echelon(m).rank - units
+        assert sum(1 for d in diag if d) == column_echelon(m).rank
         # the first pass sees the remainder; the next one the transpose of
         # its k echelon columns; every later one a k x k block
         assert calls[0] == (rest_rows * rest_cols, rest_rows, rest_cols)
@@ -754,7 +812,7 @@ class TestSmithBlockGuard:
         d2 = cx.differentials[1]
         units, k = self.hermite_calls(monkeypatch, cx)
         # most of the rank is split off as unit pivots
-        assert 2 * units > rank(d2)
+        assert 2 * units > column_echelon(d2).rank
         assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order) == sympy_torsion(cx)
 
 

@@ -19,10 +19,10 @@ from dfw.functors import (
 )
 from dfw.linalg import (
     IntMatrix,
+    column_echelon,
     dict_columns,
     from_dict_columns,
     kron,
-    rank,
     smith_diagonal,
     solve_matrix,
 )
@@ -160,7 +160,7 @@ class TestLie3Embedding:
             emb = lie3_embedding(r)
             expected = (r**3 - r) // 3
             assert emb.cols == expected
-            assert rank(emb) == expected
+            assert column_echelon(emb).rank == expected
             # saturated sublattice: all invariant factors are 1
             assert all(d == 1 for d in smith_diagonal(emb))
 

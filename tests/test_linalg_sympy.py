@@ -16,7 +16,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from dfw import _kernels as _k
 from dfw.abelian import PresentedGroup
-from dfw.linalg import IntMatrix, dict_columns, local_torsion, rank, smith_diagonal
+from dfw.linalg import IntMatrix, column_echelon, dict_columns, local_torsion, smith_diagonal
 from test_kernels import time_limit
 
 
@@ -79,8 +79,8 @@ def test_smith_chain_cases(m, expected):
 @settings(max_examples=300, deadline=None)
 @given(small_matrices())
 def test_rank_matches_sympy(m):
-    assert rank(m) == _sympy(m).rank()
-    assert rank(m) == sum(1 for d in smith_diagonal(m) if d)
+    assert column_echelon(m).rank == _sympy(m).rank()
+    assert column_echelon(m).rank == sum(1 for d in smith_diagonal(m) if d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,7 +126,7 @@ def _factors(m):
 def test_unit_rich_smith_diagonal_and_rank_match_sympy(m):
     expected = _factors(m)
     assert smith_diagonal(m) == tuple(expected) + (0,) * (min(m.rows, m.cols) - len(expected))
-    assert rank(m) == _sympy(m).rank() == len(expected)
+    assert column_echelon(m).rank == _sympy(m).rank() == len(expected)
 
 
 @settings(max_examples=300, deadline=None)

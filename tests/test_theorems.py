@@ -28,6 +28,7 @@ from dfw.theorems import (
     _scrambled_sublattice,
     _trial_rng,
 )
+from test_abelian import is_injective
 from test_derived import superlie3_kernel_data
 
 CFG = TrialConfig(seed=11, trials=25)
@@ -65,7 +66,7 @@ def superlie_trials(cfg):
         x = _sample_presentation(_trial_rng(cfg, "superlie", i), cfg)
         _, incl, h = superlie3_kernel_data(Presentation.from_dict(x["presentation"]))
         failures = []
-        if not incl.is_injective():
+        if not is_injective(incl):
             failures.append("kernel inclusion not injective")
         if not (h @ incl).is_zero():
             failures.append("composite into the target is nonzero")
