@@ -8,7 +8,8 @@ relation lattices, so everything here is exact.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Optional, Sequence, Tuple
 
 from .linalg import (
     IntMatrix,
@@ -22,32 +23,51 @@ from .linalg import (
 )
 
 
+_tuple_new = tuple.__new__
+
+
 class ContainmentError(ValueError):
     """A claimed subgroup containment does not hold."""
 
 
-class CanonicalForm(NamedTuple):
+class CanonicalForm(tuple):
     """Complete isomorphism invariant: free rank plus invariant factors.
 
     torsion is the chain d1 | d2 | ... with every d >= 2.  Two presented
-    groups are isomorphic exactly when their canonical forms are equal;
-    as a NamedTuple, a form also equals the plain tuple of its fields.
+    groups are isomorphic exactly when their canonical forms are equal.
+    A form is the tuple (free_rank, torsion) with named fields, so it
+    also equals, and hashes like, that plain tuple.  The class is written
+    out rather than generated as a named tuple, which would compile its
+    source at import.
     """
 
-    free_rank: int
-    torsion: Tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: Tuple[int, ...]) -> CanonicalForm:
+        return _tuple_new(cls, (free_rank, torsion))
+
+    free_rank = property(itemgetter(0), doc="The rank of the free part.")
+    torsion = property(itemgetter(1), doc="The invariant factors d1 | d2 | ...")
+
+    def __getnewargs__(self) -> Tuple[int, Tuple[int, ...]]:
+        """copy and pickle rebuild a form from its two fields."""
+        return tuple(self)
 
     @property
     def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
+        return self[0] == 0 and not self[1]
+
+    def __repr__(self) -> str:
+        return "CanonicalForm(free_rank=%r, torsion=%r)" % self
 
     def __str__(self) -> str:
+        free_rank = self[0]
         parts = []
-        if self.free_rank == 1:
+        if free_rank == 1:
             parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        elif free_rank > 1:
+            parts.append(f"Z^{free_rank}")
+        parts.extend(f"Z/{d}" for d in self[1])
         return " + ".join(parts) if parts else "0"
 
 

@@ -8,7 +8,9 @@ Subcommands:
 Each command loads only what it runs.  Importing this module loads the
 expression layer (dfw.expr and the layers below it), which is all `eval`
 needs; `check` and `section4` import dfw.theorems when they run, and the
-check reports import json when they are rendered.
+check reports import json when they are rendered.  That import builds
+no named tuple class, compiles no regular expression and makes no
+typing alias: each would add to the cold start of every command.
 
 argv is read by parse_args below.  It accepts the argv that argparse
 accepted for these commands, with the same fields and exit codes:
@@ -29,7 +31,6 @@ are byte-identical for identical seeds and configs.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -214,7 +215,6 @@ COMMANDS: Dict[str, Tuple[str, bool, dict]] = {
 }
 
 _HELP_FLAGS = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 class HelpRequested(Exception):
@@ -249,9 +249,19 @@ def _read_option(token: str, names, usage: str) -> Optional[Tuple[Optional[str],
             return matches[0], value if eq else None
     elif token.startswith("-h"):
         return "-h", token[2:]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
+    if _is_negative_number(token) or " " in token:
         return None
     return None, None
+
+
+def _is_negative_number(token: str) -> bool:
+    """Does token read as a negative number, as argparse reads one: "-"
+    and decimal digits, or "-" and digits (maybe none) around one "." with
+    digits after it?  One trailing newline is allowed, as in argparse."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    return (token[:1] == "-" and (not whole or whole.isdecimal())
+            and (fraction.isdecimal() if dot else bool(whole)))
 
 
 def _check_help(usage_key: Optional[str], name: str, value: Optional[str]) -> None:

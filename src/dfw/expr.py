@@ -14,13 +14,20 @@ AST node records the offset where it starts.
 Before anything is built, evaluate computes in closed form the ranks of
 the free lattices the expression would build (term_dimensions) and
 rejects the expression when one of them exceeds TERM_BUDGET.
+
+Names are ASCII letters and digits, words joined by a dash as in
+Lie3embed-rank; an integer is a run of decimal digits of any script
+(str.isdecimal), so Z/3 written with the Arabic-Indic three (U+0663) is
+Z/3.  Importing the module builds its classes and a few tables, nothing
+more: the tokenizer is a scanner written out by hand rather than a
+compiled regular expression, tokens are __slots__ objects rather than
+named tuples, and no typing alias is made, so `dfw eval` starts quickly.
 """
 
 from __future__ import annotations
 
-import re
 from math import comb
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .abelian import PresentedGroup, direct_sum
 from .derived import Presentation, l1_sp, l2_superlie3, tor
@@ -103,7 +110,9 @@ class SumExpr(_Node):
         self.offset = offset
 
 
-GroupExpr = Union[FreeAtom, CyclicAtom, TrivialAtom, RelationsAtom, SumExpr]
+# A GroupExpr, as the annotations name it, is a FreeAtom, CyclicAtom,
+# TrivialAtom, RelationsAtom or SumExpr.  The annotations are never
+# evaluated, so no typing alias is built for it.
 
 
 class FunctorCall(_Node):
@@ -120,23 +129,38 @@ class FunctorCall(_Node):
 # -------------------------------------------------------------- tokenizer
 
 _KEYWORDS = ("Lie3embed-rank", "Lambda", "L2Ls3", "L1SP", "Ls3", "Tor", "SP", "H2", "Z", "G")
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z][A-Za-z0-9]*)*|\d+|[\^/+(),]")
+_PUNCTUATION = "^/+(),"
 
 _UNARY = {"SP", "Lambda", "Ls3", "L1SP", "L2Ls3", "H2", "Lie3embed-rank"}
 _DEGREES = {"SP": (2, 5), "L1SP": (2, 4), "Lambda": (2, 2)}
 
 
-class _Token(NamedTuple):
-    kind: str  # keyword text, "INT", a punctuation char, or "END"
-    text: str
-    offset: int  # byte offset into the source
+class _Token:
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind = kind  # keyword text, "INT", a punctuation char, or "END"
+        self.text = text
+        self.offset = offset  # byte offset into the source
 
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
+def _word_end(text: str, pos: int) -> int:
+    """End of the run of ASCII letters and digits that starts at pos."""
+    n = len(text)
+    while pos < n and text[pos].isascii() and text[pos].isalnum():
+        pos += 1
+    return pos
+
+
 def _tokenize(text: str) -> List[_Token]:
+    """Split text into tokens, skipping whitespace.  A token is a name
+    (ASCII letters and digits that start with a letter, dash-joined words
+    such as Lie3embed-rank), a run of decimal digits (str.isdecimal, so
+    other scripts' digits too) or one of the characters ^/+(),."""
     out: List[_Token] = []
     pos = 0
     n = len(text)
@@ -145,20 +169,28 @@ def _tokenize(text: str) -> List[_Token]:
         if ch.isspace():
             pos += 1
             continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, pos))
-        tok = m.group()
         off = _byte_offset(text, pos)
-        if tok.isdigit():
-            out.append(_Token("INT", tok, off))
-        elif tok[0].isalpha():
+        if ch.isascii() and ch.isalpha():
+            end = _word_end(text, pos)
+            # a dash continues a name only when a letter follows it
+            while (end + 1 < n and text[end] == "-" and text[end + 1].isascii()
+                   and text[end + 1].isalpha()):
+                end = _word_end(text, end + 1)
+            tok = text[pos:end]
             if tok not in _KEYWORDS:
                 raise ParseError(f"unknown name {tok!r}", off)
             out.append(_Token(tok, tok, off))
+        elif ch.isdecimal():
+            end = pos + 1
+            while end < n and text[end].isdecimal():
+                end += 1
+            out.append(_Token("INT", text[pos:end], off))
+        elif ch in _PUNCTUATION:
+            end = pos + 1
+            out.append(_Token(ch, ch, off))
         else:
-            out.append(_Token(tok, tok, off))
-        pos = m.end()
+            raise ParseError(f"unexpected character {ch!r}", off)
+        pos = end
     out.append(_Token("END", "", _byte_offset(text, n)))
     return out
 
@@ -185,7 +217,7 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {what!r}", tok.offset)
         return self.advance()
 
-    def parse(self) -> Union[GroupExpr, FunctorCall]:
+    def parse(self) -> GroupExpr | FunctorCall:
         tok = self.peek()
         if tok.kind in _UNARY or tok.kind == "Tor":
             node = self.functor()
@@ -258,7 +290,7 @@ class _Parser:
         raise ParseError(f"expected a group atom, found {what!r}", tok.offset)
 
 
-def parse(text: str) -> Union[GroupExpr, FunctorCall]:
+def parse(text: str) -> GroupExpr | FunctorCall:
     """Parse a group or functor expression; raises ParseError or
     SemanticError with the byte offset of the problem."""
     return _Parser(text).parse()

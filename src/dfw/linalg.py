@@ -27,7 +27,7 @@ import functools
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _kernels as _k
 
@@ -247,16 +247,19 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return _wrap(ar * br, a.cols * b.cols, tuple(flat))
 
 
-class ColumnEchelon(NamedTuple):
-    """a @ transform == echelon, transform unimodular, pivots positive."""
+class ColumnEchelon:
+    """a @ transform == echelon, transform unimodular, pivots positive;
+    rank is the number of pivot rows.  Results are cached and shared, so
+    callers only read the fields."""
 
-    echelon: IntMatrix
-    transform: IntMatrix
-    pivot_rows: Tuple[int, ...]
+    __slots__ = ("echelon", "transform", "pivot_rows", "rank")
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+    def __init__(self, echelon: IntMatrix, transform: IntMatrix,
+                 pivot_rows: Tuple[int, ...]):
+        self.echelon = echelon
+        self.transform = transform
+        self.pivot_rows = pivot_rows
+        self.rank = len(pivot_rows)
 
 
 @functools.lru_cache(maxsize=512)

@@ -3,15 +3,18 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dfw.cli import HELP, RENDERERS, main, parse_args
+from dfw.cli import HELP, RENDERERS, _is_negative_number, main, parse_args
 from dfw.theorems import SUITE_NAMES
+from test_expr import EDGE_CHARS
 
 
 def run(capsys, *argv):
@@ -434,6 +437,9 @@ ARGV_TABLE = [
     (["check", "nonsense"], "error"),
     (["check", "all", "--trials", "2", "extra"], "error"),
     pytest.param(["check", "all", "--seed", "1", "--"], "error", marks=_OLD_DASHES),
+    # negative numbers of other scripts' digits, and one trailing newline
+    (["eval", "-\u0663"], "ok"),
+    (["check", "--seed", "-5\n", "all"], "ok"),
 ]
 
 
@@ -470,6 +476,55 @@ class TestParserAgainstArgparse:
     def test_check_help_names_every_suite_and_format(self):
         for name in list(SUITE_NAMES) + ["all"] + sorted(RENDERERS):
             assert name in HELP["check"]
+
+
+# The pattern (argparse's) that told a negative number from an option
+# before its test was written out: the oracle for _is_negative_number.
+OLD_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(EDGE_CHARS)).flatmap(
+    lambda t: st.sampled_from([t, "-" + t, "--" + t])))
+@example("-5\n")
+@example("-5\n\n")
+@example("-.5")
+@example("-.5\n")
+@example("-5.")
+@example("-\u0663")
+@example("-\u00b2")  # a digit, but no decimal one
+@example("-\n")
+@example("Lie3embed-rank")
+@example("Z-Z")
+@example("Lie3embed-rank-x")
+def test_negative_number_matches_the_pattern(token):
+    assert _is_negative_number(token) == bool(OLD_NEGATIVE_NUMBER.match(token))
+
+
+def test_import_builds_no_named_tuple_or_regex():
+    """Importing dfw.cli, after the standard modules that dfw imports,
+    creates no named tuple class and compiles no regular expression:
+    both cost the cold path of every command."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = """
+import bisect, collections, functools, itertools, math, operator, os, re, sys, types, typing
+calls = []
+def wrap(module, name):
+    original = getattr(module, name)
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    setattr(module, name, counted)
+wrap(collections, "namedtuple")
+wrap(re, "_compile")
+import dfw.cli
+print(calls)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
 
 def test_import_leaves_out_dataclasses_and_inspect():
     """The cold path of every command: importing dfw.cli, in a fresh

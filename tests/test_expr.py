@@ -1,6 +1,9 @@
 import random
+import re
+import string
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dfw.abelian import CanonicalForm, PresentedGroup
 from dfw.derived import Presentation, superlie3_cone, tor_complex
@@ -14,6 +17,7 @@ from dfw.expr import (
     SemanticError,
     SumExpr,
     TrivialAtom,
+    _tokenize,
     evaluate,
     parse,
     term_dimensions,
@@ -95,6 +99,83 @@ class TestParsing:
     def test_nested_functors_rejected(self):
         with pytest.raises(ParseError):
             parse("SP^2(L1SP^2(Z/2))")
+
+
+# The pattern _tokenize matched tokens with before its scanner was written
+# out: the oracle that the scanner is held to.
+OLD_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z][A-Za-z0-9]*)*|\d+|[\^/+(),]")
+KEYWORDS = ("Lie3embed-rank", "Lambda", "L2Ls3", "L1SP", "Ls3", "Tor", "SP", "H2", "Z", "G")
+
+
+def reference_tokens(text):
+    """The tokens the pattern read off text, as (kind, text, byte offset),
+    or the message and byte offset of the ParseError it raised."""
+    def offset(pos):
+        return len(text[:pos].encode("utf-8"))
+
+    out = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        m = OLD_TOKEN_RE.match(text, pos)
+        if not m:
+            return f"unexpected character {ch!r} (byte {offset(pos)})", offset(pos)
+        tok = m.group()
+        if tok.isdigit():
+            out.append(("INT", tok, offset(pos)))
+        elif tok[0].isalpha():
+            if tok not in KEYWORDS:
+                return f"unknown name {tok!r} (byte {offset(pos)})", offset(pos)
+            out.append((tok, tok, offset(pos)))
+        else:
+            out.append((tok, tok, offset(pos)))
+        pos = m.end()
+    out.append(("END", "", offset(len(text))))
+    return out
+
+
+def scanned_tokens(text):
+    try:
+        return [(t.kind, t.text, t.offset) for t in _tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+# characters at the edges of the pattern: letters and digits, a decimal
+# digit of another script, a digit that is no decimal one (superscript
+# two), a non-ASCII letter, the dash inside names, characters no token
+# takes, the punctuation, and whitespace (an ideographic space too)
+EDGE_CHARS = list(string.ascii_letters + string.digits) + [
+    "\u0663", "\u00b2", "\u00e9", "-", "_", ".", *"^/+(),", " ", "\t", "\n", "\u3000"]
+
+
+class TestTokenizer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_CHARS), st.sampled_from(KEYWORDS),
+                              st.just("-"))).map("".join))
+    @example("-5\n")
+    @example("-.5")
+    @example("-\u0663")
+    @example("Lie3embed-rank")
+    @example("Z-Z")
+    @example("Lie3embed-rank-x")
+    @example("Z/\u0663")
+    @example("Lie3embed-rank(Z^3)")
+    @example("Z + \u00e9")
+    @example("Lie3embed-rank-")
+    @example("Z-5")
+    @example("Z/\u00b2")
+    @example("Lie3embed--rank")
+    @example("")
+    def test_scanner_matches_the_pattern(self, text):
+        assert scanned_tokens(text) == reference_tokens(text)
+
+    def test_digits_of_other_scripts_are_integers(self):
+        assert parse("Z/\u0663") == CyclicAtom(3)
+        assert scanned_tokens("Z + \u00e9") == ("unexpected character '\u00e9' (byte 4)", 4)
 
 
 class TestEvaluation:
