@@ -9,15 +9,14 @@ every call.
 mat_mul and hermite_cols take their inputs as flat column-major
 sequences of Python ints, the storage of dfw.linalg.IntMatrix (column j
 of a rows x cols matrix is a[j * rows:(j + 1) * rows]), and return
-matrices as lists of column lists.  eliminate_units takes sparse columns,
-dicts {row: entry}, the form in which functors.FreeComplex stores a
-differential, and returns a flat column-major remainder for
-hermite_cols and local_valuations; linalg.smith_diagonal_uncached runs
-it before the Hermite passes, and linalg.local_torsion before the
-local_valuations sweeps.  Smith forms are built in dfw.linalg from
-alternating hermite_cols passes, so no kernel works on rows;
-local_valuations reads the Smith form over Z/p^e of a flat column-major
-matrix, whose entries never exceed p^e.
+matrices as lists of column lists.  eliminate_units and
+local_valuations take sparse columns, dicts {row: entry}, the form in
+which functors.FreeComplex stores a differential, and eliminate_units
+returns its remainder in that form: linalg.local_torsion hands it as it
+is to the local_valuations sweeps, whose entries stay below p^e, and
+linalg.smith_diagonal_uncached lays it out dense for the Hermite
+passes.  Smith forms are built in dfw.linalg from alternating
+hermite_cols passes, so no kernel works on rows.
 Arbitrary precision is non-negotiable: intermediate reduction entries
 routinely outgrow 64 bits even for small inputs.
 
@@ -143,6 +142,16 @@ def hermite_cols(a, rows, cols, transform=True):
     return h, v, pivot_rows
 
 
+def _occupancy(col, rows):
+    """For each of rows rows, the set of the indices of the dict columns
+    col that hold an entry there."""
+    occ = [set() for _ in range(rows)]
+    for j, cj in enumerate(col):
+        for i in cj:
+            occ[i].add(j)
+    return occ
+
+
 def eliminate_units(columns, rows):
     """Sparse elimination of +-1 pivots (Dumas, Saunders and Villard,
     JSC 2001).
@@ -155,18 +164,17 @@ def eliminate_units(columns, rows):
     fill-in).  Column operations clear the rest of the pivot row, after
     which the pivot row and column split off as a 1 x 1 block.
 
-    Returns (k, rest, rest_rows, rest_cols): k pivots were split off and
-    rest is the flat column-major remainder, without its zero rows and
-    columns.  The nonzero Smith invariants of the matrix are k ones
+    Returns (k, rest, rest_rows): k pivots were split off and rest is
+    the remainder as dict columns of its nonzero entries, rest_rows x
+    len(rest): its empty columns are dropped, the others keep their
+    order, and its zero rows are dropped and the others renumbered in
+    order.  The nonzero Smith invariants of the matrix are k ones
     followed by those of rest, and its rank is k + rank(rest).
     """
     # the nonzero entries of each column, and for each row the set of
     # columns that are nonzero there
     col = [{i: x for i, x in c.items() if x} for c in columns]
-    occ = [set() for _ in range(rows)]
-    for j, cj in enumerate(col):
-        for i in cj:
-            occ[i].add(j)
+    occ = _occupancy(col, rows)
     k = 0
     for j in sorted(range(len(col)), key=lambda j: len(col[j])):
         cj = col[j]
@@ -208,52 +216,31 @@ def eliminate_units(columns, rows):
         k += 1
     live = [i for i in range(rows) if occ[i]]
     at = {i: n for n, i in enumerate(live)}
-    rest_rows = len(live)
-    rest = []
-    rest_cols = 0
-    for cj in col:
-        if cj:
-            dense = [0] * rest_rows
-            for i, x in cj.items():
-                dense[at[i]] = x
-            rest.extend(dense)
-            rest_cols += 1
-    return k, rest, rest_rows, rest_cols
+    return k, [{at[i]: x for i, x in cj.items()} for cj in col if cj], len(live)
 
 
-def local_valuations(a, rows, cols, p, e):
-    """p-valuations below e of the Smith invariants of a, by elimination
-    over Z/p^e with pivots of minimal valuation (Dumas, Saunders and
-    Villard, JSC 2001).
+def local_valuations(columns, rows, p, e):
+    """p-valuations below e of the Smith invariants of the rows x
+    len(columns) matrix with the dict columns {row: entry}, by
+    elimination over Z/p^e with pivots of minimal valuation (Dumas,
+    Saunders and Villard, JSC 2001).
 
-    a is the flat column-major rows x cols input, such as the remainder
-    of eliminate_units, and p a prime.  Its nonzero entries are read,
-    reduced mod p^e, into sparse columns, and the sweep is that of
-    eliminate_units with "unit" read as "entry prime to p": level t
-    sweeps the columns in order of increasing nonzero count, the unit of
-    the sparsest row in a column is its pivot, column operations clear
-    the pivot row, and the pivot splits off as an invariant factor of
-    valuation t.  A cleared column keeps every entry divisible by p if it
-    had them, so after the sweep every entry is, and the whole is divided
-    by p for level t + 1.  Returns the valuations found, in increasing
-    order: one for each invariant factor not divisible by p^e.  For
-    e = 1 their number is the rank of a mod p.
+    columns, such as the remainder of eliminate_units, are copied
+    reduced mod p^e, without the entries that vanish, and never
+    modified; p is a prime.  The sweep is that of eliminate_units with
+    "unit" read as "entry prime to p": level t sweeps the columns in
+    order of increasing nonzero count, the unit of the sparsest row in a
+    column is its pivot, column operations clear the pivot row, and the
+    pivot splits off as an invariant factor of valuation t.  A cleared
+    column keeps every entry divisible by p if it had them, so after the
+    sweep every entry is, and the whole is divided by p for level t + 1.
+    Returns the valuations found, in increasing order: one for each
+    invariant factor not divisible by p^e.  For e = 1 their number is
+    the rank of the matrix mod p.
     """
     m = p ** e
-    rows_range = range(rows)
-    col = []
-    for j in range(cols):
-        c = a[j * rows:(j + 1) * rows]
-        cj = {}
-        for i in compress(rows_range, c):
-            x = c[i] % m
-            if x:
-                cj[i] = x
-        col.append(cj)
-    occ = [set() for _ in range(rows)]
-    for j, cj in enumerate(col):
-        for i in cj:
-            occ[i].add(j)
+    col = [{i: y for i, x in c.items() if (y := x % m)} for c in columns]
+    occ = _occupancy(col, rows)
     live = {j for j, cj in enumerate(col) if cj}
     out = []
     t = 0

@@ -231,7 +231,8 @@ def image(f: Hom) -> Tuple[PresentedGroup, Hom, Hom]:
 def subquotient(k: Hom, j: Hom) -> PresentedGroup:
     """K/J for subgroups j: J >-> A and k: K >-> A with J contained in K.
 
-    Presented on K's generators with J's generators adjoined as relations;
+    j may be any map into A: J is its image.  Presented on K's generators
+    with J's generators adjoined as relations;
     raises ContainmentError when some generator of J is not in K.
     """
     if k.target != j.target:

@@ -14,8 +14,10 @@ entries) are wrapped by _wrap without a second check.
 
 Complexes are stored in one other layout, sparse columns: dicts
 {row: entry}, which functors.FreeComplex keeps and local_torsion and
-smith_diagonal_uncached read.  dict_columns lists the nonzero entries of
-a matrix in that form, and from_dict_columns lays such columns out dense
+smith_diagonal_uncached read, and in which both get the remainder of
+_k.eliminate_units; only smith_diagonal_uncached lays that out dense,
+for its Hermite passes.  dict_columns lists the nonzero entries of a
+matrix in that form, and from_dict_columns lays such columns out dense
 where a caller asks for matrices.  derived's presentations check that a
 lattice's columns are independent, and read its torsion order, on one
 smith_diagonal_uncached pass.
@@ -357,18 +359,20 @@ def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tup
 
     Units first: eliminate_units splits off u pivots of +-1 from the
     columns as they are, so the diagonal is u ones followed by that of
-    the sparse remainder R.  Then Hermite passes (Havas, Majewski and
-    Matthews, Exp. Math. 1998): a column pass on R leaves its k = rank(R)
-    echelon columns B, and column passes on the transpose of B, then of
-    each k x k result, run until the block is diagonal, so that column
-    and row passes alternate (Kannan and Bachem, SIAM J. Comput. 1979).
+    the sparse remainder R, laid out dense here and nowhere else.  Then
+    Hermite passes (Havas, Majewski and Matthews, Exp. Math. 1998): a
+    column pass on R leaves its k = rank(R) echelon columns B, and column
+    passes on the transpose of B, then of each k x k result, run until
+    the block is diagonal, so that column and row passes alternate
+    (Kannan and Bachem, SIAM J. Comput. 1979).
     Unimodular steps keep the diagonal; reducing R directly lets its
     entries swell.
     Last, gcd and lcm turn the diagonal into a divisibility chain:
     diag(a, b) and diag(gcd(a, b), lcm(a, b)) have the same Smith form.
     """
-    u, rest, n_rows, n_cols = _k.eliminate_units(columns, rows)
-    h, _, piv = _k.hermite_cols(rest, n_rows, n_cols, False)
+    u, rest, n_rows = _k.eliminate_units(columns, rows)
+    dense = from_dict_columns(n_rows, rest).entries
+    h, _, piv = _k.hermite_cols(dense, n_rows, len(rest), False)
     k = len(piv)
     block, n = h[:k], n_rows
     while True:
@@ -420,11 +424,12 @@ def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int) -> Tuple
     that every prime of them divides n.
 
     Nothing is reduced when n = 1.  Otherwise eliminate_units splits off
-    the +-1 pivots, units at every prime; on the remainder R, the rank r
-    is the pivot count of local_valuations mod RANK_PRIME, which divides
-    no invariant factor of R, and for each p | n the valuations of the r
-    invariant factors come from local_valuations over Z/p^e, with e
-    doubled from v_p(n) + 1 until all r are found.  The i-th invariant
+    the +-1 pivots, units at every prime; on the remainder R, kept in
+    dict columns, the rank r is the pivot count of local_valuations mod
+    RANK_PRIME, which divides no invariant factor of R, and for each
+    p | n the valuations of the r invariant factors come from
+    local_valuations over Z/p^e, with e doubled from v_p(n) + 1 until
+    all r are found.  The i-th invariant
     factor is the product over p of p to the i-th smallest valuation.
     No Hermite pass and no gcd/lcm sweep run, and entries stay below p^e.
     When n does not split by trial division (a cofactor of at least
@@ -436,14 +441,14 @@ def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int) -> Tuple
     factors = _prime_factors(n)
     if factors is None:
         return tuple(d for d in smith_diagonal_uncached(rows, columns) if d > 1)
-    _, rest, n_rows, n_cols = _k.eliminate_units(columns, rows)
-    if not n_cols:
+    _, rest, n_rows = _k.eliminate_units(columns, rows)
+    if not rest:
         return ()
-    r = len(_k.local_valuations(rest, n_rows, n_cols, RANK_PRIME, 1))
+    r = len(_k.local_valuations(rest, n_rows, RANK_PRIME, 1))
     diag = [1] * r
     for p, v in factors:
         e = v + 1
-        while len(vals := _k.local_valuations(rest, n_rows, n_cols, p, e)) < r:
+        while len(vals := _k.local_valuations(rest, n_rows, p, e)) < r:
             e *= 2
         for i, t in enumerate(vals):
             if t:

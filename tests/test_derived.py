@@ -785,7 +785,8 @@ class TestSmithBlockGuard:
         diag = smith_diagonal_uncached(cx.terms[1], cx.columns[1])
         monkeypatch.undo()
         assert diag == smith_diagonal(m)
-        units, _, rest_rows, rest_cols = _kernels.eliminate_units(cx.columns[1], m.rows)
+        units, rest, rest_rows = _kernels.eliminate_units(cx.columns[1], m.rows)
+        rest_cols = len(rest)
         k = column_echelon(m).rank - units
         assert sum(1 for d in diag if d) == column_echelon(m).rank
         # the first pass sees the remainder; the next one the transpose of
@@ -863,8 +864,9 @@ class TestLocalTorsion:
         # diag(8, 16) with N = 2: e is doubled from 2 to 8
         columns = [{0: 8}, {1: 16}]
         assert local_torsion(2, columns, 2) == (8, 16)
-        assert _kernels.local_valuations((8, 0, 0, 16), 2, 2, 2, 2) == []
-        assert _kernels.local_valuations((8, 0, 0, 16), 2, 2, 2, 4) == [3]
+        assert _kernels.local_valuations(columns, 2, 2, 2) == []
+        assert _kernels.local_valuations(columns, 2, 2, 4) == [3]
+        assert columns == [{0: 8}, {1: 16}]
 
     def test_unfactored_n_falls_back(self, monkeypatch):
         # n = 4099 * 4111, both primes above TRIAL_DIVISION_BOUND = 4096

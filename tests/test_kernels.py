@@ -5,7 +5,10 @@ hermite_cols (with and without transform) and
 eliminate_units must return exactly what the references return.
 eliminate_units reads dict columns, with explicit zero entries among
 them, and must leave them as they were; its reference reads the same
-matrix in the dense flat form.
+matrix in the dense flat form.  eliminate_units returns its remainder as
+dict columns and the reference as a flat column-major list, so the dict
+columns are laid out dense for the comparison, which holds their order,
+their row numbers and their entries to the reference's.
 
 The matrices are sparse (at most a fifth of the entries nonzero), with
 entries up to 2^70, zero columns, leading zero rows (so pivots fall past
@@ -15,6 +18,7 @@ import copy
 import signal
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dfw import _kernels as _k
@@ -118,11 +122,15 @@ def dict_columns_with_zeros(draw):
 
 # a unit pivot whose column holds an explicit zero, beside a zero column
 ZEROS_BESIDE_A_UNIT = [{0: 1, 1: 0}, {0: 2, 1: 3}, {1: 0}], (1, 0, 2, 3, 0, 0), 2, 3
+# a column that fill-in cancels to empty
+CANCELLED = ([{0: 1, 1: 2}, {0: 1, 1: 2}, {1: 3}, {1: 5, 2: 7}],
+             (1, 2, 0, 1, 2, 0, 0, 3, 0, 0, 5, 7), 3, 4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(dict_columns_with_zeros())
 @example(ZEROS_BESIDE_A_UNIT)
+@example(CANCELLED)
 @example(([{2: 3}, {}, {2: BIG + 1, 3: 2}], *PAST_ROW_0))
 @example(([], *EMPTY[0]))
 @example(([{}] * 5, *EMPTY[1]))
@@ -130,9 +138,36 @@ ZEROS_BESIDE_A_UNIT = [{0: 1, 1: 0}, {0: 2, 1: 3}, {1: 0}], (1, 0, 2, 3, 0, 0), 
 def test_eliminate_units_matches_reference(args):
     columns, a, rows, cols = args
     before = copy.deepcopy(columns)
-    assert _k.eliminate_units(columns, rows) == ref_eliminate_units(a, rows, cols)
+    k, rest, rest_rows = _k.eliminate_units(columns, rows)
+    got = k, laid_out(rest, rest_rows), rest_rows, len(rest)
+    assert got == ref_eliminate_units(a, rows, cols)
     assert columns == before
     assert [list(c) for c in columns] == [list(c) for c in before]
+
+
+def laid_out(rest, rows):
+    """The flat column-major layout of the dict columns rest of a rows x
+    len(rest) matrix, each of whose entries must be nonzero and in a row
+    below rows."""
+    flat = [0] * (rows * len(rest))
+    for j, c in enumerate(rest):
+        for i, x in c.items():
+            assert x and 0 <= i < rows
+            flat[j * rows + i] = x
+    return flat
+
+
+@pytest.mark.parametrize("columns, rows, expected", [
+    # explicit zeros, and rows 1 and 2 zero: rows 0 and 3 become 0 and 1
+    ([{0: 2, 1: 0, 3: 5}, {1: 0, 2: 0}, {0: 0, 3: 4}], 4, (0, [{0: 2, 1: 5}, {1: 4}], 2)),
+    # clearing row 0 with the unit of column 0 leaves column 1 empty; the
+    # columns left keep their order, and row 0 goes with the pivot
+    (CANCELLED[0], 3, (1, [{0: 3}, {0: 5, 1: 7}], 2)),
+    # a unitriangular matrix whose entries are 0 and +-1 leaves nothing
+    ([{0: 1}, {0: -1, 1: 1}, {0: 1, 1: -1, 2: -1}], 3, (3, [], 0)),
+])
+def test_eliminate_units_remainder(columns, rows, expected):
+    assert _k.eliminate_units(columns, rows) == expected
 
 
 def test_example_has_pivots_past_row_0():

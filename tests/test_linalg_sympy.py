@@ -7,6 +7,8 @@ The Smith diagonal alternates Hermite passes until its block is diagonal,
 so each call runs under a time limit: a loop that never ends fails instead
 of hanging."""
 
+import copy
+import random
 from math import prod
 
 import pytest
@@ -17,7 +19,7 @@ from sympy.matrices.normalforms import invariant_factors
 from dfw import _kernels as _k
 from dfw.abelian import PresentedGroup
 from dfw.linalg import IntMatrix, column_echelon, dict_columns, local_torsion, smith_diagonal
-from test_kernels import time_limit
+from test_kernels import laid_out, time_limit
 
 
 @st.composite
@@ -134,10 +136,10 @@ def test_unit_rich_smith_diagonal_and_rank_match_sympy(m):
 @example(FILL_IN)
 @example(NO_UNIT)
 def test_eliminate_units_contract(m):
-    k, rest, rows, cols = _k.eliminate_units(dict_columns(m), m.rows)
-    assert len(rest) == rows * cols
+    k, rest, rows = _k.eliminate_units(dict_columns(m), m.rows)
+    cols = len(rest)
     assert rows <= m.rows - k and cols <= m.cols - k
-    rest = IntMatrix(rows, cols, rest)
+    rest = IntMatrix(rows, cols, laid_out(rest, rows))
     # the remainder keeps no zero row or column
     assert all(any(rest.entries[j * rows:(j + 1) * rows]) for j in range(cols))
     assert all(any(rest.entries[i::rows]) for i in range(rows))
@@ -146,16 +148,16 @@ def test_eliminate_units_contract(m):
 
 
 def test_eliminate_units_fill_in_and_no_unit():
-    k, rest, rows, cols = _k.eliminate_units(dict_columns(FILL_IN), 4)
-    assert k >= 1 and rows * cols and any(abs(x) > 9 for x in rest)
-    assert _k.eliminate_units(dict_columns(NO_UNIT), 3) == (0, list(NO_UNIT.entries), 3, 3)
+    k, rest, rows = _k.eliminate_units(dict_columns(FILL_IN), 4)
+    assert k >= 1 and rows * len(rest) and any(abs(x) > 9 for c in rest for x in c.values())
+    assert _k.eliminate_units(dict_columns(NO_UNIT), 3) == (0, dict_columns(NO_UNIT), 3)
 
 
 def test_eliminate_units_empty_shapes():
     for r, c in [(0, 0), (0, 3), (3, 0), (2, 3)]:
-        assert _k.eliminate_units([{}] * c, r) == (0, [], 0, 0)
-        assert _k.eliminate_units([dict.fromkeys(range(r), 0) for _ in range(c)], r) == (0, [], 0, 0)
-    assert _k.eliminate_units([{0: -1}], 1) == (1, [], 0, 0)
+        assert _k.eliminate_units([{}] * c, r) == (0, [], 0)
+        assert _k.eliminate_units([dict.fromkeys(range(r), 0) for _ in range(c)], r) == (0, [], 0)
+    assert _k.eliminate_units([{0: -1}], 1) == (1, [], 0)
 
 
 def _valuation(d, p):
@@ -167,12 +169,26 @@ def _valuation(d, p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_matrices(), st.sampled_from((2, 3, 5, 7)), st.integers(min_value=1, max_value=4))
-@example(NO_UNIT, 2, 1)
-@example(NO_UNIT, 3, 3)
-def test_local_valuations_match_sympy(m, p, e):
+@given(small_matrices(), st.sampled_from((2, 3, 5, 7)), st.integers(min_value=1, max_value=4),
+       st.randoms(use_true_random=False))
+@example(NO_UNIT, 2, 1, random.Random(0))
+@example(NO_UNIT, 3, 3, random.Random(1))
+def test_local_valuations_match_sympy(m, p, e, rnd):
+    # the entries of each column in shuffled row order, with explicit
+    # zeros and multiples of p^e added at zero cells, which leave the
+    # matrix mod p^e, and so the valuations below e, as they were; the
+    # columns are left as they were
+    columns = []
+    for c in dict_columns(m):
+        items = list(c.items()) + [(i, rnd.choice((0, p ** e, -p ** (e + 1))))
+                                   for i in range(m.rows) if i not in c and rnd.random() < 0.3]
+        rnd.shuffle(items)
+        columns.append(dict(items))
+    before = copy.deepcopy(columns)
     expected = sorted(v for v in (_valuation(d, p) for d in _factors(m)) if v < e)
-    assert _k.local_valuations(m.entries, m.rows, m.cols, p, e) == expected
+    assert _k.local_valuations(columns, m.rows, p, e) == expected
+    assert columns == before
+    assert [list(c) for c in columns] == [list(c) for c in before]
 
 
 @settings(max_examples=300, deadline=None)
