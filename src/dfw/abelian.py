@@ -2,8 +2,10 @@
 
 A PresentedGroup is Z^rank modulo the column span of its relation matrix;
 a Hom is a generator matrix compatible with relations.  Kernels, images,
-cokernels and subquotients all come down to integer solving against
-relation lattices, so everything here is exact.
+cokernels and subquotients all come down to Hermite reductions of
+relation lattices, so everything here is exact: kernels and images are
+preimages (linalg.preimage_basis), containments are span tests
+(linalg.span_contains), and only a subquotient solves for coordinates.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .linalg import (
     preimage_basis,
     smith_diagonal,
     solve_matrix,
+    span_contains,
 )
 
 
@@ -147,7 +150,8 @@ class Hom:
 
     matrix is target.rank x source.rank.  Well-definedness (every relator
     of the source lands in the relation span of the target) is verified at
-    construction by integer solving.
+    construction by reducing the images against the Hermite form of the
+    target's relations.
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -160,8 +164,7 @@ class Hom:
                 f"{target.rank}x{source.rank}"
             )
         if check and source.relations.cols:
-            image = matrix @ source.relations
-            if solve_matrix(target.relations, image) is None:
+            if not span_contains(target.relations, matrix @ source.relations):
                 raise ValueError("matrix does not respect relations (not well defined)")
         self.source = source
         self.target = target
@@ -179,13 +182,13 @@ class Hom:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        return _lands_in_relations(self.matrix - other.matrix, self.target)
+        return span_contains(self.target.relations, self.matrix - other.matrix)
 
     def __hash__(self) -> int:
         raise TypeError("Hom equality is semantic; not hashable")
 
     def is_zero(self) -> bool:
-        return _lands_in_relations(self.matrix, self.target)
+        return span_contains(self.target.relations, self.matrix)
 
     def is_surjective(self) -> bool:
         return cokernel(self)[0].canonical.is_trivial
@@ -194,18 +197,13 @@ class Hom:
         return f"Hom({self.source.canonical} -> {self.target.canonical})"
 
 
-def _lands_in_relations(matrix: IntMatrix, target: PresentedGroup) -> bool:
-    if matrix.cols == 0:
-        return True
-    return solve_matrix(target.relations, matrix) is not None
-
-
 def kernel(f: Hom) -> Tuple[PresentedGroup, Hom]:
     """Kernel subgroup with its injective inclusion into the source.
 
-    The generators are a lattice basis of {x : f(x) = 0 in the target},
-    found by a block kernel computation; the relations are the source
-    relations rewritten in those coordinates.
+    The generators are the Hermite basis of {x : f(x) = 0 in the target};
+    the relations are the Hermite basis of {y : gens @ y is a source
+    relation}, the source relations rewritten in those coordinates.
+    Each is one preimage_basis pass, without transform.
     """
     gens = preimage_basis(f.matrix, f.target.relations)
     rels = preimage_basis(gens, f.source.relations)
@@ -249,8 +247,7 @@ def subgroup_leq(f: Hom, g: Hom) -> bool:
     """Is the image of f contained in the image of g (same target)?"""
     if f.target != g.target:
         raise ValueError("subgroups of different ambient groups")
-    sys = hstack(g.matrix, f.target.relations)
-    return solve_matrix(sys, f.matrix) is not None
+    return span_contains(hstack(g.matrix, f.target.relations), f.matrix)
 
 
 def direct_sum(*groups: PresentedGroup) -> PresentedGroup:

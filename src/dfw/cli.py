@@ -6,9 +6,11 @@ Subcommands:
   section4 [EXPR]      derived-functor report for an abelian group
 
 Each command loads only what it runs.  Importing this module loads the
-expression layer (dfw.expr and the layers below it), which is all `eval`
-needs; `check` and `section4` import dfw.theorems when they run, and the
-check reports import json when they are rendered.  That import builds
+expression layer (dfw.expr, dfw.abelian and dfw.linalg), which is all
+`eval` of a plain group needs; a functor call imports dfw.functors and
+dfw.derived when it is evaluated, `check` and `section4` import
+dfw.theorems when they run, and the check reports import json when they
+are rendered.  That import builds
 no named tuple class, compiles no regular expression and makes no
 typing alias: each would add to the cold start of every command.
 

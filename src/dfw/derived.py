@@ -55,7 +55,7 @@ functors.identity_koszul_sp2, built once per rank.
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -71,7 +71,9 @@ from .functors import (
 )
 from .linalg import (
     IntMatrix,
+    column_echelon,
     dict_columns,
+    echelon_smith_diagonal,
     hstack,
     kernel_basis,
     kron,
@@ -81,10 +83,12 @@ from .linalg import (
 )
 
 
-def _torsion_order(lattice: IntMatrix, name: str) -> int:
+def _torsion_order(lattice: IntMatrix, name: str, diag: Optional[Tuple[int, ...]] = None) -> int:
     """|tors(Z^rows / span)|, the product of the lattice's Smith diagonal
-    (outside its cache); ValueError unless that has cols nonzero entries."""
-    diag = smith_diagonal_uncached(lattice.rows, dict_columns(lattice))
+    diag (by default smith_diagonal_uncached, outside the cache);
+    ValueError unless that has cols nonzero entries."""
+    if diag is None:
+        diag = smith_diagonal_uncached(lattice.rows, dict_columns(lattice))
     if len(diag) < lattice.cols or 0 in diag:
         raise ValueError(f"{name} columns must be independent")
     return prod(diag)
@@ -145,7 +149,10 @@ class NestedPresentation:
         if inner.rows != ambient_rank or outer.rows != ambient_rank:
             raise ValueError("lattices must live in the ambient lattice")
         _torsion_order(inner, "inner")
-        self.outer_torsion_order = _torsion_order(outer, "outer")
+        # build's solve has reduced outer already; its Smith pass starts
+        # from that cached echelon
+        self.outer_torsion_order = _torsion_order(
+            outer, "outer", echelon_smith_diagonal(column_echelon(outer)))
         if outer @ witness != inner:
             raise ValueError("witness does not factor the inner lattice")
         self.ambient_rank = ambient_rank

@@ -22,6 +22,8 @@ Z/3.  Importing the module builds its classes and a few tables, nothing
 more: the tokenizer is a scanner written out by hand rather than a
 compiled regular expression, tokens are __slots__ objects rather than
 named tuples, and no typing alias is made, so `dfw eval` starts quickly.
+dfw.functors and dfw.derived are imported where a functor call is
+evaluated, so a plain group expression loads neither.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .abelian import PresentedGroup, direct_sum
-from .derived import Presentation, l1_sp, l2_superlie3, tor
-from .functors import functor_on_group
 
 
 class ExprError(ValueError):
@@ -395,6 +395,10 @@ def evaluate(node, relations_group: Optional[PresentedGroup] = None) -> Presente
     build a free lattice of rank over TERM_BUDGET."""
     _check_budget(node, relations_group)
     if isinstance(node, FunctorCall):
+        # a plain group expression needs neither module
+        from .derived import Presentation, l1_sp, l2_superlie3, tor
+        from .functors import functor_on_group
+
         args = [_eval_group(a, relations_group) for a in node.args]
         if node.name == "SP":
             return functor_on_group("sym", node.degree, args[0])

@@ -20,7 +20,15 @@ for its Hermite passes.  dict_columns lists the nonzero entries of a
 matrix in that form, and from_dict_columns lays such columns out dense
 where a caller asks for matrices.  derived's presentations check that a
 lattice's columns are independent, and read its torsion order, on one
-smith_diagonal_uncached pass.
+smith_diagonal_uncached pass, or, for the outer lattice of a nested
+presentation, on echelon_smith_diagonal of the echelon its solve left.
+
+A lattice is reduced only as far as the caller reads.  The column
+Hermite form is unique for a lattice, so column_basis, span_contains
+and preimage_basis read an echelon from a pass without transform.
+Only kernel_basis and solve_matrix keep the transform (column_echelon):
+it is what they return, a kernel basis and the coordinates of a
+solution.
 """
 
 from __future__ import annotations
@@ -266,6 +274,8 @@ class ColumnEchelon:
 
 @functools.lru_cache(maxsize=512)
 def column_echelon(m: IntMatrix) -> ColumnEchelon:
+    """The Hermite pass of m with its transform, for the callers that read
+    the transform: kernel_basis and solve_matrix."""
     h, v, piv = _k.hermite_cols(m.entries, m.rows, m.cols)
     return ColumnEchelon(
         _wrap(m.rows, m.cols, tuple(_flatten(h))),
@@ -274,10 +284,19 @@ def column_echelon(m: IntMatrix) -> ColumnEchelon:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _hermite_basis(m: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
+    """The rank nonzero columns of the Hermite form of m and their pivot
+    rows, from a pass without transform."""
+    h, _, piv = _k.hermite_cols(m.entries, m.rows, m.cols, False)
+    return _wrap(m.rows, len(piv), tuple(_flatten(h[:len(piv)]))), tuple(piv)
+
+
 def column_basis(m: IntMatrix) -> IntMatrix:
-    """Echelon basis (independent columns) of the column span of m."""
-    ech = column_echelon(m)
-    return ech.echelon.select_columns(range(ech.rank))
+    """Echelon basis (independent columns) of the column span of m: its
+    Hermite form, which is unique for the lattice, so the pass that finds
+    it keeps no transform."""
+    return _hermite_basis(m)[0]
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -290,12 +309,13 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return ech.transform.select_columns(range(ech.rank, m.cols))
 
 
-def _solve_echelon(ech: ColumnEchelon, b: Sequence[int]) -> Optional[List[int]]:
-    rows = ech.echelon.rows
-    cols = ech.echelon.cols
-    npiv = ech.rank
-    pivot_rows = ech.pivot_rows
-    h = ech.echelon.entries
+def _echelon_coords(h: Sequence[int], pivot_rows: Sequence[int],
+                    b: Sequence[int]) -> Optional[List[int]]:
+    """y with H @ y == b for the echelon columns H, flat column-major
+    with len(b) rows and pivots at pivot_rows, or None if b is not in
+    their span."""
+    rows = len(b)
+    npiv = len(pivot_rows)
     res = list(b)
     y = [0] * npiv
     pc = 0
@@ -314,16 +334,22 @@ def _solve_echelon(ech: ColumnEchelon, b: Sequence[int]) -> Optional[List[int]]:
             pc += 1
         elif res[row]:
             return None
-    # x = transform @ y, only pivot coordinates of y are nonzero
-    t = ech.transform.entries
-    x = [0] * cols
-    for j in range(npiv):
-        q = y[j]
-        if q:
-            tc = t[j * cols:(j + 1) * cols]
-            for i in range(cols):
-                x[i] += q * tc[i]
-    return x
+    return y
+
+
+def span_contains(m: IntMatrix, b: IntMatrix) -> bool:
+    """Does the column span of m contain every column of b?
+
+    Each column is reduced against the Hermite form of m; no solution
+    is built, so no transform is kept."""
+    if b.rows != m.rows:
+        raise ValueError("shape mismatch")
+    if b.is_zero:
+        return True
+    h, piv = _hermite_basis(m)
+    r, e = b.rows, b.entries
+    return all(_echelon_coords(h.entries, piv, e[j * r:(j + 1) * r]) is not None
+               for j in range(b.cols))
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -331,26 +357,52 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     if b.rows != m.rows:
         raise ValueError("shape mismatch")
     ech = column_echelon(m)
+    h, piv, cols = ech.echelon.entries, ech.pivot_rows, m.cols
+    t = ech.transform.entries
     r, e = b.rows, b.entries
     flat: List[int] = []
     for j in range(b.cols):
-        x = _solve_echelon(ech, e[j * r:(j + 1) * r])
-        if x is None:
+        y = _echelon_coords(h, piv, e[j * r:(j + 1) * r])
+        if y is None:
             return None
+        # x = transform @ y; y has a coordinate for each pivot column only
+        x = [0] * cols
+        for k, q in enumerate(y):
+            if q:
+                tc = t[k * cols:(k + 1) * cols]
+                for i in range(cols):
+                    x[i] += q * tc[i]
         flat.extend(x)
-    return _wrap(m.cols, b.cols, tuple(flat))
+    return _wrap(cols, b.cols, tuple(flat))
 
 
 def preimage_basis(m: IntMatrix, span: IntMatrix) -> IntMatrix:
-    """Basis of the lattice {x : m @ x lies in the column span of `span`}.
+    """Basis of the lattice {x : m @ x lies in the column span of `span`},
+    in Hermite form.
 
-    Computed as the projection of the block kernel of [m | span] onto the
-    first block of coordinates.
+    One pass without transform over the stacked matrix [m span; I 0]
+    (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    2.4): its columns are (m x + span y; x), so the echelon columns whose
+    pivots lie in the identity rows are those with m x in the span, and
+    their bottom blocks are the Hermite form of the preimage.
     """
     if span.rows != m.rows:
         raise ValueError("shape mismatch")
-    ker = kernel_basis(hstack(m, span))
-    return column_basis(ker.top_rows(m.cols))
+    r, n = m.rows, m.cols
+    e, s = m.entries, span.entries
+    flat: List[int] = []
+    unit = [0] * n
+    for j in range(n):
+        flat.extend(e[j * r:(j + 1) * r])
+        unit[j] = 1
+        flat.extend(unit)
+        unit[j] = 0
+    for j in range(span.cols):
+        flat.extend(s[j * r:(j + 1) * r])
+        flat.extend(unit)
+    h, _, piv = _k.hermite_cols(flat, r + n, n + span.cols, False)
+    top = sum(p < r for p in piv)
+    return _wrap(n, len(piv) - top, tuple(_flatten(c[r:] for c in h[top:len(piv)])))
 
 
 def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tuple[int, ...]:
@@ -373,9 +425,24 @@ def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tup
     u, rest, n_rows = _k.eliminate_units(columns, rows)
     dense = from_dict_columns(n_rows, rest).entries
     h, _, piv = _k.hermite_cols(dense, n_rows, len(rest), False)
-    k = len(piv)
-    block, n = h[:k], n_rows
-    while True:
+    diag = (1,) * u + _echelon_diagonal(h[:len(piv)], n_rows)
+    return diag + (0,) * (min(rows, len(columns)) - len(diag))
+
+
+def echelon_smith_diagonal(ech: ColumnEchelon) -> Tuple[int, ...]:
+    """smith_diagonal_uncached of the matrix that ech reduced, read off
+    its echelon columns, so no column pass runs again."""
+    h = ech.echelon
+    r, k = h.rows, ech.rank
+    block = [h.entries[j * r:(j + 1) * r] for j in range(k)]
+    return _echelon_diagonal(block, r) + (0,) * (min(r, h.cols) - k)
+
+
+def _echelon_diagonal(block: List[Sequence[int]], n: int) -> Tuple[int, ...]:
+    """The nonzero Smith diagonal of the k = len(block) independent
+    echelon columns block, each of length n, as a divisibility chain."""
+    k = len(block)
+    while k:
         # the columns of the transpose are the rows of block; a full-rank
         # pass leaves k nonzero columns, each zero above its diagonal entry
         block = _k.hermite_cols(tuple(_flatten(zip(*block))), k, n, False)[0][:k]
@@ -386,8 +453,7 @@ def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tup
     for i in range(k):
         for j in range(i + 1, k):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    diag = (1,) * u + tuple(d)
-    return diag + (0,) * (min(rows, len(columns)) - len(diag))
+    return tuple(d)
 
 
 # The primes of n are those up to TRIAL_DIVISION_BOUND and a last cofactor
@@ -461,7 +527,8 @@ def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int) -> Tuple
 # large and rarely repeat; derived.homology_value reads them through
 # local_torsion, whose fallback, like the sublattice checks of
 # derived.Presentation and NestedPresentation, uses
-# smith_diagonal_uncached, so they stay out of this cache.
+# smith_diagonal_uncached or echelon_smith_diagonal, so they stay out of
+# this cache.
 @functools.lru_cache(maxsize=256)
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     """smith_diagonal_uncached of the columns of m, behind a 256-entry
@@ -471,4 +538,5 @@ def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
 
 def clear_caches() -> None:
     column_echelon.cache_clear()
+    _hermite_basis.cache_clear()
     smith_diagonal.cache_clear()

@@ -54,7 +54,7 @@ class TestEval:
         def never(*args):
             raise AssertionError("an over-budget expression reached a functor")
 
-        monkeypatch.setattr("dfw.expr.functor_on_group", never)
+        monkeypatch.setattr("dfw.functors.functor_on_group", never)
         code, out, err = run(capsys, "eval", "SP^5(Z^200)")
         assert code == 2 and out == "" and "budget" in err
 
@@ -540,3 +540,17 @@ def test_import_leaves_out_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n[]\n"
+
+
+def test_plain_sum_loads_no_functor_module():
+    """`dfw eval` of a plain group sum imports neither dfw.derived nor
+    dfw.functors; a functor call imports both where it is evaluated."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from dfw.cli import main; "
+            "want = ('dfw.derived', 'dfw.functors'); "
+            "main(['eval', 'Z/2 + Z/3']); print([m for m in want if m in sys.modules]); "
+            "main(['eval', 'Tor(Z/4, Z/6)']); print([m for m in want if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "Z/6\n[]\nZ/2\n['dfw.derived', 'dfw.functors']\n"

@@ -264,7 +264,7 @@ class TestBudgets:
         def never(*args):
             raise AssertionError("an over-budget expression reached a functor")
 
-        monkeypatch.setattr("dfw.expr.functor_on_group", never)
+        monkeypatch.setattr("dfw.functors.functor_on_group", never)
         with pytest.raises(SemanticError) as err:
             evaluate(parse("SP^5(Z^200)"))
         assert err.value.offset == 0 and "budget" in str(err.value)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dfw import _kernels
+from dfw import _kernels, linalg
 from dfw.linalg import (
     IntMatrix,
     block_diag,
@@ -17,6 +17,7 @@ from dfw.linalg import (
     preimage_basis,
     smith_diagonal,
     solve_matrix,
+    span_contains,
 )
 from test_builders import vstack
 
@@ -216,6 +217,114 @@ class TestEchelonAndPreimage:
         span = IntMatrix.from_rows([[4]])
         p = preimage_basis(m, span)
         assert p.cols == 1 and abs(p.entry(0, 0)) == 2
+
+
+def two_pass_preimage(m, span):
+    """The preimage {x : m x in span(span)} by the formula that the stacked
+    pass of preimage_basis replaced: the kernel of [m | span], with its
+    transform, projected onto m's coordinates, then its echelon basis."""
+    return column_basis(kernel_basis(hstack(m, span)).top_rows(m.cols))
+
+
+def sample_matrices(rng, count, max_dim=5, rows=None):
+    """Seeded random matrices up to max_dim x max_dim (with `rows` rows if
+    given): every empty shape (0 rows or 0 columns) first, and then in
+    turn random, zero, full-rank (independent columns or rows) and
+    low-rank ones."""
+    out = [IntMatrix.zeros(r, c) for r in range(3) for c in range(3)
+           if not r * c and rows in (None, r)]
+    for n in range(count):
+        r = rng.randint(0, max_dim) if rows is None else rows
+        c = rng.randint(0, max_dim)
+        if n % 4 == 0:
+            m = random_matrix(rng, r, c, 7)
+        elif n % 4 == 1:
+            m = IntMatrix.zeros(r, c)
+        elif n % 4 == 2:
+            while True:
+                m = random_matrix(rng, r, c, 7)
+                if column_echelon(m).rank == min(r, c):
+                    break
+        else:
+            k = rng.randint(0, 2)
+            m = random_matrix(rng, r, k, 4) @ random_matrix(rng, k, c, 4)
+        out.append(m)
+    return out
+
+
+def in_and_out_of_span(rng, m):
+    """Right-hand sides for m: columns in its span, random columns, and
+    span columns with one random column among them."""
+    inside = m @ random_matrix(rng, m.cols, rng.randint(0, 3), 5)
+    outside = random_matrix(rng, m.rows, rng.randint(1, 3), 5)
+    return [inside, outside, hstack(inside, outside.select_columns([0]))]
+
+
+class TestTransformFreePaths:
+    """column_basis, span_contains and preimage_basis run one Hermite pass
+    without transform; the Hermite form is unique for a lattice, so each
+    agrees entry for entry with the transform path it replaced."""
+
+    def test_span_contains_agrees_with_solve(self):
+        rng = random.Random("span-contains")
+        seen = {True: 0, False: 0}
+        for m in sample_matrices(rng, 160):
+            for b in in_and_out_of_span(rng, m):
+                got = span_contains(m, b)
+                assert got == (solve_matrix(m, b) is not None), (m, b)
+                seen[got] += 1
+        assert min(seen.values()) > 50
+
+    def test_span_contains_needs_divisibility(self):
+        # 3 is not in 2Z, 6 is; a row outside every pivot rules a column out
+        two = IntMatrix.from_rows([[2]])
+        assert not span_contains(two, IntMatrix.from_rows([[3]]))
+        assert span_contains(two, IntMatrix.from_rows([[6, -4]]))
+        assert not span_contains(two, IntMatrix.from_rows([[6, 3]]))
+        assert not span_contains(IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[0], [1]]))
+        assert span_contains(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 3))
+        assert span_contains(IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 2))
+        with pytest.raises(ValueError):
+            span_contains(two, IntMatrix.zeros(2, 1))
+
+    def test_column_basis_is_the_echelon_of_the_transform_pass(self):
+        rng = random.Random("column-basis")
+        for m in sample_matrices(rng, 160):
+            ech = column_echelon(m)
+            assert column_basis(m) == ech.echelon.select_columns(range(ech.rank)), m
+
+    def test_preimage_matches_two_pass_formula(self):
+        rng = random.Random("preimage")
+        proper = 0
+        for m in sample_matrices(rng, 120):
+            for s in sample_matrices(rng, 4, max_dim=4, rows=m.rows):
+                got = preimage_basis(m, s)
+                assert got == two_pass_preimage(m, s), (m, s)
+                assert span_contains(s, m @ got)
+                proper += got != IntMatrix.identity(m.cols)
+        assert proper > 150
+
+    def test_preimage_empty_shapes(self):
+        for r, c, k in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 3)]:
+            m, s = IntMatrix.zeros(r, c), IntMatrix.zeros(r, k)
+            assert preimage_basis(m, s) == IntMatrix.identity(c) == two_pass_preimage(m, s)
+        with pytest.raises(ValueError):
+            preimage_basis(IntMatrix.zeros(2, 1), IntMatrix.zeros(1, 1))
+
+
+def test_clear_caches_empties_every_cache():
+    # the benchmark's reset relies on clear_caches reaching every cache of
+    # the module, including any added later
+    caches = [f for f in vars(linalg).values() if hasattr(f, "cache_info")]
+    assert len(caches) >= 3
+    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    column_basis(m)
+    kernel_basis(m)
+    smith_diagonal(m)
+    span_contains(m, m)
+    assert all(f.cache_info().currsize for f in caches)
+    linalg.clear_caches()
+    assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
 
 
 class TestMatrixBasics:

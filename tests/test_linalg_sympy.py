@@ -1,7 +1,8 @@
 """Hypothesis tests of the Smith diagonal, the rank, the unit-pivot
 elimination, the local Smith valuations and the local invariant factors
-(local_valuations, local_torsion) and the canonical form of a presented
-group against sympy, an independent implementation (tests only; dfw has
+(local_valuations, local_torsion), the canonical form of a presented
+group and the paths without transform (column_basis, span_contains,
+preimage_basis) against sympy, an independent implementation (tests only; dfw has
 no runtime dependencies).
 The Smith diagonal alternates Hermite passes until its block is diagonal,
 so each call runs under a time limit: a loop that never ends fails instead
@@ -18,8 +19,20 @@ from sympy.matrices.normalforms import invariant_factors
 
 from dfw import _kernels as _k
 from dfw.abelian import PresentedGroup
-from dfw.linalg import IntMatrix, column_echelon, dict_columns, local_torsion, smith_diagonal
+from dfw.linalg import (
+    IntMatrix,
+    column_basis,
+    column_echelon,
+    dict_columns,
+    hstack,
+    local_torsion,
+    preimage_basis,
+    smith_diagonal,
+    solve_matrix,
+    span_contains,
+)
 from test_kernels import laid_out, time_limit
+from test_linalg import two_pass_preimage
 
 
 @st.composite
@@ -199,3 +212,56 @@ def test_local_torsion_matches_sympy(m):
     # n is the product of the factors, so every prime of them divides it
     factors = [d for d in _factors(m) if d > 1]
     assert local_torsion(m.rows, dict_columns(m), prod(factors)) == tuple(factors)
+
+
+def _lattice_index(m):
+    """(rank, product of the nonzero invariant factors) of the column span
+    of m, by sympy."""
+    factors = _factors(m)
+    return len(factors), prod(factors)
+
+
+@st.composite
+def right_hand_sides(draw, m):
+    """b with m.rows rows: columns in the span of m, random columns, or
+    both side by side."""
+    entry = st.integers(min_value=-6, max_value=6)
+    k = draw(st.integers(min_value=0, max_value=3))
+    x = IntMatrix(m.cols, k, draw(st.lists(entry, min_size=m.cols * k, max_size=m.cols * k)))
+    t = draw(st.integers(min_value=0, max_value=2))
+    other = IntMatrix(m.rows, t, draw(st.lists(entry, min_size=m.rows * t, max_size=m.rows * t)))
+    return hstack(m @ x, other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_span_contains_matches_sympy(data):
+    # adjoining b to m keeps the rank and the product of the nonzero
+    # invariant factors exactly when span(m) contains b: the index
+    # [span(m | b) : span(m)] is the ratio of the two products
+    m = data.draw(small_matrices())
+    b = data.draw(right_hand_sides(m))
+    expected = _lattice_index(hstack(m, b)) == _lattice_index(m)
+    assert span_contains(m, b) == expected == (solve_matrix(m, b) is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_column_basis_matches_sympy(m):
+    basis = column_basis(m)
+    ech = column_echelon(m)
+    assert basis == ech.echelon.select_columns(range(ech.rank))
+    assert _lattice_index(basis) == _lattice_index(m) and basis.cols == _sympy(m).rank()
+    assert span_contains(basis, m) and span_contains(m, basis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_preimage_basis_matches_sympy(data):
+    # {x : m x in span(s)} has rank cols(m) + rank(s) - rank(m | s) over Q
+    m = data.draw(small_matrices())
+    s = data.draw(right_hand_sides(m))
+    pre = preimage_basis(m, s)
+    assert pre == two_pass_preimage(m, s)
+    assert pre.cols == m.cols + _sympy(s).rank() - _sympy(hstack(m, s)).rank()
+    assert span_contains(s, m @ pre)
