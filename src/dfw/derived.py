@@ -24,17 +24,18 @@ form of d2 alone: since ker d1 is saturated,
 H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2), and every complex built
 here is exact at C1 after tensoring with the rationals (derived functors
 commute with that flat base change and vanish on vector spaces), so the
-free part is 0 and H1 = tors(coker d2).  The same argument over Z[1/N],
-N = |tors(Q/U)| (Presentation.torsion_order, the product of the Smith
-diagonal that checks U's independence), puts every prime of H1 in N, so
-the invariant factors > 1 of d2 are read over Z/p^e for the primes
-p | N only, with entries below p^e, and N = 1 gives 0 without a
-reduction.  No rank of d1, no kernel basis, no solve and no Hermite
-pass, which is where exact entries used to swell.  It computes every
-value (l1_sp, tor, l2_superlie3) and the cokernels of induced maps that
-theorems 3.1 and 3.2 compare with: induced_cokernel reads coker H1(f) of
-a chain map f: C -> D as H1 of D with the columns of f1 of a kernel
-basis of C's d1 added to the boundaries, at the primes of D's N.  The
+free part is 0 and H1 = tors(coker d2).  N^k kills H1 for a functor of
+degree k, with N = |tors(Q/U)| (Presentation.torsion_order, the product
+of the Smith diagonal that checks U's independence; homology_value
+gives the argument), so the invariant factors > 1 of d2 are read in one
+sweep over Z/p^(k v_p(N) + 1) for each prime p | N, with entries below
+that modulus, and N = 1 gives 0 without a reduction.  No rank, no kernel
+basis, no solve and no Hermite pass, which is where exact entries used
+to swell.  It computes every value (l1_sp, tor, l2_superlie3) and the
+cokernels of induced maps that theorems 3.1 and 3.2 compare with:
+induced_cokernel reads coker H1(f) of a chain map f: C -> D as H1 of D
+with the columns of f1 of a kernel basis of C's d1 added to the
+boundaries, killed by the power of D's N that kills H1(D).  The
 tests hold homology_value against the cycle path (a kernel basis of d1
 with the boundaries solved against it), which only they keep.  No
 presentation is normalized first, so presentation-independence checks
@@ -55,7 +56,7 @@ functors.identity_koszul_sp2, built once per rank.
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -71,25 +72,22 @@ from .functors import (
 )
 from .linalg import (
     IntMatrix,
-    column_echelon,
     dict_columns,
     echelon_smith_diagonal,
     hstack,
     kernel_basis,
     kron,
     local_torsion,
-    smith_diagonal_uncached,
     solve_matrix,
 )
 
 
-def _torsion_order(lattice: IntMatrix, name: str, diag: Optional[Tuple[int, ...]] = None) -> int:
-    """|tors(Z^rows / span)|, the product of the lattice's Smith diagonal
-    diag (by default smith_diagonal_uncached, outside the cache);
-    ValueError unless that has cols nonzero entries."""
-    if diag is None:
-        diag = smith_diagonal_uncached(lattice.rows, dict_columns(lattice))
-    if len(diag) < lattice.cols or 0 in diag:
+def _torsion_order(lattice: IntMatrix, name: str) -> int:
+    """|tors(Z^rows / span)|, the product of the lattice's nonzero Smith
+    diagonal (echelon_smith_diagonal, row passes on its cached Hermite
+    basis); ValueError unless that has one entry per column."""
+    diag = echelon_smith_diagonal(lattice)
+    if len(diag) < lattice.cols:
         raise ValueError(f"{name} columns must be independent")
     return prod(diag)
 
@@ -149,10 +147,7 @@ class NestedPresentation:
         if inner.rows != ambient_rank or outer.rows != ambient_rank:
             raise ValueError("lattices must live in the ambient lattice")
         _torsion_order(inner, "inner")
-        # build's solve has reduced outer already; its Smith pass starts
-        # from that cached echelon
-        self.outer_torsion_order = _torsion_order(
-            outer, "outer", echelon_smith_diagonal(column_echelon(outer)))
+        self.outer_torsion_order = _torsion_order(outer, "outer")
         if outer @ witness != inner:
             raise ValueError("witness does not factor the inner lattice")
         self.ambient_rank = ambient_rank
@@ -188,14 +183,14 @@ class NestedPresentation:
         )
 
 
-def homology_value(cx: FreeComplex, torsion: int) -> PresentedGroup:
+def homology_value(cx: FreeComplex, torsion: int, degree: int) -> PresentedGroup:
     """H1 of a three-term complex as a group in invariant-factor form,
     from the Smith form of d2 alone, read locally at the primes of
     torsion.
 
     Preconditions: cx is exact at C1 after tensoring with the rationals,
-    so H1 is a torsion group, and every prime of H1 divides the positive
-    integer torsion.  Since ker d1 is saturated,
+    so H1 is a torsion group, and torsion**degree kills H1, for a
+    positive integer torsion.  Since ker d1 is saturated,
     H1 = Z^f + tors(coker d2) with f = c1 - rk d1 - rk d2; the first
     precondition says f = 0, so H1 is read off the invariant factors > 1
     of d2 and rank(d1) is never computed.  Every complex of this module
@@ -206,22 +201,32 @@ def homology_value(cx: FreeComplex, torsion: int) -> PresentedGroup:
     𝓛³(U).  induced_cokernel passes a complex whose H1 is a quotient of
     the torsion H1 of its target.
 
-    The same argument over Z[1/N], N = |tors(Q/U)|, gives the second:
-    Q/U (x) Z[1/N] is projective over Z[1/N], so L_i vanishes after that
-    flat base change, and no prime outside N divides an invariant factor
-    > 1 of d2.  The callers pass N (Presentation.torsion_order), for Tor
-    the gcd of the two orders, and for an induced cokernel the order of
-    its target.  linalg.local_torsion then needs only the Smith form of
-    d2 over Z/p^e for the primes p | N; torsion = 1 gives 0 at once.
+    The second holds with torsion = N = |tors(A)|, A = Q/U, and degree
+    the degree k of a homogeneous functor F.  Let e be the exponent of
+    tors(A).  Then e id_A factors through the free group A/tors(A), as
+    the projection times e followed by a splitting of it, and L_i F
+    (i >= 1) vanishes on free groups, so L_i F(e id_A) = 0.  But
+    F(e f) = e^k F(f) on each term of a simplicial resolution, so
+    L_i F(e id_A) is multiplication by e^k.  So e^k, and with it N^k,
+    kills L_i F(A).  The callers pass N (Presentation.torsion_order)
+    with k = m for l1_sp(m, .) and k = 3 for l2_superlie3; for tor, the
+    gcd of the two orders with k = 1, since Tor is additive in each
+    argument, so either exponent kills it; for an induced cokernel, a
+    quotient of L1SP^2(Q/V), the order N_V of its target with k = 2.  linalg.local_torsion then
+    sweeps d2 once over Z/p^(k v_p(N) + 1) for each prime p | N, which
+    finds every invariant factor > 1 and so needs no rank;
+    torsion = 1 gives 0 at once.
     """
-    return PresentedGroup.from_invariants(0, local_torsion(cx.terms[1], cx.columns[1], torsion))
+    return PresentedGroup.from_invariants(
+        0, local_torsion(cx.terms[1], cx.columns[1], torsion, degree))
 
 
 def induced_cokernel(src: FreeComplex, dst: FreeComplex,
-                     chain: Tuple[IntMatrix, IntMatrix, IntMatrix], torsion: int) -> PresentedGroup:
+                     chain: Tuple[IntMatrix, IntMatrix, IntMatrix], torsion: int,
+                     degree: int) -> PresentedGroup:
     """Cokernel of the map H1(src) -> H1(dst) induced by the chain map
-    chain = (f0, f1, f2), in invariant-factor form; every prime of
-    H1(dst) divides torsion.
+    chain = (f0, f1, f2), in invariant-factor form; torsion**degree
+    kills H1(dst).
 
     coker H1(f) = Z1(dst) / (B1(dst) + f1 Z1(src)) is H1 of
     dst2 (+) Z^k --[d2 | f1 K]--> dst1 --d1--> dst0, K a kernel basis of
@@ -235,13 +240,13 @@ def induced_cokernel(src: FreeComplex, dst: FreeComplex,
         raise AssertionError("degree-2 chain square does not commute")
     d2_aug = [*dst.columns[1], *dict_columns(f1 @ kernel_basis(s1))]
     return homology_value(FreeComplex((d1.rows, d1.cols, len(d2_aug)), (dst.columns[0], d2_aug)),
-                          torsion)
+                          torsion, degree)
 
 
 def l1_sp(m: int, p: Presentation) -> PresentedGroup:
     """First derived functor of the m-th symmetric power of the quotient,
     as the middle homology of the Koszul-type complex."""
-    return homology_value(koszul_sp(m, p.sublattice), p.torsion_order)
+    return homology_value(koszul_sp(m, p.sublattice), p.torsion_order, m)
 
 
 def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
@@ -315,7 +320,7 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
 
 def l2_superlie3(p: Presentation) -> PresentedGroup:
     """Second derived functor of the super-Lie cube of the quotient."""
-    return homology_value(superlie3_cone(p), p.torsion_order)
+    return homology_value(superlie3_cone(p), p.torsion_order, 3)
 
 
 def tor_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
@@ -345,7 +350,7 @@ def tor_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
 def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:
     """Classical torsion product of the two quotients."""
     torsion = gcd(pa.torsion_order, pb.torsion_order)
-    return homology_value(tor_complex(pa.sublattice, pb.sublattice), torsion)
+    return homology_value(tor_complex(pa.sublattice, pb.sublattice), torsion, 1)
 
 
 def coker_induced_l1_sp2(np: NestedPresentation, dst: FreeComplex) -> PresentedGroup:
@@ -355,7 +360,7 @@ def coker_induced_l1_sp2(np: NestedPresentation, dst: FreeComplex) -> PresentedG
     src, f = koszul_sp(2, np.inner), np.witness
     chain = (IntMatrix.identity(dst.terms[0]), kron(f, IntMatrix.identity(np.ambient_rank)),
              induced_map("ext", 2, f))
-    return induced_cokernel(src, dst, chain, np.outer_torsion_order)
+    return induced_cokernel(src, dst, chain, np.outer_torsion_order, 2)
 
 
 def _tor_koszul_chain_map(np: NestedPresentation):
@@ -389,4 +394,4 @@ def coker_tor_to_l1_sp2(np: NestedPresentation) -> PresentedGroup:
     given by nested sublattices U <= V."""
     src = tor_complex(np.outer, np.inner)
     return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np),
-                            np.outer_torsion_order)
+                            np.outer_torsion_order, 2)

@@ -19,9 +19,8 @@ _k.eliminate_units; only smith_diagonal_uncached lays that out dense,
 for its Hermite passes.  dict_columns lists the nonzero entries of a
 matrix in that form, and from_dict_columns lays such columns out dense
 where a caller asks for matrices.  derived's presentations check that a
-lattice's columns are independent, and read its torsion order, on one
-smith_diagonal_uncached pass, or, for the outer lattice of a nested
-presentation, on echelon_smith_diagonal of the echelon its solve left.
+lattice's columns are independent, and read its torsion order, on
+echelon_smith_diagonal: row passes on the lattice's cached Hermite basis.
 
 A lattice is reduced only as far as the caller reads.  The column
 Hermite form is unique for a lattice, so column_basis, span_contains
@@ -429,13 +428,15 @@ def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tup
     return diag + (0,) * (min(rows, len(columns)) - len(diag))
 
 
-def echelon_smith_diagonal(ech: ColumnEchelon) -> Tuple[int, ...]:
-    """smith_diagonal_uncached of the matrix that ech reduced, read off
-    its echelon columns, so no column pass runs again."""
-    h = ech.echelon
-    r, k = h.rows, ech.rank
-    block = [h.entries[j * r:(j + 1) * r] for j in range(k)]
-    return _echelon_diagonal(block, r) + (0,) * (min(r, h.cols) - k)
+def echelon_smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
+    """The nonzero Smith diagonal of m, one entry per column of its
+    Hermite basis (so its length is the rank of m), read by row passes
+    off that cached basis: no unit sweep and no second column pass run,
+    and a lattice already in Hermite form takes a column pass that
+    changes nothing."""
+    h = _hermite_basis(m)[0]
+    r = h.rows
+    return _echelon_diagonal([h.entries[j * r:(j + 1) * r] for j in range(h.cols)], r)
 
 
 def _echelon_diagonal(block: List[Sequence[int]], n: int) -> Tuple[int, ...]:
@@ -457,10 +458,8 @@ def _echelon_diagonal(block: List[Sequence[int]], n: int) -> Tuple[int, ...]:
 
 
 # The primes of n are those up to TRIAL_DIVISION_BOUND and a last cofactor
-# below its square; RANK_PRIME, a prime above that square, divides no
-# such n.
+# below its square.
 TRIAL_DIVISION_BOUND = 1 << 12
-RANK_PRIME = (1 << 31) - 1
 
 
 def _prime_factors(n: int) -> Optional[List[Tuple[int, int]]]:
@@ -484,18 +483,19 @@ def _prime_factors(n: int) -> Optional[List[Tuple[int, int]]]:
     return out
 
 
-def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int) -> Tuple[int, ...]:
+def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int, k: int) -> Tuple[int, ...]:
     """The invariant factors > 1 of the rows x len(columns) matrix with the
-    dict columns {row: entry}, as a divisibility chain, given n >= 1 such
-    that every prime of them divides n.
+    dict columns {row: entry}, as a divisibility chain, given n >= 1 and
+    k >= 0 such that n**k is a multiple of each of them.
 
     Nothing is reduced when n = 1.  Otherwise eliminate_units splits off
-    the +-1 pivots, units at every prime; on the remainder R, kept in
-    dict columns, the rank r is the pivot count of local_valuations mod
-    RANK_PRIME, which divides no invariant factor of R, and for each
-    p | n the valuations of the r invariant factors come from
-    local_valuations over Z/p^e, with e doubled from v_p(n) + 1 until
-    all r are found.  The i-th invariant
+    the +-1 pivots, units at every prime, and each p | n takes one
+    local_valuations sweep of the remainder R, kept in dict columns, over
+    Z/p^e with e = k v_p(n) + 1.  No invariant factor > 1 of R has a
+    valuation of e or more, so each sweep finds the valuations of all
+    r = rank(R) nonzero ones: r is the length of the first prime's list,
+    and a list of another length at a later prime means that n**k is no
+    multiple of them, which raises AssertionError.  The i-th invariant
     factor is the product over p of p to the i-th smallest valuation.
     No Hermite pass and no gcd/lcm sweep run, and entries stay below p^e.
     When n does not split by trial division (a cofactor of at least
@@ -510,12 +510,13 @@ def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int) -> Tuple
     _, rest, n_rows = _k.eliminate_units(columns, rows)
     if not rest:
         return ()
-    r = len(_k.local_valuations(rest, n_rows, RANK_PRIME, 1))
-    diag = [1] * r
+    diag = None
     for p, v in factors:
-        e = v + 1
-        while len(vals := _k.local_valuations(rest, n_rows, p, e)) < r:
-            e *= 2
+        vals = _k.local_valuations(rest, n_rows, p, k * v + 1)
+        if diag is None:
+            diag = [1] * len(vals)
+        elif len(vals) != len(diag):
+            raise AssertionError(f"{n}**{k} does not annihilate the torsion at {p}")
         for i, t in enumerate(vals):
             if t:
                 diag[i] *= p ** t
@@ -525,10 +526,9 @@ def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int) -> Tuple
 # Most hits are small relation matrices seen again within a few calls
 # (PresentedGroup.canonical).  The differentials of derived values are
 # large and rarely repeat; derived.homology_value reads them through
-# local_torsion, whose fallback, like the sublattice checks of
-# derived.Presentation and NestedPresentation, uses
-# smith_diagonal_uncached or echelon_smith_diagonal, so they stay out of
-# this cache.
+# local_torsion, whose fallback uses smith_diagonal_uncached, so they
+# stay out of this cache, as do the sublattices of derived's
+# presentations, read by echelon_smith_diagonal.
 @functools.lru_cache(maxsize=256)
 def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     """smith_diagonal_uncached of the columns of m, behind a 256-entry

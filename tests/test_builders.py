@@ -285,7 +285,7 @@ class TestSparseDodCheck:
         src = tor_complex(np.outer, np.inner)
         dst = koszul_sp(2, np.outer)
         f0, f1, f2 = _tor_koszul_chain_map(np)
-        induced_cokernel(src, dst, (f0, f1, f2), np.outer_torsion_order)
+        induced_cokernel(src, dst, (f0, f1, f2), np.outer_torsion_order, 2)
         d1, d2 = dst.differentials
         cycles = kernel_basis(src.differentials[0])
         # raise one entry (i, t) of f1 with column i of d1 and row t of
@@ -296,7 +296,7 @@ class TestSparseDodCheck:
         entries[t * f1.rows + i] += 1
         bad = IntMatrix(f1.rows, f1.cols, entries)
         with pytest.raises(AssertionError, match="degree-1 chain square"):
-            induced_cokernel(src, dst, (f0, bad, f2), np.outer_torsion_order)
+            induced_cokernel(src, dst, (f0, bad, f2), np.outer_torsion_order, 2)
         # the complex induced_cokernel reads, built from the bad f1
         d2_aug = hstack(d2, bad @ cycles)
         with pytest.raises(ValueError, match="d o d is nonzero"):
@@ -308,7 +308,7 @@ class TestSmithCache:
         p = Presentation.from_group(PresentedGroup.from_invariants(1, (2, 4)))
         clear_caches()
         values = [l1_sp(2, p), l1_sp(3, p), l2_superlie3(p), tor(p, p),
-                  homology_value(koszul_sp(4, p.sublattice), p.torsion_order)]
+                  homology_value(koszul_sp(4, p.sublattice), p.torsion_order, 4)]
         assert smith_diagonal.cache_info().currsize == 0
         assert [str(v.canonical) for v in values] == [
             "Z/2", "Z/2 + Z/2 + Z/2", "Z/2 + Z/2", "Z/2 + Z/2 + Z/2 + Z/4", " + ".join(["Z/2"] * 6)]

@@ -213,7 +213,8 @@ class TestReducedSuperLie3Cone:
         for p in scrambled_cyclic_sums(60):
             ranks.add(p.ambient_rank)
             value = l2_superlie3(p).canonical
-            assert value == homology_value(unreduced_superlie3_cone(p), p.torsion_order).canonical, p.to_dict()
+            unreduced = homology_value(unreduced_superlie3_cone(p), p.torsion_order, 3)
+            assert value == unreduced.canonical, p.to_dict()
             nontrivial += not value.is_trivial
         assert max(ranks) == 6
         assert nontrivial >= 30
@@ -234,7 +235,7 @@ class TestReducedSuperLie3Cone:
     def test_pinned_values(self, invariants, expected):
         p = Presentation.from_group(PresentedGroup.from_invariants(0, invariants))
         assert str(l2_superlie3(p).canonical) == expected
-        assert str(homology_value(unreduced_superlie3_cone(p), p.torsion_order).canonical) == expected
+        assert str(homology_value(unreduced_superlie3_cone(p), p.torsion_order, 3).canonical) == expected
 
 
 class TestTor:
@@ -340,13 +341,13 @@ class TestInducedMaps:
         outer = IntMatrix.from_cols([[2, 0, 0], [1, 3, 0]], rows=3)
         np = NestedPresentation.build(3, column_basis(outer @ IntMatrix.from_rows([[2, 0], [1, 2]])), outer)
         src, dst, maps = chain(np)
-        induced_cokernel(src, dst, maps, np.outer_torsion_order)  # the chain map itself passes
+        induced_cokernel(src, dst, maps, np.outer_torsion_order, 2)  # the chain map itself passes
         broken = list(maps)
         f = maps[degree]  # f0, f1 or f2, with one entry bumped
         broken[degree] = IntMatrix(f.rows, f.cols, (f.entries[0] + 1,) + f.entries[1:])
         # f0 and f1 meet in the degree-1 square
         with pytest.raises(AssertionError, match=f"degree-{max(degree, 1)} chain square"):
-            induced_cokernel(src, dst, tuple(broken), np.outer_torsion_order)
+            induced_cokernel(src, dst, tuple(broken), np.outer_torsion_order, 2)
 
     def test_chain_squares_random(self):
         # both cokernels verify their chain squares internally
@@ -408,8 +409,13 @@ class TestInducedMaps:
 
 class TestPresentationObjects:
     def test_dependent_columns_rejected(self):
-        with pytest.raises(ValueError):
-            Presentation(2, IntMatrix.from_cols([[1, 0], [2, 0]], rows=2))
+        # neither lattice is in Hermite form, so its independence is read
+        # off a column pass that changes it
+        for cols in ([[1, 0], [2, 0]], [[2, 3, 1], [4, 6, 2], [0, 1, 5]]):
+            m = IntMatrix.from_cols(cols, rows=len(cols[0]))
+            assert column_basis(m) != m
+            with pytest.raises(ValueError, match="^sublattice columns must be independent$"):
+                Presentation(m.rows, m)
 
     def test_nested_requires_containment(self):
         with pytest.raises(ValueError):
@@ -595,15 +601,6 @@ def every_value(p, q, np):
     return values
 
 
-def primes_divide(d, n):
-    """Whether every prime of d divides n."""
-    g = math.gcd(d, n)
-    while g > 1:
-        d //= g
-        g = math.gcd(d, n)
-    return d == 1
-
-
 def smith_torsion(cx):
     """The invariant factors > 1 of d2 by smith_diagonal_uncached."""
     return tuple(d for d in smith_diagonal_uncached(cx.terms[1], cx.columns[1]) if d > 1)
@@ -627,16 +624,16 @@ def sympy_torsion(cx):
 
 @pytest.fixture(scope="module")
 def received():
-    """Every (complex, torsion) that homology_value receives while
-    every_value runs on 120 scrambled presentations up to rank 6, each
-    with its value, and the instances with their counts of presentations
-    with a free quotient and of nontrivial values."""
+    """Every (complex, torsion, degree) that homology_value receives
+    while every_value runs on 120 scrambled presentations up to rank 6,
+    each with its value, and the instances with their counts of
+    presentations with a free quotient and of nontrivial values."""
     seen = []
     read = derived.homology_value
 
-    def recording(cx, torsion):
-        value = read(cx, torsion)
-        seen.append((cx, torsion, value))
+    def recording(cx, torsion, degree):
+        value = read(cx, torsion, degree)
+        seen.append((cx, torsion, degree, value))
         return value
 
     with pytest.MonkeyPatch.context() as mp:
@@ -654,13 +651,13 @@ def received():
 class TestTorsionPrecondition:
     """homology_value reads H1 as tors(coker d2), which needs every
     complex it is given to be exact at C1 after tensoring with the
-    rationals: rank(d1) + rank(d2) == c1.  It reads tors(coker d2) at the
-    primes of the torsion order N it is given, which needs every prime
-    of the invariant factors > 1 of d2 to divide N."""
+    rationals: rank(d1) + rank(d2) == c1.  It reads tors(coker d2) in one
+    sweep per prime of the torsion order N it is given, which needs every
+    invariant factor > 1 of d2 to divide N**degree."""
 
     def test_every_complex_is_rationally_exact(self, received):
         instances, seen, with_free, nontrivial = received
-        for cx, _, _ in seen:
+        for cx, _, _, _ in seen:
             d1, d2 = cx.differentials
             assert column_echelon(d1).rank + column_echelon(d2).rank == cx.terms[1], cx.terms
         assert max(p.ambient_rank for p in instances) == 6
@@ -669,21 +666,24 @@ class TestTorsionPrecondition:
 
     def test_primes_of_the_torsion_divide_n(self, received):
         _, seen, _, _ = received
-        for cx, n, value in seen:
+        for cx, n, degree, value in seen:
             factors = smith_torsion(cx)
-            assert all(primes_divide(d, n) for d in factors), (cx.terms, n, factors)
+            # so every prime of them divides n
+            assert all(n**degree % d == 0 for d in factors), (cx.terms, n, degree, factors)
             assert value.canonical.torsion == factors
-        assert sum(n == 1 for _, n, _ in seen) >= 300
-        assert sum(len(prime_factors(n)) >= 2 for _, n, _ in seen) >= 250
+        assert sum(n == 1 for _, n, _, _ in seen) >= 300
+        assert sum(len(prime_factors(n)) >= 2 for _, n, _, _ in seen) >= 250
+        assert {degree for _, _, degree, _ in seen} == {1, 2, 3, 4}
 
     def test_local_path_against_sympy(self, received):
         # sympy on every complex whose d2 has at most 3000 entries; the
         # larger ones are held against smith_diagonal_uncached above
         _, seen, _, _ = received
         checked = 0
-        for cx, n, _ in seen:
+        for cx, n, degree, _ in seen:
             if cx.terms[1] * cx.terms[2] <= 3000:
-                assert local_torsion(cx.terms[1], cx.columns[1], n) == sympy_torsion(cx), cx.terms
+                local = local_torsion(cx.terms[1], cx.columns[1], n, degree)
+                assert local == sympy_torsion(cx), cx.terms
                 checked += 1
         assert checked >= 700
 
@@ -691,16 +691,29 @@ class TestTorsionPrecondition:
         # the mutant passes N without its smallest prime
         _, seen, _, _ = received
         changed = 0
-        for cx, n, value in seen:
+        for cx, n, degree, value in seen:
             if n > 1:
                 p, v = prime_factors(n)[0]
-                changed += derived.homology_value(cx, n // p**v).canonical != value.canonical
+                changed += derived.homology_value(cx, n // p**v, degree).canonical != value.canonical
         assert changed >= 200
+
+    def test_sweeping_at_e_one_is_caught(self, received):
+        # the mutant passes degree 0, so each prime is swept over Z/p only:
+        # it changes the value, or the primes of N disagree on the rank
+        _, seen, _, _ = received
+        changed = raised = 0
+        for cx, n, degree, value in seen:
+            if n > 1:
+                try:
+                    changed += derived.homology_value(cx, n, 0).canonical != value.canonical
+                except AssertionError:
+                    raised += 1
+        assert changed >= 50 and raised >= 50 and changed + raised >= 200
 
     def test_values_never_read_a_rank(self, monkeypatch):
         # the constructors read N off the Smith diagonal of each sublattice;
         # computing a value then runs no Smith pass over the integers
-        def refuse(rows, columns):
+        def refuse(*args):
             raise AssertionError("Smith pass run while computing a value")
 
         # Z + Z/2 + Z/4, Z + Z/4 and Z^2 + Z/6, the groups the CI pins
@@ -711,7 +724,7 @@ class TestTorsionPrecondition:
         instances = scrambled_instances(13)
         for i, (x, y) in enumerate(zip(instances, instances[1:])):
             built.append((x, y, nested_over(x, random.Random(f"no-rank:{i}"))))
-        monkeypatch.setattr(derived, "smith_diagonal_uncached", refuse)
+        monkeypatch.setattr(derived, "echelon_smith_diagonal", refuse)
         monkeypatch.setattr(linalg, "smith_diagonal_uncached", refuse)
         values = [every_value(*args) for args in built]
         pinned = [str(l1_sp(3, p).canonical), str(l2_superlie3(p).canonical),
@@ -745,7 +758,7 @@ class TestStallRegressions:
         assert str(cycle_path_value("l1_sp4", p).canonical) == expected
         # sympy's Smith form does not finish on these d2s within minutes
         cx = koszul_sp(4, u)
-        assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order) == smith_torsion(cx)
+        assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order, 4) == smith_torsion(cx)
 
     def test_pinned_presindep_instance(self):
         # second presentation of presindep, seed 7, trial 5, --max-rank 6
@@ -795,7 +808,7 @@ class TestSmithBlockGuard:
         assert calls[1] == (k * rest_rows, k, rest_rows)
         assert all(call == (k * k, k, k) for call in calls[2:])
         n = math.prod(d for d in diag if d)
-        assert local_torsion(cx.terms[1], cx.columns[1], n) == smith_torsion(cx)
+        assert local_torsion(cx.terms[1], cx.columns[1], n, 1) == smith_torsion(cx)
         return units, k
 
     def test_rank4_scan_d2(self, monkeypatch):
@@ -814,7 +827,7 @@ class TestSmithBlockGuard:
         units, k = self.hermite_calls(monkeypatch, cx)
         # most of the rank is split off as unit pivots
         assert 2 * units > column_echelon(d2).rank
-        assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order) == sympy_torsion(cx)
+        assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order, 3) == sympy_torsion(cx)
 
 
 def closed_form_tor(a, b):
@@ -861,12 +874,21 @@ class TestLocalTorsion:
         assert all(v.canonical.is_trivial for v in values)
 
     def test_valuations_beyond_n(self):
-        # diag(8, 16) with N = 2: e is doubled from 2 to 8
+        # diag(8, 16) with N = 2 and k = 4: one sweep over Z/2^5 finds both
         columns = [{0: 8}, {1: 16}]
-        assert local_torsion(2, columns, 2) == (8, 16)
+        assert local_torsion(2, columns, 2, 4) == (8, 16)
         assert _kernels.local_valuations(columns, 2, 2, 2) == []
         assert _kernels.local_valuations(columns, 2, 2, 4) == [3]
+        assert _kernels.local_valuations(columns, 2, 2, 5) == [3, 4]
         assert columns == [{0: 8}, {1: 16}]
+
+    def test_bound_broken_at_one_prime_raises(self):
+        # diag(24, 48) with N = 6 and k = 1: Z/4 finds no valuation of 24 or
+        # 48, Z/9 finds both, and the two primes disagree on the rank
+        columns = [{0: 24}, {1: 48}]
+        with pytest.raises(AssertionError, match="6\\*\\*1 does not annihilate"):
+            local_torsion(2, columns, 6, 1)
+        assert local_torsion(2, columns, 6, 4) == (24, 48)
 
     def test_unfactored_n_falls_back(self, monkeypatch):
         # n = 4099 * 4111, both primes above TRIAL_DIVISION_BOUND = 4096

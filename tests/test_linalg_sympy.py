@@ -209,9 +209,9 @@ def test_local_valuations_match_sympy(m, p, e, rnd):
 @example(FILL_IN)
 @example(NO_UNIT)
 def test_local_torsion_matches_sympy(m):
-    # n is the product of the factors, so every prime of them divides it
+    # n is the product of the factors, so n**1 is a multiple of each
     factors = [d for d in _factors(m) if d > 1]
-    assert local_torsion(m.rows, dict_columns(m), prod(factors)) == tuple(factors)
+    assert local_torsion(m.rows, dict_columns(m), prod(factors), 1) == tuple(factors)
 
 
 def _lattice_index(m):
