@@ -16,7 +16,8 @@ returns its remainder in that form: linalg.local_torsion hands it as it
 is to the local_valuations sweeps, whose entries stay below p^e, and
 linalg.smith_diagonal_uncached lays it out dense for the Hermite
 passes.  Smith forms are built in dfw.linalg from alternating
-hermite_cols passes, so no kernel works on rows.
+hermite_cols passes, so no kernel works on rows, and none keeps a
+transform: dfw.linalg stacks an identity block under a matrix instead.
 Arbitrary precision is non-negotiable: intermediate reduction entries
 routinely outgrow 64 bits even for small inputs.
 
@@ -52,21 +53,19 @@ def mat_mul(a, b, n, m, k):
     return out
 
 
-def hermite_cols(a, rows, cols, transform=True):
-    """Column-style Hermite reduction, tracking the transform if asked.
+def hermite_cols(a, rows, cols):
+    """Column-style Hermite reduction.
 
     a is the flat column-major rows x cols input.  Returns
-    (h, v, pivot_rows) where h and v are lists of columns, a @ V == H, V
-    is unimodular, column j < len(pivot_rows) of H has its first nonzero
+    (h, None, pivot_rows) where h is a list of columns, a @ V == H for a
+    unimodular V, column j < len(pivot_rows) of H has its first nonzero
     entry (positive pivot) at row pivot_rows[j], entries to the left of a
     pivot in its row are reduced into [0, pivot), and all columns from
-    len(pivot_rows) on are zero.  Without transform, v is None.
+    len(pivot_rows) on are zero.  V is read off the bottom of a pass over
+    [a; I] (linalg.column_echelon).  The None slot stays only because the
+    trace hook of perfbench/spans.py unpacks three values.
     """
     h = [list(a[j * rows:(j + 1) * rows]) for j in range(cols)]
-    if transform:
-        v = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    else:
-        v = None
     pivot_rows = []
     piv = 0
     for row in range(rows):
@@ -91,21 +90,14 @@ def hermite_cols(a, rows, cols, transform=True):
                 break
             if j0 != piv:
                 h[piv], h[j0] = h[j0], h[piv]
-                if transform:
-                    v[piv], v[j0] = v[j0], v[piv]
             hp = h[piv]
-            vp = v[piv] if transform else None
             if hp[row] < 0:
                 for i in range(row, rows):
                     hp[i] = -hp[i]
-                if transform:
-                    for i in range(cols):
-                        vp[i] = -vp[i]
             p = hp[row]
             # Column operations touch only the nonzero entries of the pivot
             # column, which is sparse for the structured matrices of dfw.
             hnz = [(i, hp[i]) for i in compress(range(row, rows), hp[row:])]
-            vnz = [(i, vp[i]) for i in compress(range(cols), vp)] if transform else None
             clean = True
             for j in range(piv + 1, cols):
                 hj = h[j]
@@ -115,10 +107,6 @@ def hermite_cols(a, rows, cols, transform=True):
                     if q:
                         for i, x in hnz:
                             hj[i] -= q * x
-                        if transform:
-                            vj = v[j]
-                            for i, x in vnz:
-                                vj[i] -= q * x
                     if hj[row]:
                         clean = False
             if clean:
@@ -135,11 +123,7 @@ def hermite_cols(a, rows, cols, transform=True):
                     hj = h[j]
                     for i, x in hnz:
                         hj[i] -= q * x
-                    if transform:
-                        vj = v[j]
-                        for i, x in vnz:
-                            vj[i] -= q * x
-    return h, v, pivot_rows
+    return h, None, pivot_rows
 
 
 def _occupancy(col, rows):

@@ -203,7 +203,7 @@ def kernel(f: Hom) -> Tuple[PresentedGroup, Hom]:
     The generators are the Hermite basis of {x : f(x) = 0 in the target};
     the relations are the Hermite basis of {y : gens @ y is a source
     relation}, the source relations rewritten in those coordinates.
-    Each is one preimage_basis pass, without transform.
+    Each is one preimage_basis pass.
     """
     gens = preimage_basis(f.matrix, f.target.relations)
     rels = preimage_basis(gens, f.source.relations)

@@ -24,18 +24,19 @@ form of d2 alone: since ker d1 is saturated,
 H1 = Z^(c1 - rk d1 - rk d2) + tors(coker d2), and every complex built
 here is exact at C1 after tensoring with the rationals (derived functors
 commute with that flat base change and vanish on vector spaces), so the
-free part is 0 and H1 = tors(coker d2).  N^k kills H1 for a functor of
-degree k, with N = |tors(Q/U)| (Presentation.torsion_order, the product
-of the Smith diagonal that checks U's independence; homology_value
-gives the argument), so the invariant factors > 1 of d2 are read in one
-sweep over Z/p^(k v_p(N) + 1) for each prime p | N, with entries below
-that modulus, and N = 1 gives 0 without a reduction.  No rank, no kernel
+free part is 0 and H1 = tors(coker d2).  e^k kills H1 for a functor of
+degree k, with e the exponent of tors(Q/U) (Presentation.exponent, the
+last entry of the Smith diagonal that checks U's independence;
+homology_value gives the argument), so the invariant factors > 1 of d2
+are read in one sweep over Z/p^(k v_p(e) + 1) for each prime p | e,
+with entries below that modulus, and e = 1 gives 0 without a
+reduction.  No rank, no kernel
 basis, no solve and no Hermite pass, which is where exact entries used
 to swell.  It computes every value (l1_sp, tor, l2_superlie3) and the
 cokernels of induced maps that theorems 3.1 and 3.2 compare with:
 induced_cokernel reads coker H1(f) of a chain map f: C -> D as H1 of D
 with the columns of f1 of a kernel basis of C's d1 added to the
-boundaries, killed by the power of D's N that kills H1(D).  The
+boundaries, killed by the power of D's e that kills H1(D).  The
 tests hold homology_value against the cycle path (a kernel basis of d1
 with the boundaries solved against it), which only they keep.  No
 presentation is normalized first, so presentation-independence checks
@@ -55,7 +56,7 @@ functors.identity_koszul_sp2, built once per rank.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 from typing import Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
@@ -82,28 +83,29 @@ from .linalg import (
 )
 
 
-def _torsion_order(lattice: IntMatrix, name: str) -> int:
-    """|tors(Z^rows / span)|, the product of the lattice's nonzero Smith
-    diagonal (echelon_smith_diagonal, row passes on its cached Hermite
-    basis); ValueError unless that has one entry per column."""
+def _exponent(lattice: IntMatrix, name: str) -> int:
+    """The exponent of tors(Z^rows / span), the last entry of the
+    lattice's nonzero Smith diagonal (echelon_smith_diagonal, row passes
+    on its cached Hermite basis), or 1 if that is empty; ValueError
+    unless it has one entry per column."""
     diag = echelon_smith_diagonal(lattice)
     if len(diag) < lattice.cols:
         raise ValueError(f"{name} columns must be independent")
-    return prod(diag)
+    return diag[-1] if diag else 1
 
 
 class Presentation:
     """A quotient of a free lattice: Q = Z^ambient_rank modulo the span of
-    the independent columns of `sublattice`, with N = torsion_order
-    (see homology_value).  Two presentations are equal when their ranks
+    the independent columns of `sublattice`, with e = exponent, the
+    exponent of tors(Q) (see homology_value).  Two presentations are equal when their ranks
     and sublattice matrices are."""
 
-    __slots__ = ("ambient_rank", "sublattice", "torsion_order")
+    __slots__ = ("ambient_rank", "sublattice", "exponent")
 
     def __init__(self, ambient_rank: int, sublattice: IntMatrix):
         if sublattice.rows != ambient_rank:
             raise ValueError("sublattice must live in the ambient lattice")
-        self.torsion_order = _torsion_order(sublattice, "sublattice")
+        self.exponent = _exponent(sublattice, "sublattice")
         self.ambient_rank = ambient_rank
         self.sublattice = sublattice
 
@@ -139,15 +141,15 @@ class Presentation:
 class NestedPresentation:
     """Sublattices inner <= outer of a common ambient lattice, each given
     by independent columns, with the integer witness matrix:
-    outer @ witness == inner; outer_torsion_order is N of the outer one."""
+    outer @ witness == inner; outer_exponent is e of the outer one."""
 
-    __slots__ = ("ambient_rank", "inner", "outer", "witness", "outer_torsion_order")
+    __slots__ = ("ambient_rank", "inner", "outer", "witness", "outer_exponent")
 
     def __init__(self, ambient_rank: int, inner: IntMatrix, outer: IntMatrix, witness: IntMatrix):
         if inner.rows != ambient_rank or outer.rows != ambient_rank:
             raise ValueError("lattices must live in the ambient lattice")
-        _torsion_order(inner, "inner")
-        self.outer_torsion_order = _torsion_order(outer, "outer")
+        _exponent(inner, "inner")
+        self.outer_exponent = _exponent(outer, "outer")
         if outer @ witness != inner:
             raise ValueError("witness does not factor the inner lattice")
         self.ambient_rank = ambient_rank
@@ -201,21 +203,20 @@ def homology_value(cx: FreeComplex, torsion: int, degree: int) -> PresentedGroup
     𝓛³(U).  induced_cokernel passes a complex whose H1 is a quotient of
     the torsion H1 of its target.
 
-    The second holds with torsion = N = |tors(A)|, A = Q/U, and degree
-    the degree k of a homogeneous functor F.  Let e be the exponent of
-    tors(A).  Then e id_A factors through the free group A/tors(A), as
-    the projection times e followed by a splitting of it, and L_i F
-    (i >= 1) vanishes on free groups, so L_i F(e id_A) = 0.  But
-    F(e f) = e^k F(f) on each term of a simplicial resolution, so
-    L_i F(e id_A) is multiplication by e^k.  So e^k, and with it N^k,
-    kills L_i F(A).  The callers pass N (Presentation.torsion_order)
+    The second holds with torsion = e, the exponent of tors(A), A = Q/U,
+    and degree the degree k of a homogeneous functor F.  e id_A factors
+    through the free group A/tors(A), as the projection times e followed
+    by a splitting of it, and L_i F (i >= 1) vanishes on free groups, so
+    L_i F(e id_A) = 0.  But F(e f) = e^k F(f) on each term of a
+    simplicial resolution, so L_i F(e id_A) is multiplication by e^k.
+    So e^k kills L_i F(A).  The callers pass e (Presentation.exponent)
     with k = m for l1_sp(m, .) and k = 3 for l2_superlie3; for tor, the
-    gcd of the two orders with k = 1, since Tor is additive in each
+    gcd of the two exponents with k = 1, since Tor is additive in each
     argument, so either exponent kills it; for an induced cokernel, a
-    quotient of L1SP^2(Q/V), the order N_V of its target with k = 2.  linalg.local_torsion then
-    sweeps d2 once over Z/p^(k v_p(N) + 1) for each prime p | N, which
-    finds every invariant factor > 1 and so needs no rank;
-    torsion = 1 gives 0 at once.
+    quotient of L1SP^2(Q/V), the exponent e_V of its target with k = 2.
+    linalg.local_torsion then sweeps d2 once over Z/p^(k v_p(e) + 1) for
+    each prime p | e, which finds every invariant factor > 1 and so
+    needs no rank; torsion = 1 gives 0 at once.
     """
     return PresentedGroup.from_invariants(
         0, local_torsion(cx.terms[1], cx.columns[1], torsion, degree))
@@ -246,7 +247,7 @@ def induced_cokernel(src: FreeComplex, dst: FreeComplex,
 def l1_sp(m: int, p: Presentation) -> PresentedGroup:
     """First derived functor of the m-th symmetric power of the quotient,
     as the middle homology of the Koszul-type complex."""
-    return homology_value(koszul_sp(m, p.sublattice), p.torsion_order, m)
+    return homology_value(koszul_sp(m, p.sublattice), p.exponent, m)
 
 
 def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
@@ -320,7 +321,7 @@ def superlie3_cone(p: Presentation) -> FreeComplex:
 
 def l2_superlie3(p: Presentation) -> PresentedGroup:
     """Second derived functor of the super-Lie cube of the quotient."""
-    return homology_value(superlie3_cone(p), p.torsion_order, 3)
+    return homology_value(superlie3_cone(p), p.exponent, 3)
 
 
 def tor_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
@@ -349,7 +350,7 @@ def tor_complex(ua: IntMatrix, ub: IntMatrix) -> FreeComplex:
 
 def tor(pa: Presentation, pb: Presentation) -> PresentedGroup:
     """Classical torsion product of the two quotients."""
-    torsion = gcd(pa.torsion_order, pb.torsion_order)
+    torsion = gcd(pa.exponent, pb.exponent)
     return homology_value(tor_complex(pa.sublattice, pb.sublattice), torsion, 1)
 
 
@@ -360,7 +361,7 @@ def coker_induced_l1_sp2(np: NestedPresentation, dst: FreeComplex) -> PresentedG
     src, f = koszul_sp(2, np.inner), np.witness
     chain = (IntMatrix.identity(dst.terms[0]), kron(f, IntMatrix.identity(np.ambient_rank)),
              induced_map("ext", 2, f))
-    return induced_cokernel(src, dst, chain, np.outer_torsion_order, 2)
+    return induced_cokernel(src, dst, chain, np.outer_exponent, 2)
 
 
 def _tor_koszul_chain_map(np: NestedPresentation):
@@ -394,4 +395,4 @@ def coker_tor_to_l1_sp2(np: NestedPresentation) -> PresentedGroup:
     given by nested sublattices U <= V."""
     src = tor_complex(np.outer, np.inner)
     return induced_cokernel(src, koszul_sp(2, np.outer), _tor_koszul_chain_map(np),
-                            np.outer_torsion_order, 2)
+                            np.outer_exponent, 2)

@@ -19,15 +19,15 @@ _k.eliminate_units; only smith_diagonal_uncached lays that out dense,
 for its Hermite passes.  dict_columns lists the nonzero entries of a
 matrix in that form, and from_dict_columns lays such columns out dense
 where a caller asks for matrices.  derived's presentations check that a
-lattice's columns are independent, and read its torsion order, on
+lattice's columns are independent, and read its exponent, on
 echelon_smith_diagonal: row passes on the lattice's cached Hermite basis.
 
-A lattice is reduced only as far as the caller reads.  The column
-Hermite form is unique for a lattice, so column_basis, span_contains
-and preimage_basis read an echelon from a pass without transform.
-Only kernel_basis and solve_matrix keep the transform (column_echelon):
-it is what they return, a kernel basis and the coordinates of a
-solution.
+A lattice is reduced only as far as the caller reads, and
+_k.hermite_cols keeps no transform.  The column Hermite form is unique
+for a lattice, so column_basis and span_contains read it from a pass
+over the matrix alone.  Coordinates come from an identity block stacked
+under the matrix (_stacked_pass): preimage_basis reduces [m span; I 0],
+and column_echelon, for kernel_basis and solve_matrix, reduces [m; I].
 """
 
 from __future__ import annotations
@@ -258,8 +258,9 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 class ColumnEchelon:
     """a @ transform == echelon, transform unimodular, pivots positive;
-    rank is the number of pivot rows.  Results are cached and shared, so
-    callers only read the fields."""
+    rank is the number of pivot rows, and the columns of transform from
+    rank on are the Hermite basis of the kernel lattice.  Results are
+    cached and shared, so callers only read the fields."""
 
     __slots__ = ("echelon", "transform", "pivot_rows", "rank")
 
@@ -271,23 +272,45 @@ class ColumnEchelon:
         self.rank = len(pivot_rows)
 
 
+def _stacked_pass(m: IntMatrix, span: IntMatrix) -> Tuple[List[List[int]], List[int], int]:
+    """The Hermite pass over [m span; I 0] (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, 2.4), whose columns are
+    (m x + span y; x): the columns, their pivot rows and the number of
+    pivots in the rows of m."""
+    r, n = m.rows, m.cols
+    e, s = m.entries, span.entries
+    flat: List[int] = []
+    unit = [0] * n
+    for j in range(n):
+        flat.extend(e[j * r:(j + 1) * r])
+        unit[j] = 1
+        flat.extend(unit)
+        unit[j] = 0
+    for j in range(span.cols):
+        flat.extend(s[j * r:(j + 1) * r])
+        flat.extend(unit)
+    h, _, piv = _k.hermite_cols(flat, r + n, n + span.cols)
+    return h, piv, sum(p < r for p in piv)
+
+
 @functools.lru_cache(maxsize=512)
 def column_echelon(m: IntMatrix) -> ColumnEchelon:
-    """The Hermite pass of m with its transform, for the callers that read
-    the transform: kernel_basis and solve_matrix."""
-    h, v, piv = _k.hermite_cols(m.entries, m.rows, m.cols)
+    """The Hermite form of m (top block of the pass over [m; I]) with its
+    transform (bottom block), for kernel_basis and solve_matrix."""
+    r, n = m.rows, m.cols
+    h, piv, rank = _stacked_pass(m, _wrap(r, 0, ()))
     return ColumnEchelon(
-        _wrap(m.rows, m.cols, tuple(_flatten(h))),
-        _wrap(m.cols, m.cols, tuple(_flatten(v))),
-        tuple(piv),
+        _wrap(r, n, tuple(_flatten(c[:r] for c in h))),
+        _wrap(n, n, tuple(_flatten(c[r:] for c in h))),
+        tuple(piv[:rank]),
     )
 
 
 @functools.lru_cache(maxsize=256)
 def _hermite_basis(m: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
     """The rank nonzero columns of the Hermite form of m and their pivot
-    rows, from a pass without transform."""
-    h, _, piv = _k.hermite_cols(m.entries, m.rows, m.cols, False)
+    rows, from a pass over m alone."""
+    h, _, piv = _k.hermite_cols(m.entries, m.rows, m.cols)
     return _wrap(m.rows, len(piv), tuple(_flatten(h[:len(piv)]))), tuple(piv)
 
 
@@ -299,7 +322,8 @@ def column_basis(m: IntMatrix) -> IntMatrix:
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the full integer kernel lattice {x : m @ x = 0}.
+    """Basis of the full integer kernel lattice {x : m @ x = 0}, in
+    Hermite form: preimage_basis(m, IntMatrix.zeros(m.rows, 0)).
 
     The lattice is saturated: any integer vector killed by m is an integer
     combination of the returned columns.
@@ -379,29 +403,15 @@ def preimage_basis(m: IntMatrix, span: IntMatrix) -> IntMatrix:
     """Basis of the lattice {x : m @ x lies in the column span of `span`},
     in Hermite form.
 
-    One pass without transform over the stacked matrix [m span; I 0]
-    (Cohen, A Course in Computational Algebraic Number Theory, 1993,
-    2.4): its columns are (m x + span y; x), so the echelon columns whose
-    pivots lie in the identity rows are those with m x in the span, and
-    their bottom blocks are the Hermite form of the preimage.
+    One pass over the stacked matrix [m span; I 0] (_stacked_pass): the
+    echelon columns whose pivots lie in the identity rows are those with
+    m x in the span, and their bottom blocks are the Hermite form of the
+    preimage.
     """
     if span.rows != m.rows:
         raise ValueError("shape mismatch")
-    r, n = m.rows, m.cols
-    e, s = m.entries, span.entries
-    flat: List[int] = []
-    unit = [0] * n
-    for j in range(n):
-        flat.extend(e[j * r:(j + 1) * r])
-        unit[j] = 1
-        flat.extend(unit)
-        unit[j] = 0
-    for j in range(span.cols):
-        flat.extend(s[j * r:(j + 1) * r])
-        flat.extend(unit)
-    h, _, piv = _k.hermite_cols(flat, r + n, n + span.cols, False)
-    top = sum(p < r for p in piv)
-    return _wrap(n, len(piv) - top, tuple(_flatten(c[r:] for c in h[top:len(piv)])))
+    h, piv, top = _stacked_pass(m, span)
+    return _wrap(m.cols, len(piv) - top, tuple(_flatten(c[m.rows:] for c in h[top:len(piv)])))
 
 
 def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tuple[int, ...]:
@@ -423,7 +433,7 @@ def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tup
     """
     u, rest, n_rows = _k.eliminate_units(columns, rows)
     dense = from_dict_columns(n_rows, rest).entries
-    h, _, piv = _k.hermite_cols(dense, n_rows, len(rest), False)
+    h, _, piv = _k.hermite_cols(dense, n_rows, len(rest))
     diag = (1,) * u + _echelon_diagonal(h[:len(piv)], n_rows)
     return diag + (0,) * (min(rows, len(columns)) - len(diag))
 
@@ -446,7 +456,7 @@ def _echelon_diagonal(block: List[Sequence[int]], n: int) -> Tuple[int, ...]:
     while k:
         # the columns of the transpose are the rows of block; a full-rank
         # pass leaves k nonzero columns, each zero above its diagonal entry
-        block = _k.hermite_cols(tuple(_flatten(zip(*block))), k, n, False)[0][:k]
+        block = _k.hermite_cols(tuple(_flatten(zip(*block))), k, n)[0][:k]
         n = k
         if not any(any(c[j + 1:]) for j, c in enumerate(block)):
             break

@@ -185,6 +185,7 @@ GOLDEN_CHECK_ALL = {
 # sha256 of `dfw check SUITE --max-rank 5 --max-entry 2 --trials 100
 # --seed 0`, per suite and format
 GOLDEN_CHECK_RANK5 = {
+    ("thm31", "json"): "f4031af8f7c2efb48159265a0a799185f7099f443db6a8fed5ccf764590e7941",
     ("thm31", "text"): "acd45887eacaa070c1f50d3d6df3dc9e16719d876f176dd42df489052a9a777e",
     ("thm32", "json"): "e6b7f837171c620b5c2aaa95201aee78e25bef0e543d6230ceb3f55b1d29c4b1",
 }

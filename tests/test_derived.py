@@ -213,7 +213,7 @@ class TestReducedSuperLie3Cone:
         for p in scrambled_cyclic_sums(60):
             ranks.add(p.ambient_rank)
             value = l2_superlie3(p).canonical
-            unreduced = homology_value(unreduced_superlie3_cone(p), p.torsion_order, 3)
+            unreduced = homology_value(unreduced_superlie3_cone(p), p.exponent, 3)
             assert value == unreduced.canonical, p.to_dict()
             nontrivial += not value.is_trivial
         assert max(ranks) == 6
@@ -235,7 +235,7 @@ class TestReducedSuperLie3Cone:
     def test_pinned_values(self, invariants, expected):
         p = Presentation.from_group(PresentedGroup.from_invariants(0, invariants))
         assert str(l2_superlie3(p).canonical) == expected
-        assert str(homology_value(unreduced_superlie3_cone(p), p.torsion_order, 3).canonical) == expected
+        assert str(homology_value(unreduced_superlie3_cone(p), p.exponent, 3).canonical) == expected
 
 
 class TestTor:
@@ -341,13 +341,13 @@ class TestInducedMaps:
         outer = IntMatrix.from_cols([[2, 0, 0], [1, 3, 0]], rows=3)
         np = NestedPresentation.build(3, column_basis(outer @ IntMatrix.from_rows([[2, 0], [1, 2]])), outer)
         src, dst, maps = chain(np)
-        induced_cokernel(src, dst, maps, np.outer_torsion_order, 2)  # the chain map itself passes
+        induced_cokernel(src, dst, maps, np.outer_exponent, 2)  # the chain map itself passes
         broken = list(maps)
         f = maps[degree]  # f0, f1 or f2, with one entry bumped
         broken[degree] = IntMatrix(f.rows, f.cols, (f.entries[0] + 1,) + f.entries[1:])
         # f0 and f1 meet in the degree-1 square
         with pytest.raises(AssertionError, match=f"degree-{max(degree, 1)} chain square"):
-            induced_cokernel(src, dst, tuple(broken), np.outer_torsion_order, 2)
+            induced_cokernel(src, dst, tuple(broken), np.outer_exponent, 2)
 
     def test_chain_squares_random(self):
         # both cokernels verify their chain squares internally
@@ -436,8 +436,9 @@ class TestPresentationObjects:
             NestedPresentation.build(2, IntMatrix.from_cols([[1, 0], [2, 0]], rows=2), col)
 
     def test_independence_and_order_against_oracles(self):
-        # one Smith pass per lattice decides independence and gives N:
-        # held against the echelon rank and sympy's invariant factors on
+        # one Smith pass per lattice decides independence and gives the
+        # exponent e of the torsion, its largest invariant factor: held
+        # against the echelon rank and sympy's invariant factors on
         # dependent, zero-column, wide (more columns than rows) and random
         # lattices
         rng = random.Random("one-pass-check")
@@ -459,14 +460,14 @@ class TestPresentationObjects:
             else:
                 m = random_matrix(rng, r, rng.randint(0, r), 6)
             dependent = column_echelon(m).rank != m.cols
-            order = 0 if dependent else sympy_order(m)
+            exponent = 0 if dependent else sympy_exponent(m)
             slots = [
-                (lambda: Presentation(r, m).torsion_order, "sublattice", order),
-                (lambda: NestedPresentation(r, m, IntMatrix.identity(r), m).outer_torsion_order,
+                (lambda: Presentation(r, m).exponent, "sublattice", exponent),
+                (lambda: NestedPresentation(r, m, IntMatrix.identity(r), m).outer_exponent,
                  "inner", 1),
                 (lambda: NestedPresentation(r, IntMatrix.zeros(r, 0), m,
-                                            IntMatrix.zeros(m.cols, 0)).outer_torsion_order,
-                 "outer", order),
+                                            IntMatrix.zeros(m.cols, 0)).outer_exponent,
+                 "outer", exponent),
             ]
             for build, name, expected in slots:
                 if dependent:
@@ -476,7 +477,7 @@ class TestPresentationObjects:
                     assert build() == expected, (name, m)
             rejected += dependent
             accepted += not dependent
-            with_torsion += order > 1
+            with_torsion += exponent > 1
         assert rejected >= 150 and accepted >= 40 and with_torsion >= 15
 
     def test_round_trip_serialization(self):
@@ -606,13 +607,13 @@ def smith_torsion(cx):
     return tuple(d for d in smith_diagonal_uncached(cx.terms[1], cx.columns[1]) if d > 1)
 
 
-def sympy_order(m):
-    """|tors(Z^rows / span)| of a lattice of independent columns, by
-    sympy."""
+def sympy_exponent(m):
+    """The exponent of tors(Z^rows / span), the largest invariant factor
+    of a lattice of independent columns, by sympy (1 without columns)."""
     if not m.cols:
         return 1
     sm = Matrix(m.rows, m.cols, [e for row in m.to_rows() for e in row])
-    return math.prod(int(abs(d)) for d in invariant_factors(sm, domain=ZZ))
+    return max(int(abs(d)) for d in invariant_factors(sm, domain=ZZ))
 
 
 def sympy_torsion(cx):
@@ -652,8 +653,8 @@ class TestTorsionPrecondition:
     """homology_value reads H1 as tors(coker d2), which needs every
     complex it is given to be exact at C1 after tensoring with the
     rationals: rank(d1) + rank(d2) == c1.  It reads tors(coker d2) in one
-    sweep per prime of the torsion order N it is given, which needs every
-    invariant factor > 1 of d2 to divide N**degree."""
+    sweep per prime of the exponent e it is given, which needs every
+    invariant factor > 1 of d2 to divide e**degree."""
 
     def test_every_complex_is_rationally_exact(self, received):
         instances, seen, with_free, nontrivial = received
@@ -666,13 +667,14 @@ class TestTorsionPrecondition:
 
     def test_primes_of_the_torsion_divide_n(self, received):
         _, seen, _, _ = received
-        for cx, n, degree, value in seen:
+        for cx, e, degree, value in seen:
             factors = smith_torsion(cx)
-            # so every prime of them divides n
-            assert all(n**degree % d == 0 for d in factors), (cx.terms, n, degree, factors)
+            # e is the exponent of the torsion (for Tor the gcd of two), not
+            # its order; so every prime of the factors divides e
+            assert all(e**degree % d == 0 for d in factors), (cx.terms, e, degree, factors)
             assert value.canonical.torsion == factors
-        assert sum(n == 1 for _, n, _, _ in seen) >= 300
-        assert sum(len(prime_factors(n)) >= 2 for _, n, _, _ in seen) >= 250
+        assert sum(e == 1 for _, e, _, _ in seen) >= 300
+        assert sum(len(prime_factors(e)) >= 2 for _, e, _, _ in seen) >= 250
         assert {degree for _, _, degree, _ in seen} == {1, 2, 3, 4}
 
     def test_local_path_against_sympy(self, received):
@@ -688,7 +690,7 @@ class TestTorsionPrecondition:
         assert checked >= 700
 
     def test_dropping_a_prime_from_n_changes_values(self, received):
-        # the mutant passes N without its smallest prime
+        # the mutant passes the exponent without its smallest prime
         _, seen, _, _ = received
         changed = 0
         for cx, n, degree, value in seen:
@@ -699,7 +701,7 @@ class TestTorsionPrecondition:
 
     def test_sweeping_at_e_one_is_caught(self, received):
         # the mutant passes degree 0, so each prime is swept over Z/p only:
-        # it changes the value, or the primes of N disagree on the rank
+        # it changes the value, or the primes of the exponent disagree on the rank
         _, seen, _, _ = received
         changed = raised = 0
         for cx, n, degree, value in seen:
@@ -711,7 +713,7 @@ class TestTorsionPrecondition:
         assert changed >= 50 and raised >= 50 and changed + raised >= 200
 
     def test_values_never_read_a_rank(self, monkeypatch):
-        # the constructors read N off the Smith diagonal of each sublattice;
+        # the constructors read the exponent off the Smith diagonal of each sublattice;
         # computing a value then runs no Smith pass over the integers
         def refuse(*args):
             raise AssertionError("Smith pass run while computing a value")
@@ -758,7 +760,7 @@ class TestStallRegressions:
         assert str(cycle_path_value("l1_sp4", p).canonical) == expected
         # sympy's Smith form does not finish on these d2s within minutes
         cx = koszul_sp(4, u)
-        assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order, 4) == smith_torsion(cx)
+        assert local_torsion(cx.terms[1], cx.columns[1], p.exponent, 4) == smith_torsion(cx)
 
     def test_pinned_presindep_instance(self):
         # second presentation of presindep, seed 7, trial 5, --max-rank 6
@@ -827,7 +829,7 @@ class TestSmithBlockGuard:
         units, k = self.hermite_calls(monkeypatch, cx)
         # most of the rank is split off as unit pivots
         assert 2 * units > column_echelon(d2).rank
-        assert local_torsion(cx.terms[1], cx.columns[1], p.torsion_order, 3) == sympy_torsion(cx)
+        assert local_torsion(cx.terms[1], cx.columns[1], p.exponent, 3) == sympy_torsion(cx)
 
 
 def closed_form_tor(a, b):
@@ -849,7 +851,7 @@ class TestLocalTorsion:
                     pa = Presentation.from_group(PresentedGroup.from_invariants(free_a, (m,)))
                     pb = Presentation.from_group(PresentedGroup.from_invariants(free_b, (n,)))
                     cx = tor_complex(pa.sublattice, pb.sublattice)
-                    torsion = math.gcd(pa.torsion_order, pb.torsion_order)
+                    torsion = math.gcd(pa.exponent, pb.exponent)
                     assert torsion == math.gcd(m, n)
                     value = tor(pa, pb).canonical
                     assert value == CanonicalForm(0, (torsion,) if torsion > 1 else ())
@@ -866,8 +868,8 @@ class TestLocalTorsion:
         b = Presentation.from_group(PresentedGroup.from_invariants(0, (9,)))
         free = Presentation(3, IntMatrix.zeros(3, 0))
         np = NestedPresentation.build(2, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
-        assert (a.torsion_order, b.torsion_order, free.torsion_order) == (4, 9, 1)
-        assert np.outer_torsion_order == 1
+        assert (a.exponent, b.exponent, free.exponent) == (4, 9, 1)
+        assert np.outer_exponent == 1
         monkeypatch.setattr(_kernels, "eliminate_units", refuse)
         values = [tor(a, b), tor(free, a), l1_sp(2, free), l1_sp(4, free), l2_superlie3(free),
                   coker_thm31(np), coker_tor_to_l1_sp2(np)]
@@ -896,8 +898,8 @@ class TestLocalTorsion:
         assert TRIAL_DIVISION_BOUND == 4096 and isprime(4099) and isprime(4111)
         p = Presentation.from_group(PresentedGroup.from_invariants(0, (n, n)))
         small = Presentation.from_group(PresentedGroup.from_invariants(0, (2, 4099)))
-        assert prime_factors(p.torsion_order) is None
-        assert prime_factors(small.torsion_order) == [(2, 1), (4099, 1)]
+        assert prime_factors(p.exponent) is None
+        assert prime_factors(small.exponent) == [(2, 1), (4099, 1)]
         g, h = p.quotient(), small.quotient()
         closed = [closed_form_tor(g, g), closed_form_l1sp2(g), closed_form_tor(h, h)]
         assert closed == [CanonicalForm(0, (n,) * 4), CanonicalForm(0, (n,)),

@@ -1,8 +1,8 @@
 """The nonzero scans of the kernels (itertools.compress over an index
 range and a column slice) against the comprehension versions they
 replaced, which are copied below as the reference: mat_mul,
-hermite_cols (with and without transform) and
-eliminate_units must return exactly what the references return.
+hermite_cols and eliminate_units must return exactly what the
+references return.
 eliminate_units reads dict columns, with explicit zero entries among
 them, and must leave them as they were; its reference reads the same
 matrix in the dense flat form.  eliminate_units returns its remainder as
@@ -101,10 +101,9 @@ def time_limit(seconds):
 @example(EMPTY[1])
 @example(EMPTY[2])
 def test_hermite_cols_matches_reference(args):
-    for transform in (True, False):
-        with time_limit(10):
-            got = _k.hermite_cols(*args, transform)
-        assert got == ref_hermite_cols(*args, transform)
+    with time_limit(10):
+        got = _k.hermite_cols(*args)
+    assert got == ref_hermite_cols(*args)
 
 
 @st.composite
@@ -195,12 +194,8 @@ def ref_mat_mul(a, b, n, m, k):
     return out
 
 
-def ref_hermite_cols(a, rows, cols, transform=True):
+def ref_hermite_cols(a, rows, cols):
     h = [list(a[j * rows:(j + 1) * rows]) for j in range(cols)]
-    if transform:
-        v = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    else:
-        v = None
     pivot_rows = []
     piv = 0
     for row in range(rows):
@@ -225,21 +220,14 @@ def ref_hermite_cols(a, rows, cols, transform=True):
                 break
             if j0 != piv:
                 h[piv], h[j0] = h[j0], h[piv]
-                if transform:
-                    v[piv], v[j0] = v[j0], v[piv]
             hp = h[piv]
-            vp = v[piv] if transform else None
             if hp[row] < 0:
                 for i in range(row, rows):
                     hp[i] = -hp[i]
-                if transform:
-                    for i in range(cols):
-                        vp[i] = -vp[i]
             p = hp[row]
             # Column operations touch only the nonzero entries of the pivot
             # column, which is sparse for the structured matrices of dfw.
             hnz = [(i, hp[i]) for i in range(row, rows) if hp[i]]
-            vnz = [(i, x) for i, x in enumerate(vp) if x] if transform else None
             clean = True
             for j in range(piv + 1, cols):
                 hj = h[j]
@@ -249,10 +237,6 @@ def ref_hermite_cols(a, rows, cols, transform=True):
                     if q:
                         for i, x in hnz:
                             hj[i] -= q * x
-                        if transform:
-                            vj = v[j]
-                            for i, x in vnz:
-                                vj[i] -= q * x
                     if hj[row]:
                         clean = False
             if clean:
@@ -269,11 +253,7 @@ def ref_hermite_cols(a, rows, cols, transform=True):
                     hj = h[j]
                     for i, x in hnz:
                         hj[i] -= q * x
-                    if transform:
-                        vj = v[j]
-                        for i, x in vnz:
-                            vj[i] -= q * x
-    return h, v, pivot_rows
+    return h, None, pivot_rows
 
 
 def ref_eliminate_units(a, rows, cols):

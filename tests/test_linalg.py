@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dfw import _kernels, linalg
+from dfw import linalg
 from dfw.linalg import (
     IntMatrix,
     block_diag,
@@ -166,9 +166,25 @@ class TestSolve:
 
 class TestEchelonAndPreimage:
     def test_echelon_properties(self):
+        # random and rank-deficient matrices (through a thinner middle, so
+        # that pivot rows skip), some with a zero row and a zero column,
+        # and every small zero and empty shape
         rng = random.Random(7)
-        for _ in range(80):
-            m = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 5), 7)
+        inputs = [IntMatrix.zeros(r, c) for r in range(3) for c in range(3)]
+        for n in range(240):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            if n % 3 == 0:
+                k = rng.randint(0, 3)
+                m = random_matrix(rng, r, k, 4) @ random_matrix(rng, k, c, 4)
+            else:
+                m = random_matrix(rng, r, c, 7)
+                if n % 3 == 2 and r and c:
+                    i0, j0 = rng.randrange(r), rng.randrange(c)
+                    m = IntMatrix.from_rows([[0 if i == i0 or j == j0 else row[j]
+                                              for j in range(c)]
+                                             for i, row in enumerate(m.to_rows())], cols=c)
+            inputs.append(m)
+        for m in inputs:
             ech = column_echelon(m)
             n = m.cols
             assert abs(_laplace_det(ech.transform, tuple(range(n)), tuple(range(n)))) == 1
@@ -180,30 +196,14 @@ class TestEchelonAndPreimage:
                 assert not any(col[:prow])
             for j in range(ech.rank, m.cols):
                 assert not any(ech.echelon.col_list(j))
-
-    def test_hermite_without_transform_same_echelon(self):
-        rng = random.Random(17)
-        for _ in range(80):
-            m = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), 7)
-            h, v, piv = _kernels.hermite_cols(m.entries, m.rows, m.cols)
-            h2, v2, piv2 = _kernels.hermite_cols(m.entries, m.rows, m.cols, False)
-            assert (h2, piv2) == (h, piv)
-            assert v2 is None
-
-    def test_rank_is_pivot_count(self):
-        rng = random.Random(23)
-        for n in range(80):
-            r, c = rng.randint(0, 6), rng.randint(0, 6)
-            if n % 2:
-                m = random_matrix(rng, r, c, 7)
-            else:
-                # through a thinner middle, so that pivot rows skip
-                k = rng.randint(0, 3)
-                m = random_matrix(rng, r, k, 4) @ random_matrix(rng, k, c, 4)
-            _, _, piv = _kernels.hermite_cols(m.entries, m.rows, m.cols)
-            # the pass without transform, which the Smith diagonal runs
-            assert _kernels.hermite_cols(m.entries, m.rows, m.cols, False)[2] == piv
-            assert sum(1 for d in smith_diagonal(m) if d) == len(piv)
+            # the echelon is the Hermite basis of the pass over m alone, and
+            # the rank counts the nonzero Smith invariants
+            basis = (ech.echelon.select_columns(range(ech.rank)), ech.pivot_rows)
+            assert basis == linalg._hermite_basis(m), m
+            assert sum(1 for d in smith_diagonal(m) if d) == ech.rank
+            # the transform's columns from rank on are the kernel's Hermite form
+            k = kernel_basis(m)
+            assert k == preimage_basis(m, IntMatrix.zeros(m.rows, 0)) == column_basis(k), m
 
     def test_column_basis_spans(self):
         m = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]])
