@@ -61,9 +61,10 @@ def hermite_cols(a, rows, cols):
     unimodular V, column j < len(pivot_rows) of H has its first nonzero
     entry (positive pivot) at row pivot_rows[j], entries to the left of a
     pivot in its row are reduced into [0, pivot), and all columns from
-    len(pivot_rows) on are zero.  V is read off the bottom of a pass over
-    [a; I] (linalg.column_echelon).  The None slot stays only because the
-    trace hook of perfbench/spans.py unpacks three values.
+    len(pivot_rows) on are zero.  V is never built: dfw.linalg reads
+    coordinates off the bottom block of a pass over [a span; I 0]
+    (linalg.preimage_basis).  The None slot stays only because the trace
+    hook of perfbench/spans.py unpacks three values.
     """
     h = [list(a[j * rows:(j + 1) * rows]) for j in range(cols)]
     pivot_rows = []

@@ -8,10 +8,8 @@ preimages (linalg.preimage_basis), containments are span tests
 (linalg.span_contains), and only a subquotient solves for coordinates.
 """
 
-from __future__ import annotations
-
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Optional, Sequence, Tuple
 
 from .linalg import (
     IntMatrix,
@@ -46,13 +44,13 @@ class CanonicalForm(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, free_rank: int, torsion: Tuple[int, ...]) -> CanonicalForm:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...]) -> "CanonicalForm":
         return _tuple_new(cls, (free_rank, torsion))
 
     free_rank = property(itemgetter(0), doc="The rank of the free part.")
     torsion = property(itemgetter(1), doc="The invariant factors d1 | d2 | ...")
 
-    def __getnewargs__(self) -> Tuple[int, Tuple[int, ...]]:
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
         """copy and pickle rebuild a form from its two fields."""
         return tuple(self)
 
@@ -86,7 +84,7 @@ class PresentedGroup:
             )
         self.rank = rank
         self.relations = relations
-        self._canonical: Optional[CanonicalForm] = None
+        self._canonical: CanonicalForm | None = None
 
     @classmethod
     def free(cls, rank: int) -> "PresentedGroup":
@@ -197,7 +195,7 @@ class Hom:
         return f"Hom({self.source.canonical} -> {self.target.canonical})"
 
 
-def kernel(f: Hom) -> Tuple[PresentedGroup, Hom]:
+def kernel(f: Hom) -> tuple[PresentedGroup, Hom]:
     """Kernel subgroup with its injective inclusion into the source.
 
     The generators are the Hermite basis of {x : f(x) = 0 in the target};
@@ -211,13 +209,13 @@ def kernel(f: Hom) -> Tuple[PresentedGroup, Hom]:
     return k, Hom(k, f.source, gens, check=False)
 
 
-def cokernel(f: Hom) -> Tuple[PresentedGroup, Hom]:
+def cokernel(f: Hom) -> tuple[PresentedGroup, Hom]:
     """Target modulo the image, with the projection homomorphism."""
     c = PresentedGroup(f.target.rank, hstack(f.target.relations, f.matrix))
     return c, Hom(f.target, c, IntMatrix.identity(f.target.rank), check=False)
 
 
-def image(f: Hom) -> Tuple[PresentedGroup, Hom, Hom]:
+def image(f: Hom) -> tuple[PresentedGroup, Hom, Hom]:
     """Image subgroup with the factorization source ->> image >-> target."""
     rels = preimage_basis(f.matrix, f.target.relations)
     img = PresentedGroup(f.source.rank, rels)

@@ -30,12 +30,10 @@ The default seed comes from the DFW_SEED environment variable; reports
 are byte-identical for identical seeds and configs.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING
 
 from .abelian import PresentedGroup
 from .expr import TERM_BUDGET, ExprError, evaluate, parse, term_dimensions
@@ -57,7 +55,7 @@ class UsageError(ValueError):
 def load_relations(path: str) -> PresentedGroup:
     """Relation matrix file: one generator row per line of
     whitespace-separated integers; '#' starts a comment."""
-    rows: List[List[int]] = []
+    rows: list[list[int]] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -95,7 +93,7 @@ def _compact_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def render_text(results: List[Tuple[str, Verdict]]) -> str:
+def render_text(results: list[tuple[str, "Verdict"]]) -> str:
     lines = []
     total = failures = errors = 0
     for name, verdict in results:
@@ -117,7 +115,7 @@ def render_text(results: List[Tuple[str, Verdict]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_tsv(results: List[Tuple[str, Verdict]]) -> str:
+def render_tsv(results: list[tuple[str, "Verdict"]]) -> str:
     lines = []
     for _, verdict in results:
         for rec in verdict.records:
@@ -128,7 +126,7 @@ def render_tsv(results: List[Tuple[str, Verdict]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(results: List[Tuple[str, Verdict]]) -> str:
+def render_json(results: list[tuple[str, "Verdict"]]) -> str:
     rows = []
     for _, verdict in results:
         rows.extend(r._asdict() for r in verdict.records)
@@ -204,7 +202,7 @@ def _int(value: str) -> int:
 # each: command -> (positional field, positional required, {option:
 # (default, converter)}).  An option's field is its name without the
 # dashes, with "_" for "-".
-COMMANDS: Dict[str, Tuple[str, bool, dict]] = {
+COMMANDS: dict[str, tuple[str, bool, dict]] = {
     "eval": ("expression", True, {"--relations": (None, str)}),
     "check": ("suite", True, {
         "--seed": (None, _int),
@@ -231,7 +229,7 @@ class ArgvError(UsageError):
         self.usage = usage
 
 
-def _read_option(token: str, names, usage: str) -> Optional[Tuple[Optional[str], Optional[str]]]:
+def _read_option(token: str, names, usage: str) -> tuple[str | None, str | None] | None:
     """What a token is among the option names: None for a positional,
     else (the option it names, or None when it names none; its attached
     value, or None).  A unique prefix of a long option names it; "-5",
@@ -266,7 +264,7 @@ def _is_negative_number(token: str) -> bool:
             and (fraction.isdecimal() if dot else bool(whole)))
 
 
-def _check_help(usage_key: Optional[str], name: str, value: Optional[str]) -> None:
+def _check_help(usage_key: str | None, name: str, value: str | None) -> None:
     """Raise HelpRequested for -h/--help; "-hh" is -h twice, while any
     other attached value is an error."""
     if value is None or (name == "-h" and value and not value.strip("h")):
@@ -274,15 +272,15 @@ def _check_help(usage_key: Optional[str], name: str, value: Optional[str]) -> No
     raise ArgvError(_usage(usage_key), f"argument -h/--help: ignored explicit argument {value!r}")
 
 
-def _usage(key: Optional[str]) -> str:
+def _usage(key: str | None) -> str:
     return HELP[key].split("\n\n", 1)[0] + "\n"
 
 
-def parse_args(argv: List[str]) -> SimpleNamespace:
+def parse_args(argv: list[str]) -> SimpleNamespace:
     """The fields of an argv: `command`, the command's positional and one
     per option.  Raises HelpRequested for -h/--help and ArgvError for an
     argv that is rejected."""
-    extras: List[str] = []
+    extras: list[str] = []
     for i, token in enumerate(argv):
         kind = _read_option(token, _HELP_FLAGS, _usage(None))
         if kind is None:
@@ -304,7 +302,7 @@ def parse_args(argv: List[str]) -> SimpleNamespace:
     return args
 
 
-def _parse_command(command: str, tokens: List[str], extras: List[str]) -> SimpleNamespace:
+def _parse_command(command: str, tokens: list[str], extras: list[str]) -> SimpleNamespace:
     """Read the argv after the command, left to right; an unknown option or
     a surplus positional goes to extras."""
     positional, required, options = COMMANDS[command]
@@ -360,7 +358,7 @@ def _parse_command(command: str, tokens: List[str], extras: List[str]) -> Simple
 
 # ------------------------------------------------------------ subcommands
 
-def _group_from_args(expression: Optional[str], relations: Optional[str]) -> PresentedGroup:
+def _group_from_args(expression: str | None, relations: str | None) -> PresentedGroup:
     rel_group = load_relations(relations) if relations else None
     if expression is None:
         if rel_group is None:
@@ -430,7 +428,7 @@ def cmd_section4(args) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except HelpRequested as exc:

@@ -54,10 +54,7 @@ basis order; on the identity lattice they come from
 functors.identity_koszul_sp2, built once per rank.
 """
 
-from __future__ import annotations
-
 from math import gcd
-from typing import Tuple
 
 from .abelian import Hom, PresentedGroup, kernel, purified_relations
 from .functors import (
@@ -223,7 +220,7 @@ def homology_value(cx: FreeComplex, torsion: int, degree: int) -> PresentedGroup
 
 
 def induced_cokernel(src: FreeComplex, dst: FreeComplex,
-                     chain: Tuple[IntMatrix, IntMatrix, IntMatrix], torsion: int,
+                     chain: tuple[IntMatrix, IntMatrix, IntMatrix], torsion: int,
                      degree: int) -> PresentedGroup:
     """Cokernel of the map H1(src) -> H1(dst) induced by the chain map
     chain = (f0, f1, f2), in invariant-factor form; torsion**degree
@@ -250,7 +247,7 @@ def l1_sp(m: int, p: Presentation) -> PresentedGroup:
     return homology_value(koszul_sp(m, p.sublattice), p.exponent, m)
 
 
-def sp2_bottom_row(p: Presentation) -> Tuple[Hom, Hom, Hom]:
+def sp2_bottom_row(p: Presentation) -> tuple[Hom, Hom, Hom]:
     """The four-term sequence
     0 -> L1SP^2(Q/U) -> Λ²(Q)/Λ²(U) -> Q/U (x) Q -> SP^2(Q/U) -> 0
     as three Homs (inclusion, wedge-to-tensor, multiplication).  The last

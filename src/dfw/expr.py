@@ -26,10 +26,8 @@ dfw.functors and dfw.derived are imported where a functor call is
 evaluated, so a plain group expression loads neither.
 """
 
-from __future__ import annotations
-
+from collections.abc import Sequence
 from math import comb
-from typing import List, Optional, Sequence, Tuple
 
 from .abelian import PresentedGroup, direct_sum
 
@@ -57,7 +55,7 @@ class SemanticError(ExprError):
 
 class _Node:
     __slots__ = ("offset",)
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def __init__(self, offset: int = 0):
         self.offset = offset
@@ -105,20 +103,20 @@ class RelationsAtom(_Node):
 class SumExpr(_Node):
     __slots__ = _fields = ("parts",)
 
-    def __init__(self, parts: Tuple["GroupExpr", ...], offset: int = 0):
+    def __init__(self, parts: tuple["GroupExpr", ...], offset: int = 0):
         self.parts = parts
         self.offset = offset
 
 
 # A GroupExpr, as the annotations name it, is a FreeAtom, CyclicAtom,
-# TrivialAtom, RelationsAtom or SumExpr.  The annotations are never
-# evaluated, so no typing alias is built for it.
+# TrivialAtom, RelationsAtom or SumExpr.  The annotations quote it, so
+# no typing alias is built for it.
 
 
 class FunctorCall(_Node):
     __slots__ = _fields = ("name", "degree", "args")
 
-    def __init__(self, name: str, degree: Optional[int], args: Tuple[GroupExpr, ...],
+    def __init__(self, name: str, degree: int | None, args: tuple["GroupExpr", ...],
                  offset: int = 0):
         self.name = name
         self.degree = degree
@@ -156,12 +154,12 @@ def _word_end(text: str, pos: int) -> int:
     return pos
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     """Split text into tokens, skipping whitespace.  A token is a name
     (ASCII letters and digits that start with a letter, dash-joined words
     such as Lie3embed-rank), a run of decimal digits (str.isdecimal, so
     other scripts' digits too) or one of the characters ^/+(),."""
-    out: List[_Token] = []
+    out: list[_Token] = []
     pos = 0
     n = len(text)
     while pos < n:
@@ -217,7 +215,7 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {what!r}", tok.offset)
         return self.advance()
 
-    def parse(self) -> GroupExpr | FunctorCall:
+    def parse(self) -> "GroupExpr | FunctorCall":
         tok = self.peek()
         if tok.kind in _UNARY or tok.kind == "Tor":
             node = self.functor()
@@ -247,7 +245,7 @@ class _Parser:
         self.expect(")")
         return FunctorCall(name, degree, tuple(args), tok.offset)
 
-    def sum(self) -> GroupExpr:
+    def sum(self) -> "GroupExpr":
         parts = [self.term()]
         while self.peek().kind == "+":
             self.advance()
@@ -256,7 +254,7 @@ class _Parser:
             return parts[0]
         return SumExpr(tuple(parts), parts[0].offset)
 
-    def term(self) -> GroupExpr:
+    def term(self) -> "GroupExpr":
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
@@ -290,7 +288,7 @@ class _Parser:
         raise ParseError(f"expected a group atom, found {what!r}", tok.offset)
 
 
-def parse(text: str) -> GroupExpr | FunctorCall:
+def parse(text: str) -> "GroupExpr | FunctorCall":
     """Parse a group or functor expression; raises ParseError or
     SemanticError with the byte offset of the problem."""
     return _Parser(text).parse()
@@ -311,8 +309,8 @@ def _lie3(rank: int) -> int:
     return (rank**3 - rank) // 3
 
 
-def term_dimensions(name: str, degree: Optional[int],
-                    dims: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
+def term_dimensions(name: str, degree: int | None,
+                    dims: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """Ranks of the free lattices that the functor `name` builds on
     arguments with (generators, independent relations) = dims, in closed
     form: the terms of the complex its value is read from, or the
@@ -335,7 +333,7 @@ def term_dimensions(name: str, degree: Optional[int],
     raise TypeError(f"unknown functor {name!r}")
 
 
-def _dims(node: GroupExpr, relations_group: Optional[PresentedGroup]) -> Tuple[int, int]:
+def _dims(node: "GroupExpr", relations_group: PresentedGroup | None) -> tuple[int, int]:
     """(generators, bound on independent relations) of a group expression,
     read from the syntax tree without building the group."""
     if isinstance(node, FreeAtom):
@@ -356,7 +354,7 @@ def _dims(node: GroupExpr, relations_group: Optional[PresentedGroup]) -> Tuple[i
     raise TypeError(f"not a group expression: {node!r}")
 
 
-def _check_budget(node, relations_group: Optional[PresentedGroup]) -> None:
+def _check_budget(node, relations_group: PresentedGroup | None) -> None:
     """Raise SemanticError when evaluating node would build a free lattice
     of rank over TERM_BUDGET."""
     if isinstance(node, FunctorCall):
@@ -375,7 +373,7 @@ def _check_budget(node, relations_group: Optional[PresentedGroup]) -> None:
 
 # -------------------------------------------------------------- evaluator
 
-def _eval_group(node: GroupExpr, relations_group: Optional[PresentedGroup]) -> PresentedGroup:
+def _eval_group(node: "GroupExpr", relations_group: PresentedGroup | None) -> PresentedGroup:
     if isinstance(node, FreeAtom):
         return PresentedGroup.free(node.copies)
     if isinstance(node, CyclicAtom):
@@ -389,7 +387,7 @@ def _eval_group(node: GroupExpr, relations_group: Optional[PresentedGroup]) -> P
     raise TypeError(f"not a group expression: {node!r}")
 
 
-def evaluate(node, relations_group: Optional[PresentedGroup] = None) -> PresentedGroup:
+def evaluate(node, relations_group: PresentedGroup | None = None) -> PresentedGroup:
     """Evaluate a parsed expression to a presented group; raises
     SemanticError, before building anything, when the expression would
     build a free lattice of rank over TERM_BUDGET."""

@@ -27,12 +27,10 @@ standard-factorization bracketing for the Lie cube.  For product bases
 like U (x) SP^k(Q), the U index is the major coordinate.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 from bisect import insort
-from typing import Dict, List, Sequence, Tuple
+from collections.abc import Sequence
 
 from .abelian import PresentedGroup, purified_relations
 from .linalg import IntMatrix, dict_columns, from_dict_columns, hstack, kron
@@ -59,7 +57,7 @@ def _check_degree(kind: str, degree: int) -> None:
         raise ValueError(f"unknown functor kind {kind!r}")
 
 
-def is_lyndon(word: Tuple[int, ...]) -> bool:
+def is_lyndon(word: tuple[int, ...]) -> bool:
     """Strictly smaller than all of its proper rotations."""
     n = len(word)
     for s in range(1, n):
@@ -72,14 +70,14 @@ class FunctorBasis:
     """Indexed basis of a polynomial functor of a free lattice."""
 
     def __init__(self, kind: str, degree: int, source_rank: int,
-                 elements: Tuple[Tuple[int, ...], ...]):
+                 elements: tuple[tuple[int, ...], ...]):
         self.kind = kind
         self.degree = degree
         self.source_rank = source_rank
         self.elements = elements
 
     @functools.cached_property
-    def index(self) -> Dict[Tuple[int, ...], int]:
+    def index(self) -> dict[tuple[int, ...], int]:
         return {t: i for i, t in enumerate(self.elements)}
 
     @property
@@ -107,7 +105,7 @@ def basis(kind: str, degree: int, source_rank: int) -> FunctorBasis:
     return FunctorBasis(kind, degree, source_rank, elems)
 
 
-def _standard_bracketing(word: Tuple[int, ...]):
+def _standard_bracketing(word: tuple[int, ...]):
     """Nested-pair bracketing of a Lyndon word by standard factorization
     (the longest proper Lyndon suffix is the right factor)."""
     if len(word) == 1:
@@ -118,13 +116,13 @@ def _standard_bracketing(word: Tuple[int, ...]):
     raise AssertionError(f"{word} is not Lyndon")
 
 
-def _expand_bracket(tree) -> Dict[Tuple[int, ...], int]:
+def _expand_bracket(tree) -> dict[tuple[int, ...], int]:
     """Commutator expansion of a bracket tree in the tensor algebra."""
     if isinstance(tree, int):
         return {(tree,): 1}
     left = _expand_bracket(tree[0])
     right = _expand_bracket(tree[1])
-    out: Dict[Tuple[int, ...], int] = {}
+    out: dict[tuple[int, ...], int] = {}
     for wl, cl in left.items():
         for wr, cr in right.items():
             out[wl + wr] = out.get(wl + wr, 0) + cl * cr
@@ -133,7 +131,7 @@ def _expand_bracket(tree) -> Dict[Tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=None)
-def lie3_columns(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+def lie3_columns(source_rank: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The inclusion of the degree-3 free Lie lattice into the tensor cube,
     as the nonzero entries (word index, coefficient) of its columns: one
     Lyndon bracket each, expanded into the word basis; e.g. for rank 2 the
@@ -149,7 +147,7 @@ def lie3_columns(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def lie3_defect(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+def lie3_defect(source_rank: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The columns of K: Z^{r³} -> Z^{r³ - lie(r)}, as the nonzero entries
     (row, value) of each, one column per word of the tensor cube.
 
@@ -164,7 +162,7 @@ def lie3_defect(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     cube = basis("tensor", 3, source_rank)
     lyndon = {cube.rank_of(w): c for c, w in enumerate(basis("lie3", 3, source_rank).elements)}
     other = {t: k for k, t in enumerate(t for t in range(cube.size) if t not in lyndon)}
-    defect: List[Tuple[Tuple[int, int], ...]] = [
+    defect: list[tuple[tuple[int, int], ...]] = [
         ((other[t], 1),) if t in other else () for t in range(cube.size)
     ]
     for t, c in lyndon.items():
@@ -172,7 +170,7 @@ def lie3_defect(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         # Lie element with Lyndon coordinates e_c; column t of K is minus
         # its non-Lyndon part.  res holds the Lyndon coordinates of
         # e_c - emb @ y, cleared from the smallest index up.
-        minus_z: Dict[int, int] = {}
+        minus_z: dict[int, int] = {}
         res = {c: 1}
         while res:
             j = min(res)
@@ -190,13 +188,13 @@ def lie3_defect(source_rank: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(defect)
 
 
-def _sym_times_letter(mono: Tuple[int, ...], j: int) -> Tuple[int, ...]:
+def _sym_times_letter(mono: tuple[int, ...], j: int) -> tuple[int, ...]:
     out = list(mono)
     insort(out, j)
     return tuple(out)
 
 
-def _wedge_insert(combo: Tuple[int, ...], j: int):
+def _wedge_insert(combo: tuple[int, ...], j: int):
     """Insert a letter into a strictly increasing tuple; returns
     (tuple, sign) or None when the letter repeats."""
     if j in combo:
@@ -221,9 +219,9 @@ def induced_map(kind: str, degree: int, f: IntMatrix) -> IntMatrix:
     dst = basis(kind, degree, f.rows)
     cols = []
     for elem in src.elements:
-        acc: Dict[Tuple[int, ...], int] = {(): 1}
+        acc: dict[tuple[int, ...], int] = {(): 1}
         for letter in elem:
-            nxt: Dict[Tuple[int, ...], int] = {}
+            nxt: dict[tuple[int, ...], int] = {}
             for partial, coeff in acc.items():
                 for j in range(f.rows):
                     v = f.entry(j, letter)
@@ -263,7 +261,7 @@ class FreeComplex:
     The checks keep the method name __post_init__, under which the
     benchmark's span functors.complex_check.s times them."""
 
-    def __init__(self, terms: Tuple[int, ...], columns: Tuple[Sequence[Dict[int, int]], ...]):
+    def __init__(self, terms: tuple[int, ...], columns: tuple[Sequence[dict[int, int]], ...]):
         self.terms = terms
         self.columns = columns
         self.__post_init__()
@@ -286,14 +284,14 @@ class FreeComplex:
                     raise ValueError("d o d is nonzero")
 
     @functools.cached_property
-    def differentials(self) -> Tuple[IntMatrix, ...]:
+    def differentials(self) -> tuple[IntMatrix, ...]:
         """The differentials as dense matrices; differentials[k - 1] maps
         degree k to degree k - 1."""
         return tuple(from_dict_columns(self.terms[k], c) for k, c in enumerate(self.columns))
 
 
 @functools.lru_cache(maxsize=None)
-def _sym_letter_table(degree: int, source_rank: int) -> Tuple[Tuple[int, ...], ...]:
+def _sym_letter_table(degree: int, source_rank: int) -> tuple[tuple[int, ...], ...]:
     """Multiplication by a letter, SP^degree(Z^r) -> SP^{degree+1}(Z^r), as
     row indices: entry j of tuple i is the index of mono_i·x_j in
     basis("sym", degree + 1, r), one tuple per monomial in basis order."""
@@ -305,7 +303,7 @@ def _sym_letter_table(degree: int, source_rank: int) -> Tuple[Tuple[int, ...], .
     )
 
 
-def _sym_d1_columns(m: int, support: List[List[Tuple[int, int]]], r: int) -> List[Dict[int, int]]:
+def _sym_d1_columns(m: int, support: list[list[tuple[int, int]]], r: int) -> list[dict[int, int]]:
     """The columns of d1: U (x) SP^{m-1}(Q) -> SP^m(Q), u_i (x) mono to
     u_i·mono, from the nonzero entries (j, u_ji) of each u_i."""
     table = _sym_letter_table(m - 1, r)
@@ -392,7 +390,7 @@ def ext_relations(n: int, u: IntMatrix) -> IntMatrix:
     return IntMatrix.from_cols(cols, rows=top.size)
 
 
-def _superlie3_relation_columns(p: int) -> List[List[int]]:
+def _superlie3_relation_columns(p: int) -> list[list[int]]:
     """Columns imposing {a,b,c} = {b,a,c} and vanishing cyclic sums on the
     tensor-cube basis of a rank-p group."""
     cube = basis("tensor", 3, p)

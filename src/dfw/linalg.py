@@ -25,18 +25,18 @@ echelon_smith_diagonal: row passes on the lattice's cached Hermite basis.
 A lattice is reduced only as far as the caller reads, and
 _k.hermite_cols keeps no transform.  The column Hermite form is unique
 for a lattice, so column_basis and span_contains read it from a pass
-over the matrix alone.  Coordinates come from an identity block stacked
-under the matrix (_stacked_pass): preimage_basis reduces [m span; I 0],
-and column_echelon, for kernel_basis and solve_matrix, reduces [m; I].
+over the matrix alone.  Every coordinate is read off a kernel lattice:
+preimage_basis reduces [m span; I 0] (_stacked_pass), kernel_basis is
+the preimage of 0, and solve_matrix reads X off the kernel of [b | m].
+column_echelon, the transform of a pass over [m; I], is on no path of
+the package; the tests hold these paths to it.
 """
 
-from __future__ import annotations
-
 import functools
+from collections.abc import Iterable, Sequence
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _kernels as _k
 
@@ -71,7 +71,7 @@ class IntMatrix:
         self._hash = None
 
     @classmethod
-    def from_rows(cls, rows_data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+    def from_rows(cls, rows_data: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         rows = len(rows_data)
         if cols is None:
             cols = len(rows_data[0]) if rows else 0
@@ -80,7 +80,7 @@ class IntMatrix:
         return cls(rows, cols, _flatten(zip(*rows_data)))
 
     @classmethod
-    def from_cols(cls, cols_data: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
+    def from_cols(cls, cols_data: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         if rows is None:
             rows = len(cols_data[0]) if cols_data else 0
         if any(len(c) != rows for c in cols_data):
@@ -100,11 +100,11 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[j * self.rows + i]
 
-    def col_list(self, j: int) -> List[int]:
+    def col_list(self, j: int) -> list[int]:
         r = self.rows
         return list(self.entries[j * r:(j + 1) * r])
 
-    def to_rows(self) -> List[List[int]]:
+    def to_rows(self) -> list[list[int]]:
         r, e = self.rows, self.entries
         return [list(e[i::r]) for i in range(r)]
 
@@ -174,7 +174,7 @@ def _check_ints(entries: Sequence) -> None:
 _new = object.__new__
 
 
-def _wrap(rows: int, cols: int, entries: Tuple[int, ...]) -> IntMatrix:
+def _wrap(rows: int, cols: int, entries: tuple[int, ...]) -> IntMatrix:
     """IntMatrix around a column-major tuple of ints, without the checks
     of the constructor: for kernel results and matrix arithmetic only."""
     m = _new(IntMatrix)
@@ -185,7 +185,7 @@ def _wrap(rows: int, cols: int, entries: Tuple[int, ...]) -> IntMatrix:
     return m
 
 
-def dict_columns(m: IntMatrix) -> List[Dict[int, int]]:
+def dict_columns(m: IntMatrix) -> list[dict[int, int]]:
     """The columns of m as dicts {row: entry} of their nonzero entries."""
     r, e = m.rows, m.entries
     rows = range(r)
@@ -196,7 +196,7 @@ def dict_columns(m: IntMatrix) -> List[Dict[int, int]]:
     return out
 
 
-def from_dict_columns(rows: int, columns: Sequence[Dict[int, int]]) -> IntMatrix:
+def from_dict_columns(rows: int, columns: Sequence[dict[int, int]]) -> IntMatrix:
     """The rows x len(columns) matrix whose column j has the entries
     columns[j] {row: entry}, wrapped without the entry check of the
     constructor: for builders whose entries are sums of products of
@@ -221,7 +221,7 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
 
 def block_diag(*mats: IntMatrix) -> IntMatrix:
     rows = sum(m.rows for m in mats)
-    flat: List[int] = []
+    flat: list[int] = []
     above = 0
     for m in mats:
         r, e = m.rows, m.entries
@@ -242,7 +242,7 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     ar, br = a.rows, b.rows
     zero = (0,) * br
     b_cols = [b.entries[j * br:(j + 1) * br] for j in range(b.cols)]
-    flat: List[int] = []
+    flat: list[int] = []
     for ja in range(a.cols):
         a_col = a.entries[ja * ar:(ja + 1) * ar]
         for b_col in b_cols:
@@ -265,21 +265,21 @@ class ColumnEchelon:
     __slots__ = ("echelon", "transform", "pivot_rows", "rank")
 
     def __init__(self, echelon: IntMatrix, transform: IntMatrix,
-                 pivot_rows: Tuple[int, ...]):
+                 pivot_rows: tuple[int, ...]):
         self.echelon = echelon
         self.transform = transform
         self.pivot_rows = pivot_rows
         self.rank = len(pivot_rows)
 
 
-def _stacked_pass(m: IntMatrix, span: IntMatrix) -> Tuple[List[List[int]], List[int], int]:
+def _stacked_pass(m: IntMatrix, span: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     """The Hermite pass over [m span; I 0] (Cohen, A Course in
     Computational Algebraic Number Theory, 1993, 2.4), whose columns are
     (m x + span y; x): the columns, their pivot rows and the number of
     pivots in the rows of m."""
     r, n = m.rows, m.cols
     e, s = m.entries, span.entries
-    flat: List[int] = []
+    flat: list[int] = []
     unit = [0] * n
     for j in range(n):
         flat.extend(e[j * r:(j + 1) * r])
@@ -296,7 +296,8 @@ def _stacked_pass(m: IntMatrix, span: IntMatrix) -> Tuple[List[List[int]], List[
 @functools.lru_cache(maxsize=512)
 def column_echelon(m: IntMatrix) -> ColumnEchelon:
     """The Hermite form of m (top block of the pass over [m; I]) with its
-    transform (bottom block), for kernel_basis and solve_matrix."""
+    transform (bottom block).  No path of the package reads it: it is
+    the reference that the tests hold kernel_basis and solve_matrix to."""
     r, n = m.rows, m.cols
     h, piv, rank = _stacked_pass(m, _wrap(r, 0, ()))
     return ColumnEchelon(
@@ -307,7 +308,7 @@ def column_echelon(m: IntMatrix) -> ColumnEchelon:
 
 
 @functools.lru_cache(maxsize=256)
-def _hermite_basis(m: IntMatrix) -> Tuple[IntMatrix, Tuple[int, ...]]:
+def _hermite_basis(m: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
     """The rank nonzero columns of the Hermite form of m and their pivot
     rows, from a pass over m alone."""
     h, _, piv = _k.hermite_cols(m.entries, m.rows, m.cols)
@@ -323,17 +324,16 @@ def column_basis(m: IntMatrix) -> IntMatrix:
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the full integer kernel lattice {x : m @ x = 0}, in
-    Hermite form: preimage_basis(m, IntMatrix.zeros(m.rows, 0)).
+    Hermite form: the preimage of 0.
 
     The lattice is saturated: any integer vector killed by m is an integer
     combination of the returned columns.
     """
-    ech = column_echelon(m)
-    return ech.transform.select_columns(range(ech.rank, m.cols))
+    return preimage_basis(m, _wrap(m.rows, 0, ()))
 
 
 def _echelon_coords(h: Sequence[int], pivot_rows: Sequence[int],
-                    b: Sequence[int]) -> Optional[List[int]]:
+                    b: Sequence[int]) -> list[int] | None:
     """y with H @ y == b for the echelon columns H, flat column-major
     with len(b) rows and pivots at pivot_rows, or None if b is not in
     their span."""
@@ -375,28 +375,25 @@ def span_contains(m: IntMatrix, b: IntMatrix) -> bool:
                for j in range(b.cols))
 
 
-def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Integer X with m @ X = b, or None if any column is unsolvable."""
+def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """Integer X with m @ X = b, or None if any column is unsolvable.
+
+    With k = b.cols, the Hermite basis K of the kernel of [b | m] (the
+    preimage of 0) projects onto {t : b t in span m} in its first k
+    coordinates.  That is all of
+    Z^k exactly when the top k x k block of K's first k columns is the
+    identity (pivots 1, and everything left of a pivot 1 reduced to 0);
+    then each of those columns is (e_j; -x_j) with m x_j = b e_j.
+    """
     if b.rows != m.rows:
         raise ValueError("shape mismatch")
-    ech = column_echelon(m)
-    h, piv, cols = ech.echelon.entries, ech.pivot_rows, m.cols
-    t = ech.transform.entries
-    r, e = b.rows, b.entries
-    flat: List[int] = []
-    for j in range(b.cols):
-        y = _echelon_coords(h, piv, e[j * r:(j + 1) * r])
-        if y is None:
-            return None
-        # x = transform @ y; y has a coordinate for each pivot column only
-        x = [0] * cols
-        for k, q in enumerate(y):
-            if q:
-                tc = t[k * cols:(k + 1) * cols]
-                for i in range(cols):
-                    x[i] += q * tc[i]
-        flat.extend(x)
-    return _wrap(cols, b.cols, tuple(flat))
+    k = b.cols
+    ker = preimage_basis(hstack(b, m), _wrap(m.rows, 0, ()))
+    head = ker.select_columns(range(min(k, ker.cols)))
+    if head.top_rows(k) != IntMatrix.identity(k):
+        return None
+    r, e = head.rows, head.entries
+    return _wrap(m.cols, k, tuple(-e[i] for j in range(k) for i in range(j * r + k, (j + 1) * r)))
 
 
 def preimage_basis(m: IntMatrix, span: IntMatrix) -> IntMatrix:
@@ -414,7 +411,7 @@ def preimage_basis(m: IntMatrix, span: IntMatrix) -> IntMatrix:
     return _wrap(m.cols, len(piv) - top, tuple(_flatten(c[m.rows:] for c in h[top:len(piv)])))
 
 
-def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tuple[int, ...]:
+def smith_diagonal_uncached(rows: int, columns: Sequence[dict[int, int]]) -> tuple[int, ...]:
     """Diagonal of the Smith form of the rows x len(columns) matrix with
     the dict columns {row: entry}, without transforms.
 
@@ -438,7 +435,7 @@ def smith_diagonal_uncached(rows: int, columns: Sequence[Dict[int, int]]) -> Tup
     return diag + (0,) * (min(rows, len(columns)) - len(diag))
 
 
-def echelon_smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
+def echelon_smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """The nonzero Smith diagonal of m, one entry per column of its
     Hermite basis (so its length is the rank of m), read by row passes
     off that cached basis: no unit sweep and no second column pass run,
@@ -449,7 +446,7 @@ def echelon_smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
     return _echelon_diagonal([h.entries[j * r:(j + 1) * r] for j in range(h.cols)], r)
 
 
-def _echelon_diagonal(block: List[Sequence[int]], n: int) -> Tuple[int, ...]:
+def _echelon_diagonal(block: list[Sequence[int]], n: int) -> tuple[int, ...]:
     """The nonzero Smith diagonal of the k = len(block) independent
     echelon columns block, each of length n, as a divisibility chain."""
     k = len(block)
@@ -472,7 +469,7 @@ def _echelon_diagonal(block: List[Sequence[int]], n: int) -> Tuple[int, ...]:
 TRIAL_DIVISION_BOUND = 1 << 12
 
 
-def _prime_factors(n: int) -> Optional[List[Tuple[int, int]]]:
+def _prime_factors(n: int) -> list[tuple[int, int]] | None:
     """The pairs (p, v_p(n)) of n >= 1 by trial division up to
     TRIAL_DIVISION_BOUND, or None if a cofactor of at least its square
     is left unsplit."""
@@ -493,7 +490,7 @@ def _prime_factors(n: int) -> Optional[List[Tuple[int, int]]]:
     return out
 
 
-def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int, k: int) -> Tuple[int, ...]:
+def local_torsion(rows: int, columns: Sequence[dict[int, int]], n: int, k: int) -> tuple[int, ...]:
     """The invariant factors > 1 of the rows x len(columns) matrix with the
     dict columns {row: entry}, as a divisibility chain, given n >= 1 and
     k >= 0 such that n**k is a multiple of each of them.
@@ -540,7 +537,7 @@ def local_torsion(rows: int, columns: Sequence[Dict[int, int]], n: int, k: int) 
 # stay out of this cache, as do the sublattices of derived's
 # presentations, read by echelon_smith_diagonal.
 @functools.lru_cache(maxsize=256)
-def smith_diagonal(m: IntMatrix) -> Tuple[int, ...]:
+def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """smith_diagonal_uncached of the columns of m, behind a 256-entry
     LRU cache."""
     return smith_diagonal_uncached(m.rows, dict_columns(m))

@@ -18,10 +18,9 @@ check_* function by name) and SUITE_NAMES (the `dfw check` choices) are
 read off it.
 """
 
-from __future__ import annotations
-
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .abelian import (
     Hom,
@@ -76,14 +75,14 @@ class TrialRecord(NamedTuple):
     status: str  # "ok" | "fail" | "error"
     lhs: str
     rhs: str
-    counterexample: Optional[dict] = None
+    counterexample: dict | None = None
 
 
 class Verdict(NamedTuple):
     passed: int
     failed: int
-    first_counterexample: Optional[dict]
-    records: Tuple[TrialRecord, ...]
+    first_counterexample: dict | None
+    records: tuple[TrialRecord, ...]
     errored: int = 0
 
 
@@ -100,7 +99,7 @@ def random_matrix(rng, rows, cols, bound) -> IntMatrix:
     )
 
 
-def _columns(m: IntMatrix) -> List[List[int]]:
+def _columns(m: IntMatrix) -> list[list[int]]:
     return [m.col_list(j) for j in range(m.cols)]
 
 
@@ -117,7 +116,7 @@ def _random_sublattice(rng, cfg: TrialConfig) -> IntMatrix:
     return column_basis(random_matrix(rng, r, k, cfg.max_entry))
 
 
-def random_group(rng, cfg: TrialConfig, max_rank: Optional[int] = None) -> PresentedGroup:
+def random_group(rng, cfg: TrialConfig, max_rank: int | None = None) -> PresentedGroup:
     r = rng.randint(1, max_rank or cfg.max_rank)
     k = rng.randint(0, r + 1)
     return PresentedGroup(r, random_matrix(rng, r, k, cfg.max_entry))
@@ -151,7 +150,7 @@ def _scrambled_sublattice(rng, g: PresentedGroup, extra_gens: int) -> IntMatrix:
 
 # ---------------------------------------------------- instance evaluators
 
-def thm_3_1_instance(np: NestedPresentation) -> Tuple[str, str]:
+def thm_3_1_instance(np: NestedPresentation) -> tuple[str, str]:
     """Middle homology of Λ²(I) -> I (x) E -> SP²(E) versus the cokernel of
     the induced map on the derived symmetric squares."""
     e_group = PresentedGroup(np.ambient_rank, np.inner)
@@ -176,7 +175,7 @@ def thm_3_1_instance(np: NestedPresentation) -> Tuple[str, str]:
     return lhs, rhs
 
 
-def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
+def thm_3_2_instance(np: NestedPresentation) -> tuple[str, str]:
     """Coker{Tor(E/I, E) -> L1SP^2(E/I)} versus
     Ker{Λ²(E)/Λ²(I)-image -> E/I (x) E}."""
     r = np.ambient_rank
@@ -194,7 +193,7 @@ def thm_3_2_instance(np: NestedPresentation) -> Tuple[str, str]:
     return lhs, rhs
 
 
-def exact4_instance(p: Presentation) -> Tuple[str, str]:
+def exact4_instance(p: Presentation) -> tuple[str, str]:
     """Exactness of 0 -> L1SP² -> Λ²Q/Λ²U -> Q/U (x) Q -> SP²(Q/U) -> 0.
     The left map is the inclusion of the kernel at spot 1, so the check
     there is that this kernel is L1SP², computed independently from the
@@ -214,7 +213,7 @@ def exact4_instance(p: Presentation) -> Tuple[str, str]:
     return ("exact" if not failures else "; ".join(failures)), "exact"
 
 
-def cross_effect_instance(pa: Presentation, pb: Presentation) -> Tuple[str, str]:
+def cross_effect_instance(pa: Presentation, pb: Presentation) -> tuple[str, str]:
     """L1SP^2(A + B) versus L1SP^2(A) + L1SP^2(B) + Tor(A, B), all three
     summands computed independently."""
     ga, gb = pa.quotient(), pb.quotient()
@@ -224,7 +223,7 @@ def cross_effect_instance(pa: Presentation, pb: Presentation) -> Tuple[str, str]
     return lhs, str(rhs_group.canonical)
 
 
-_DERIVED_OPS: Tuple[Tuple[str, Callable[[Presentation], PresentedGroup]], ...] = (
+_DERIVED_OPS: tuple[tuple[str, Callable[[Presentation], PresentedGroup]], ...] = (
     ("l1_sp2", lambda p: l1_sp(2, p)),
     ("l1_sp3", lambda p: l1_sp(3, p)),
     ("l1_sp4", lambda p: l1_sp(4, p)),
@@ -233,7 +232,7 @@ _DERIVED_OPS: Tuple[Tuple[str, Callable[[Presentation], PresentedGroup]], ...] =
 )
 
 
-def presentation_independence_instance(p1: Presentation, p2: Presentation) -> Tuple[str, str]:
+def presentation_independence_instance(p1: Presentation, p2: Presentation) -> tuple[str, str]:
     """All derived operations evaluated on two presentations of one group."""
     lhs = ";".join(f"{name}={op(p1).canonical}" for name, op in _DERIVED_OPS)
     rhs = ";".join(f"{name}={op(p2).canonical}" for name, op in _DERIVED_OPS)
@@ -253,14 +252,14 @@ class Suite(NamedTuple):
     check: Callable[[TrialConfig], Verdict]
     sample: Callable[[random.Random, TrialConfig], dict]
     evaluate: Callable[[dict], tuple]
-    terms: Callable[[int], Tuple[int, ...]]
+    terms: Callable[[int], tuple[int, ...]]
 
 
 def run_suite(suite: Suite, cfg: TrialConfig) -> Verdict:
     """Evaluate cfg.trials sampled instances.  A trial whose evaluation
     raises gets status "error" instead of "fail"; both keep the instance,
     and replay_counterexample on it raises again with the traceback."""
-    records: List[TrialRecord] = []
+    records: list[TrialRecord] = []
     counts = {"ok": 0, "fail": 0, "error": 0}
     for i in range(cfg.trials):
         instance = suite.sample(_trial_rng(cfg, suite.name, i), cfg)
@@ -306,14 +305,14 @@ def _sample_two_presentations(rng, cfg: TrialConfig) -> dict:
     return {"first": p1, "second": _presentation_dict(_scrambled_sublattice(rng, g, extra))}
 
 
-def _terms(*calls) -> Callable[[int], Tuple[int, ...]]:
+def _terms(*calls) -> Callable[[int], tuple[int, ...]]:
     """Suite.terms for trials that evaluate the functors (name, degree, k)
     on groups of at most k * max_rank generators and as many relations."""
     return lambda r: tuple(t for name, degree, k in calls
                            for t in term_dimensions(name, degree, [(k * r, k * r)] * 2))
 
 
-def _agree(sides: Tuple[str, str]) -> Tuple[bool, str, str]:
+def _agree(sides: tuple[str, str]) -> tuple[bool, str, str]:
     lhs, rhs = sides
     return lhs == rhs, lhs, rhs
 
@@ -341,7 +340,7 @@ def check_presentation_independence(cfg: TrialConfig) -> Verdict:
 # Tor's terms bound the tensor products the nested and exact4 suites build.
 _NESTED_TERMS = _terms(("L1SP", 2, 1), ("Lambda", 2, 1), ("Tor", None, 1))
 
-SUITES: Dict[str, Suite] = {s.name: s for s in (
+SUITES: dict[str, Suite] = {s.name: s for s in (
     Suite("thm31", check_thm_3_1, _sample_nested,
           lambda x: _agree(thm_3_1_instance(NestedPresentation.from_dict(x["nested"]))),
           _NESTED_TERMS),
@@ -361,11 +360,11 @@ SUITES: Dict[str, Suite] = {s.name: s for s in (
           _terms(*(("L1SP", m, 1) for m in (2, 3, 4)), ("L2Ls3", None, 1), ("Tor", None, 1))),
 )}
 
-CHECKS: Dict[str, Callable[[TrialConfig], Verdict]] = {n: s.check for n, s in SUITES.items()}
+CHECKS: dict[str, Callable[[TrialConfig], Verdict]] = {n: s.check for n, s in SUITES.items()}
 SUITE_NAMES = tuple(SUITES)
 
 
-def replay_counterexample(suite: str, counterexample: dict) -> Tuple[str, str]:
+def replay_counterexample(suite: str, counterexample: dict) -> tuple[str, str]:
     """Recompute both sides of a serialized trial in isolation, through the
     same evaluate as the run that recorded it."""
     if suite not in SUITES:
@@ -374,7 +373,7 @@ def replay_counterexample(suite: str, counterexample: dict) -> Tuple[str, str]:
     return lhs, rhs
 
 
-def evaluate_section4(g: PresentedGroup) -> Dict[str, str]:
+def evaluate_section4(g: PresentedGroup) -> dict[str, str]:
     """Derived-functor report for an abelian group: the second integral
     homology (the exterior square, classically, for abelian groups) and
     the derived values evaluated on it and on the group itself."""

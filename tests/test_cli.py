@@ -530,13 +530,13 @@ print(calls)
 def test_import_leaves_out_dataclasses_and_inspect():
     """The cold path of every command: importing dfw.cli, in a fresh
     interpreter, loads neither dataclasses nor inspect, and adds none of
-    argparse, gettext, json or dfw.theorems to the modules the bare
-    interpreter had loaded (`eval` uses none of them)."""
+    __future__, argparse, gettext, json or dfw.theorems to the modules
+    the bare interpreter had loaded (`eval` uses none of them)."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys; bare = set(sys.modules); import dfw.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
-            "print(sorted({'argparse', 'gettext', 'json', 'dfw.theorems'} "
+            "print(sorted({'__future__', 'argparse', 'gettext', 'json', 'dfw.theorems'} "
             "& (set(sys.modules) - bare)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

@@ -133,7 +133,13 @@ class TestSolve:
         assert solve_matrix(m, IntMatrix.from_cols([[4, 9]], rows=m.rows)) == IntMatrix.from_cols([[2, 3]])
 
     def test_parity_obstruction(self):
-        assert solve_matrix(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])) is None
+        two, three = IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])
+        assert solve_matrix(two, three) is None is transform_solve(two, three)
+
+    def test_outside_the_span(self):
+        m, b = IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[0], [1]])
+        assert solve_matrix(m, b) is None is transform_solve(m, b)
+        assert solve_matrix(m, hstack(m, b)) is None
 
     def test_multiply_back_random(self):
         rng = random.Random(99)
@@ -203,7 +209,7 @@ class TestEchelonAndPreimage:
             assert sum(1 for d in smith_diagonal(m) if d) == ech.rank
             # the transform's columns from rank on are the kernel's Hermite form
             k = kernel_basis(m)
-            assert k == preimage_basis(m, IntMatrix.zeros(m.rows, 0)) == column_basis(k), m
+            assert k == transform_kernel(m) == column_basis(k), m
 
     def test_column_basis_spans(self):
         m = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]])
@@ -219,11 +225,31 @@ class TestEchelonAndPreimage:
         assert p.cols == 1 and abs(p.entry(0, 0)) == 2
 
 
+def transform_kernel(m):
+    """The kernel lattice of m by the formula that kernel_basis replaced:
+    the columns of column_echelon's transform from the rank on."""
+    ech = column_echelon(m)
+    return ech.transform.select_columns(range(ech.rank, m.cols))
+
+
+def transform_solve(m, b):
+    """X with m X = b by the formula that solve_matrix replaced, or None:
+    the coordinates of each column of b in the echelon columns of
+    column_echelon(m), by back substitution, times the transform."""
+    ech = column_echelon(m)
+    r, e = b.rows, b.entries
+    coords = [linalg._echelon_coords(ech.echelon.entries, ech.pivot_rows, e[j * r:(j + 1) * r])
+              for j in range(b.cols)]
+    if None in coords:
+        return None
+    return ech.transform.select_columns(range(ech.rank)) @ IntMatrix.from_cols(coords, rows=ech.rank)
+
+
 def two_pass_preimage(m, span):
     """The preimage {x : m x in span(span)} by the formula that the stacked
-    pass of preimage_basis replaced: the kernel of [m | span], with its
+    pass of preimage_basis replaced: the kernel of [m | span], from the
     transform, projected onto m's coordinates, then its echelon basis."""
-    return column_basis(kernel_basis(hstack(m, span)).top_rows(m.cols))
+    return column_basis(transform_kernel(hstack(m, span)).top_rows(m.cols))
 
 
 def sample_matrices(rng, count, max_dim=5, rows=None):
@@ -261,9 +287,11 @@ def in_and_out_of_span(rng, m):
 
 
 class TestTransformFreePaths:
-    """column_basis, span_contains and preimage_basis run one Hermite pass
-    without transform; the Hermite form is unique for a lattice, so each
-    agrees entry for entry with the transform path it replaced."""
+    """column_basis, span_contains, preimage_basis, kernel_basis and
+    solve_matrix run one Hermite pass without transform; the Hermite form
+    is unique for a lattice, so each agrees with the transform path of
+    column_echelon that it replaced, entry for entry wherever the answer
+    is unique."""
 
     def test_span_contains_agrees_with_solve(self):
         rng = random.Random("span-contains")
@@ -304,6 +332,35 @@ class TestTransformFreePaths:
                 proper += got != IntMatrix.identity(m.cols)
         assert proper > 150
 
+    def test_solve_matches_transform_formula(self):
+        # one solution where m's columns are independent; otherwise any two
+        # differ by a kernel element
+        rng = random.Random("solve")
+        seen = {"unique": 0, "dependent": 0, "none": 0}
+        for m in sample_matrices(rng, 200):
+            kernel = transform_kernel(m)
+            for b in in_and_out_of_span(rng, m):
+                got, ref = solve_matrix(m, b), transform_solve(m, b)
+                assert (got is None) == (ref is None), (m, b)
+                if got is None:
+                    seen["none"] += 1
+                elif not kernel.cols:
+                    assert got == ref, (m, b)
+                    seen["unique"] += 1
+                else:
+                    assert m @ got == b and span_contains(kernel, got - ref), (m, b)
+                    seen["dependent"] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_solve_empty_shapes(self):
+        for r, c, k in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (2, 3, 2), (0, 0, 3)]:
+            m, b = IntMatrix.zeros(r, c), IntMatrix.zeros(r, k)
+            assert solve_matrix(m, b) == IntMatrix.zeros(c, k) == transform_solve(m, b)
+        m, b = IntMatrix.zeros(2, 0), IntMatrix.from_rows([[1], [0]])
+        assert solve_matrix(m, b) is None is transform_solve(m, b)
+        with pytest.raises(ValueError):
+            solve_matrix(IntMatrix.zeros(2, 1), IntMatrix.zeros(1, 1))
+
     def test_preimage_empty_shapes(self):
         for r, c, k in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 3)]:
             m, s = IntMatrix.zeros(r, c), IntMatrix.zeros(r, k)
@@ -319,7 +376,7 @@ def test_clear_caches_empties_every_cache():
     assert len(caches) >= 3
     m = IntMatrix.from_rows([[2, 4], [6, 8]])
     column_basis(m)
-    kernel_basis(m)
+    column_echelon(m)
     smith_diagonal(m)
     span_contains(m, m)
     assert all(f.cache_info().currsize for f in caches)

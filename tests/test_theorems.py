@@ -30,6 +30,7 @@ from dfw.theorems import (
 )
 from test_abelian import is_injective
 from test_derived import superlie3_kernel_data
+from test_linalg import transform_solve
 
 CFG = TrialConfig(seed=11, trials=25)
 
@@ -116,6 +117,18 @@ class TestThm31:
     def test_suite_passes(self):
         v = check_thm_3_1(CFG)
         assert v.failed == 0 and v.passed == CFG.trials
+
+    def test_witness_matches_transform_formula(self):
+        # the outer columns are independent, so the witness is unique and
+        # equals the transform path's, entry for entry
+        cfg = TrialConfig()
+        proper = 0
+        for i in range(cfg.trials):
+            x = SUITES["thm31"].sample(_trial_rng(cfg, "thm31", i), cfg)
+            np = NestedPresentation.from_dict(x["nested"])
+            assert np.witness == transform_solve(np.outer, np.inner), np.to_dict()
+            proper += np.witness.cols > 0 and np.witness != IntMatrix.identity(np.outer.cols)
+        assert proper > 30, proper
 
 
 class TestThm32:
