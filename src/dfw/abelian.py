@@ -5,7 +5,8 @@ a Hom is a generator matrix compatible with relations.  Kernels, images,
 cokernels and subquotients all come down to Hermite reductions of
 relation lattices, so everything here is exact: kernels and images are
 preimages (linalg.preimage_basis), containments are span tests
-(linalg.span_contains), and only a subquotient solves for coordinates.
+(linalg.span_contains), and coordinates are read against a Hermite
+basis (linalg.coordinates) except in a subquotient, which solves.
 """
 
 from collections.abc import Sequence
@@ -15,6 +16,7 @@ from .linalg import (
     IntMatrix,
     block_diag,
     column_basis,
+    coordinates,
     hstack,
     kron,
     preimage_basis,
@@ -198,13 +200,14 @@ class Hom:
 def kernel(f: Hom) -> tuple[PresentedGroup, Hom]:
     """Kernel subgroup with its injective inclusion into the source.
 
-    The generators are the Hermite basis of {x : f(x) = 0 in the target};
-    the relations are the Hermite basis of {y : gens @ y is a source
-    relation}, the source relations rewritten in those coordinates.
-    Each is one preimage_basis pass.
+    The generators are the Hermite basis of {x : f(x) = 0 in the target}
+    (one preimage_basis pass), so the relations are the coordinates of the
+    source relations in them; ValueError if some relation is not in the kernel.
     """
     gens = preimage_basis(f.matrix, f.target.relations)
-    rels = preimage_basis(gens, f.source.relations)
+    rels = coordinates(gens, f.source.relations)
+    if rels is None:
+        raise ValueError("matrix does not respect relations (not well defined)")
     k = PresentedGroup(gens.cols, rels)
     return k, Hom(k, f.source, gens, check=False)
 

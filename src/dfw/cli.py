@@ -68,6 +68,8 @@ def load_relations(path: str) -> PresentedGroup:
                     raise UsageError(f"{path}:{lineno}: not an integer row: {body!r}")
     except OSError as exc:
         raise UsageError(f"cannot read relations file: {exc}")
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: relations file is not UTF-8 text")
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise UsageError(f"{path}: rows have differing lengths")
     matrix = IntMatrix.from_rows(rows)

@@ -29,16 +29,18 @@ degree k, with e the exponent of tors(Q/U) (Presentation.exponent, the
 last entry of the Smith diagonal that checks U's independence;
 homology_value gives the argument), so the invariant factors > 1 of d2
 are read in one sweep over Z/p^(k v_p(e) + 1) for each prime p | e,
-with entries below that modulus, and e = 1 gives 0 without a
-reduction.  No rank, no kernel
-basis, no solve and no Hermite pass, which is where exact entries used
-to swell.  It computes every value (l1_sp, tor, l2_superlie3) and the
-cokernels of induced maps that theorems 3.1 and 3.2 compare with:
-induced_cokernel reads coker H1(f) of a chain map f: C -> D as H1 of D
-with the columns of f1 of a kernel basis of C's d1 added to the
-boundaries, killed by the power of D's e that kills H1(D).  The
-tests hold homology_value against the cycle path (a kernel basis of d1
-with the boundaries solved against it), which only they keep.  No
+with entries below that modulus, and e = 1 gives 0 without a reduction.
+No rank, no kernel basis, no solve and no Hermite pass, which is where
+exact entries used to swell.  It computes every value (l1_sp, tor,
+l2_superlie3) and the cokernels of induced maps that theorems 3.1 and
+3.2 compare with: induced_cokernel reads coker H1(f) of a chain map
+f: C -> D as H1 of D with the columns of f1 of a kernel basis of C's d1
+added to the boundaries, killed by the power of D's e that kills H1(D).
+Those chain maps read the witness of a NestedPresentation, the inner
+lattice in coordinates of the outer one's Hermite basis, which back
+substitution gives (linalg.coordinates) without a solve.  The tests
+hold homology_value against the cycle path (a kernel basis of d1 with
+the boundaries solved against it), which only they keep.  No
 presentation is normalized first, so presentation-independence checks
 compare two independent computations.
 
@@ -70,13 +72,14 @@ from .functors import (
 )
 from .linalg import (
     IntMatrix,
+    column_basis,
+    coordinates,
     dict_columns,
     echelon_smith_diagonal,
     hstack,
     kernel_basis,
     kron,
     local_torsion,
-    solve_matrix,
 )
 
 
@@ -137,29 +140,23 @@ class Presentation:
 
 class NestedPresentation:
     """Sublattices inner <= outer of a common ambient lattice, each given
-    by independent columns, with the integer witness matrix:
-    outer @ witness == inner; outer_exponent is e of the outer one."""
+    by independent columns; outer is kept as its Hermite basis, and
+    outer @ witness == inner.  outer_exponent is e of the outer one."""
 
     __slots__ = ("ambient_rank", "inner", "outer", "witness", "outer_exponent")
 
-    def __init__(self, ambient_rank: int, inner: IntMatrix, outer: IntMatrix, witness: IntMatrix):
+    def __init__(self, ambient_rank: int, inner: IntMatrix, outer: IntMatrix):
         if inner.rows != ambient_rank or outer.rows != ambient_rank:
             raise ValueError("lattices must live in the ambient lattice")
         _exponent(inner, "inner")
         self.outer_exponent = _exponent(outer, "outer")
-        if outer @ witness != inner:
-            raise ValueError("witness does not factor the inner lattice")
-        self.ambient_rank = ambient_rank
-        self.inner = inner
-        self.outer = outer
-        self.witness = witness
-
-    @classmethod
-    def build(cls, ambient_rank: int, inner: IntMatrix, outer: IntMatrix) -> "NestedPresentation":
-        witness = solve_matrix(outer, inner)
+        witness = coordinates(outer, inner)
         if witness is None:
             raise ValueError("inner lattice is not contained in the outer one")
-        return cls(ambient_rank, inner, outer, witness)
+        self.ambient_rank = ambient_rank
+        self.inner = inner
+        self.outer = column_basis(outer)
+        self.witness = witness
 
     def middle_group(self) -> PresentedGroup:
         """outer/inner, presented on the outer generators."""
@@ -175,7 +172,7 @@ class NestedPresentation:
     @classmethod
     def from_dict(cls, data: dict) -> "NestedPresentation":
         r = data["ambient_rank"]
-        return cls.build(
+        return cls(
             r,
             IntMatrix.from_cols(data["inner"], rows=r),
             IntMatrix.from_cols(data["outer"], rows=r),

@@ -215,6 +215,14 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {what!r}", tok.offset)
         return self.advance()
 
+    def integer(self) -> tuple[int, int]:
+        """The value and byte offset of the INT token that comes next."""
+        tok = self.expect("INT")
+        try:
+            return int(tok.text), tok.offset
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer of {len(tok.text)} digits is too long", tok.offset) from None
+
     def parse(self) -> "GroupExpr | FunctorCall":
         tok = self.peek()
         if tok.kind in _UNARY or tok.kind == "Tor":
@@ -232,11 +240,10 @@ class _Parser:
         degree = None
         if name in _DEGREES:
             self.expect("^")
-            dtok = self.expect("INT")
-            degree = int(dtok.text)
+            degree, offset = self.integer()
             lo, hi = _DEGREES[name]
             if not lo <= degree <= hi:
-                raise SemanticError(f"{name} degree must be in {lo}..{hi}", dtok.offset)
+                raise SemanticError(f"{name} degree must be in {lo}..{hi}", offset)
         self.expect("(")
         args = [self.sum()]
         if name == "Tor":
@@ -266,14 +273,13 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "^":
                 self.advance()
-                k = int(self.expect("INT").text)
+                k = self.integer()[0]
                 return FreeAtom(k, tok.offset)
             if nxt.kind == "/":
                 self.advance()
-                ntok = self.expect("INT")
-                n = int(ntok.text)
+                n, offset = self.integer()
                 if n < 2:
-                    raise SemanticError("cyclic order must be >= 2", ntok.offset)
+                    raise SemanticError("cyclic order must be >= 2", offset)
                 return CyclicAtom(n, tok.offset)
             return FreeAtom(1, tok.offset)
         if tok.kind == "INT":

@@ -24,12 +24,14 @@ echelon_smith_diagonal: row passes on the lattice's cached Hermite basis.
 
 A lattice is reduced only as far as the caller reads, and
 _k.hermite_cols keeps no transform.  The column Hermite form is unique
-for a lattice, so column_basis and span_contains read it from a pass
-over the matrix alone.  Every coordinate is read off a kernel lattice:
-preimage_basis reduces [m span; I 0] (_stacked_pass), kernel_basis is
-the preimage of 0, and solve_matrix reads X off the kernel of [b | m].
-column_echelon, the transform of a pass over [m; I], is on no path of
-the package; the tests hold these paths to it.
+for a lattice, so column_basis reads it from a pass over the matrix
+alone; its columns are independent, so coordinates (and span_contains)
+read vectors against it by back substitution.  Against dependent
+columns a coordinate is read off a kernel lattice: preimage_basis
+reduces [m span; I 0] (_stacked_pass), kernel_basis is the preimage of
+0, and solve_matrix reads X off the kernel of [b | m].  column_echelon,
+the transform of a pass over [m; I], is on no path of the package; the
+tests hold these paths to it.
 """
 
 import functools
@@ -332,47 +334,36 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return preimage_basis(m, _wrap(m.rows, 0, ()))
 
 
-def _echelon_coords(h: Sequence[int], pivot_rows: Sequence[int],
-                    b: Sequence[int]) -> list[int] | None:
-    """y with H @ y == b for the echelon columns H, flat column-major
-    with len(b) rows and pivots at pivot_rows, or None if b is not in
-    their span."""
-    rows = len(b)
-    npiv = len(pivot_rows)
-    res = list(b)
-    y = [0] * npiv
-    pc = 0
-    for row in range(rows):
-        if pc < npiv and pivot_rows[pc] == row:
-            v = res[row]
-            if v:
-                hc = h[pc * rows:(pc + 1) * rows]
-                p = hc[row]
-                if v % p:
-                    return None
-                q = v // p
-                for i in range(row, rows):
-                    res[i] -= q * hc[i]
-                y[pc] = q
-            pc += 1
-        elif res[row]:
+def coordinates(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """Y with column_basis(m) @ Y == b, or None if some column of b is
+    not in the span of m: each column is reduced against the Hermite form
+    of m by back substitution (Cohen, 1993, 2.4), and Y is unique since
+    the columns of that form are independent."""
+    if b.rows != m.rows:
+        raise ValueError("shape mismatch")
+    h, pivot_rows = _hermite_basis(m)
+    r, he, e = m.rows, h.entries, b.entries
+    out: list[int] = []
+    for j in range(b.cols):
+        res = list(e[j * r:(j + 1) * r])
+        for k, row in enumerate(pivot_rows):
+            q, rem = divmod(res[row], he[k * r + row])
+            if rem:
+                return None
+            if q:
+                res[row:] = [a - q * c for a, c in zip(res[row:], he[k * r + row:(k + 1) * r])]
+            out.append(q)
+        if any(res):
             return None
-    return y
+    return _wrap(len(pivot_rows), b.cols, tuple(out))
 
 
 def span_contains(m: IntMatrix, b: IntMatrix) -> bool:
-    """Does the column span of m contain every column of b?
-
-    Each column is reduced against the Hermite form of m; no solution
-    is built, so no transform is kept."""
+    """Does the column span of m contain every column of b?  The
+    coordinates of b are read against the Hermite form of m."""
     if b.rows != m.rows:
         raise ValueError("shape mismatch")
-    if b.is_zero:
-        return True
-    h, piv = _hermite_basis(m)
-    r, e = b.rows, b.entries
-    return all(_echelon_coords(h.entries, piv, e[j * r:(j + 1) * r]) is not None
-               for j in range(b.cols))
+    return b.is_zero or coordinates(m, b) is not None
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:

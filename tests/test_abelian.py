@@ -18,7 +18,7 @@ from dfw.abelian import (
     subquotient,
     tensor,
 )
-from dfw.linalg import IntMatrix, preimage_basis, smith_diagonal, solve_matrix
+from dfw.linalg import IntMatrix, column_basis, preimage_basis, smith_diagonal, solve_matrix
 
 
 def identity_hom(g):
@@ -34,6 +34,24 @@ def is_injective(f):
     target's relations is a relation of the source."""
     pre = preimage_basis(f.matrix, f.target.relations)
     return solve_matrix(f.source.relations, pre) is not None
+
+
+def random_homs(rng, count):
+    """count well-defined Homs between random groups, each matrix drawn
+    until it respects the relations."""
+    out = []
+    while len(out) < count:
+        src = random_group(rng, 4, 5)
+        tgt = random_group(rng, 4, 5)
+        mat = IntMatrix.from_rows(
+            [[rng.randint(-4, 4) for _ in range(src.rank)] for _ in range(tgt.rank)],
+            cols=src.rank,
+        )
+        try:
+            out.append(Hom(src, tgt, mat))
+        except ValueError:
+            continue
+    return out
 
 
 def grp(rank, cols):
@@ -182,6 +200,23 @@ class TestKernel:
         assert k2.canonical == g.canonical
         assert is_injective(incl2)
 
+    def test_relations_are_coordinates_of_the_source_relations(self):
+        # the generators are their own Hermite basis, so the source
+        # relations have unique coordinates in them, which span the
+        # preimage of the source relations
+        for f in random_homs(random.Random("kernel-relations"), 60):
+            k, incl = kernel(f)
+            assert column_basis(incl.matrix) == incl.matrix
+            assert incl.matrix @ k.relations == f.source.relations
+            assert column_basis(k.relations) == preimage_basis(incl.matrix, f.source.relations)
+
+    def test_ill_defined_map_raises(self):
+        # x -> x from Z/2 to Z sends the relation 2 outside the kernel
+        f = Hom(PresentedGroup.cyclic(2), PresentedGroup.free(1), IntMatrix.from_rows([[1]]),
+                check=False)
+        with pytest.raises(ValueError, match="not well defined"):
+            kernel(f)
+
 
 class TestCokernel:
     def test_multiplication_by_two_on_z(self):
@@ -289,20 +324,8 @@ class TestTensor:
 
 class TestFirstIsomorphismTheorem:
     def test_random_homs(self):
-        rng = random.Random(13)
-        trials = 0
-        while trials < 60:
-            src = random_group(rng, 4, 5)
-            tgt = random_group(rng, 4, 5)
-            mat = IntMatrix.from_rows(
-                [[rng.randint(-4, 4) for _ in range(src.rank)] for _ in range(tgt.rank)],
-                cols=src.rank,
-            )
-            try:
-                f = Hom(src, tgt, mat)
-            except ValueError:
-                continue
-            trials += 1
+        for f in random_homs(random.Random(13), 60):
+            src, tgt = f.source, f.target
             img, _, mono = image(f)
             k, incl = kernel(f)
             # source / kernel is isomorphic to the image

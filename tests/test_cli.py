@@ -64,6 +64,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", "G", "--relations", str(path))
         assert code == 2 and "differing lengths" in err
 
+    def test_relations_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"\xff\n")
+        code, out, err = run(capsys, "eval", "G", "--relations", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("dfw: error: ") and str(path) in err and "UTF-8" in err
+
 
 class TestCheck:
     def test_all_suites_pass(self, capsys):

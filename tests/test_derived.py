@@ -63,7 +63,7 @@ def random_nested(rng, max_rank=4, max_entry=6):
     ku = rng.randint(0, outer.cols + 1)
     mix = random_matrix(rng, outer.cols, ku, 2)
     inner = column_basis(outer @ mix)
-    return NestedPresentation.build(r, inner, outer)
+    return NestedPresentation(r, inner, outer)
 
 
 def closed_form_l1sp2(g: PresentedGroup) -> CanonicalForm:
@@ -314,7 +314,7 @@ def rich_nested(rng, max_rank=5):
     extra = rng.randint(0, min(1, max_rank - g.rank))
     outer = scrambled_presentation(rng, g, extra).sublattice
     mix = random_matrix(rng, outer.cols, rng.randint(0, outer.cols), 3)
-    return NestedPresentation.build(outer.rows, column_basis(outer @ mix), outer)
+    return NestedPresentation(outer.rows, column_basis(outer @ mix), outer)
 
 
 def nested_instances():
@@ -339,7 +339,7 @@ class TestInducedMaps:
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_perturbed_square_raises(self, chain, degree):
         outer = IntMatrix.from_cols([[2, 0, 0], [1, 3, 0]], rows=3)
-        np = NestedPresentation.build(3, column_basis(outer @ IntMatrix.from_rows([[2, 0], [1, 2]])), outer)
+        np = NestedPresentation(3, column_basis(outer @ IntMatrix.from_rows([[2, 0], [1, 2]])), outer)
         src, dst, maps = chain(np)
         induced_cokernel(src, dst, maps, np.outer_exponent, 2)  # the chain map itself passes
         broken = list(maps)
@@ -361,13 +361,13 @@ class TestInducedMaps:
         # the induced map is the identity of L1SP^2(Z/2 + Z/4) = Z/2, so
         # its cokernel is trivial
         u = column_basis(IntMatrix.from_cols([[2, 0], [2, 4]], rows=2))
-        np = NestedPresentation.build(2, u, u)
+        np = NestedPresentation(2, u, u)
         assert l1_sp(2, Presentation(np.ambient_rank, np.inner)).canonical == CanonicalForm(0, (2,))
         assert coker_thm31(np).canonical.is_trivial
 
     def test_full_outer_gives_zero_into_trivial(self):
         u = IntMatrix.from_cols([[2, 0], [0, 2]], rows=2)
-        np = NestedPresentation.build(2, u, IntMatrix.identity(2))
+        np = NestedPresentation(2, u, IntMatrix.identity(2))
         assert l1_sp(2, Presentation(np.ambient_rank, np.inner)).canonical == CanonicalForm(0, (2,))
         assert l1_sp(2, Presentation(np.ambient_rank, np.outer)).canonical.is_trivial
         assert coker_thm31(np).canonical.is_trivial
@@ -376,14 +376,14 @@ class TestInducedMaps:
         # U = 0: the source L1SP^2(Z^2) vanishes, so the cokernel is all of
         # L1SP^2(Z/2 + Z/2) = Z/2
         outer = IntMatrix.from_cols([[2, 0], [0, 2]], rows=2)
-        np = NestedPresentation.build(2, IntMatrix.zeros(2, 0), outer)
+        np = NestedPresentation(2, IntMatrix.zeros(2, 0), outer)
         assert coker_thm31(np).canonical == CanonicalForm(0, (2,))
 
     def test_tor_comparison_cyclic_target_is_zero(self):
         # E/I = Z^2 / [(2,0),(0,1)] is cyclic, so the target vanishes
         outer = IntMatrix.from_cols([[2, 0], [0, 1]], rows=2)
         inner = column_basis(outer @ IntMatrix.from_rows([[2, 0], [0, 2]]))
-        np = NestedPresentation.build(2, inner, outer)
+        np = NestedPresentation(2, inner, outer)
         assert l1_sp(2, Presentation(np.ambient_rank, np.outer)).canonical.is_trivial
         assert coker_tor_to_l1_sp2(np).canonical.is_trivial
 
@@ -391,7 +391,7 @@ class TestInducedMaps:
         # I = 0: Tor(E, E) = (Z/2)^4 -> L1SP^2(E) = Z/2 for E = Z/2 + Z/2
         # is onto, so its cokernel is trivial
         p = pres(2, [[2, 0], [0, 2]])
-        np = NestedPresentation.build(2, p.sublattice, p.sublattice)
+        np = NestedPresentation(2, p.sublattice, p.sublattice)
         assert tor(p, p).canonical == CanonicalForm(0, (2, 2, 2, 2))
         assert l1_sp(2, p).canonical == CanonicalForm(0, (2,))
         assert coker_tor_to_l1_sp2(np).canonical.is_trivial
@@ -419,7 +419,7 @@ class TestPresentationObjects:
 
     def test_nested_requires_containment(self):
         with pytest.raises(ValueError):
-            NestedPresentation.build(
+            NestedPresentation(
                 1,
                 IntMatrix.from_rows([[3]]),
                 IntMatrix.from_rows([[2]]),
@@ -430,10 +430,9 @@ class TestPresentationObjects:
         # would present it as Z
         col = IntMatrix.from_cols([[1, 0]], rows=2)
         with pytest.raises(ValueError, match="outer columns must be independent"):
-            NestedPresentation(2, col, IntMatrix.from_cols([[1, 0], [1, 0]], rows=2),
-                               IntMatrix.from_cols([[1, 0]], rows=2))
+            NestedPresentation(2, col, IntMatrix.from_cols([[1, 0], [1, 0]], rows=2))
         with pytest.raises(ValueError, match="inner columns must be independent"):
-            NestedPresentation.build(2, IntMatrix.from_cols([[1, 0], [2, 0]], rows=2), col)
+            NestedPresentation(2, IntMatrix.from_cols([[1, 0], [2, 0]], rows=2), col)
 
     def test_independence_and_order_against_oracles(self):
         # one Smith pass per lattice decides independence and gives the
@@ -463,10 +462,9 @@ class TestPresentationObjects:
             exponent = 0 if dependent else sympy_exponent(m)
             slots = [
                 (lambda: Presentation(r, m).exponent, "sublattice", exponent),
-                (lambda: NestedPresentation(r, m, IntMatrix.identity(r), m).outer_exponent,
+                (lambda: NestedPresentation(r, m, IntMatrix.identity(r)).outer_exponent,
                  "inner", 1),
-                (lambda: NestedPresentation(r, IntMatrix.zeros(r, 0), m,
-                                            IntMatrix.zeros(m.cols, 0)).outer_exponent,
+                (lambda: NestedPresentation(r, IntMatrix.zeros(r, 0), m).outer_exponent,
                  "outer", exponent),
             ]
             for build, name, expected in slots:
@@ -589,7 +587,7 @@ def nested_over(p, rng):
     """U <= V with V the sublattice of p and U = V @ mix."""
     outer = p.sublattice
     mix = random_matrix(rng, outer.cols, rng.randint(0, outer.cols), 3)
-    return NestedPresentation.build(p.ambient_rank, column_basis(outer @ mix), outer)
+    return NestedPresentation(p.ambient_rank, column_basis(outer @ mix), outer)
 
 
 def every_value(p, q, np):
@@ -867,7 +865,7 @@ class TestLocalTorsion:
         a = Presentation.from_group(PresentedGroup.from_invariants(1, (4,)))
         b = Presentation.from_group(PresentedGroup.from_invariants(0, (9,)))
         free = Presentation(3, IntMatrix.zeros(3, 0))
-        np = NestedPresentation.build(2, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
+        np = NestedPresentation(2, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
         assert (a.exponent, b.exponent, free.exponent) == (4, 9, 1)
         assert np.outer_exponent == 1
         monkeypatch.setattr(_kernels, "eliminate_units", refuse)

@@ -64,6 +64,7 @@ class TestParsing:
             parse("Z/1")
         with pytest.raises(SemanticError):
             parse("Z/0")
+        assert parse("Z/" + "7" * 4000) == CyclicAtom(int("7" * 4000))
 
     def test_degree_bounds(self):
         parse("SP^5(Z)")
@@ -88,6 +89,15 @@ class TestParsing:
             parse("Frob(Z)")
         with pytest.raises(ParseError):
             parse("")
+
+    @pytest.mark.parametrize("head, tail", [("Z/٣ + Z/", ""), ("Z + Z^", ""), ("SP^", "(Z)")])
+    def test_integers_past_the_conversion_limit(self, head, tail):
+        # cyclic order, free rank and degree: an integer with more digits
+        # than int() converts is a ParseError at its byte offset
+        digits = "7" * 5000
+        with pytest.raises(ParseError, match="5000 digits") as err:
+            parse(head + digits + tail)
+        assert err.value.offset == len(head.encode())
 
     def test_nodes_carry_their_offsets(self):
         node = parse("Tor(Z/2 + Z^3, (0 + G))")

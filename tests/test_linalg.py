@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from dfw.linalg import (
     block_diag,
     column_basis,
     column_echelon,
+    coordinates,
     hstack,
     kernel_basis,
     kron,
@@ -234,15 +236,26 @@ def transform_kernel(m):
 
 def transform_solve(m, b):
     """X with m X = b by the formula that solve_matrix replaced, or None:
-    the coordinates of each column of b in the echelon columns of
-    column_echelon(m), by back substitution, times the transform."""
+    the coordinates y of each column of b in the k echelon columns E of
+    column_echelon(m), solved over the rationals on the pivot rows of E
+    (a triangular system) and kept when integral with E @ y == b, times
+    the transform."""
     ech = column_echelon(m)
-    r, e = b.rows, b.entries
-    coords = [linalg._echelon_coords(ech.echelon.entries, ech.pivot_rows, e[j * r:(j + 1) * r])
-              for j in range(b.cols)]
-    if None in coords:
+    k = ech.rank
+    echelon = ech.echelon.select_columns(range(k))
+    coords = []
+    for j in range(b.cols):
+        y = []
+        for t, row in enumerate(ech.pivot_rows):
+            rest = b.entry(row, j) - sum(echelon.entry(row, s) * y[s] for s in range(t))
+            y.append(Fraction(rest, echelon.entry(row, t)))
+        if any(v.denominator != 1 for v in y):
+            return None
+        coords.append([int(v) for v in y])
+    y = IntMatrix.from_cols(coords, rows=k)
+    if echelon @ y != b:
         return None
-    return ech.transform.select_columns(range(ech.rank)) @ IntMatrix.from_cols(coords, rows=ech.rank)
+    return ech.transform.select_columns(range(k)) @ y
 
 
 def two_pass_preimage(m, span):
@@ -287,11 +300,11 @@ def in_and_out_of_span(rng, m):
 
 
 class TestTransformFreePaths:
-    """column_basis, span_contains, preimage_basis, kernel_basis and
-    solve_matrix run one Hermite pass without transform; the Hermite form
-    is unique for a lattice, so each agrees with the transform path of
-    column_echelon that it replaced, entry for entry wherever the answer
-    is unique."""
+    """column_basis, coordinates, span_contains, preimage_basis,
+    kernel_basis and solve_matrix run one Hermite pass without transform;
+    the Hermite form is unique for a lattice, so each agrees with the
+    transform path of column_echelon that it replaced, entry for entry
+    wherever the answer is unique."""
 
     def test_span_contains_agrees_with_solve(self):
         rng = random.Random("span-contains")
@@ -315,6 +328,30 @@ class TestTransformFreePaths:
         with pytest.raises(ValueError):
             span_contains(two, IntMatrix.zeros(2, 1))
 
+    def test_coordinates_against_product_and_solve(self):
+        # the Hermite basis has independent columns, so the coordinates
+        # are unique: None exactly when solve_matrix finds no solution
+        # against it, and otherwise its one solution, multiplied back to b
+        rng = random.Random("coordinates")
+        seen = {True: 0, False: 0}
+        for m in sample_matrices(rng, 160):
+            h = column_basis(m)
+            for b in in_and_out_of_span(rng, m):
+                got, ref = coordinates(m, b), solve_matrix(h, b)
+                assert (got is None) == (ref is None), (m, b)
+                if got is not None:
+                    assert h @ got == b and got == ref, (m, b)
+                seen[got is not None] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_coordinates_empty_shapes(self):
+        assert coordinates(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 3)) == IntMatrix.zeros(0, 3)
+        assert coordinates(IntMatrix.zeros(0, 2), IntMatrix.zeros(0, 1)) == IntMatrix.zeros(0, 1)
+        assert coordinates(IntMatrix.zeros(2, 0), IntMatrix.from_rows([[1], [0]])) is None
+        assert coordinates(IntMatrix.from_rows([[2, 4]]), IntMatrix.zeros(1, 0)) == IntMatrix.zeros(1, 0)
+        with pytest.raises(ValueError):
+            coordinates(IntMatrix.zeros(2, 1), IntMatrix.zeros(1, 1))
+
     def test_column_basis_is_the_echelon_of_the_transform_pass(self):
         rng = random.Random("column-basis")
         for m in sample_matrices(rng, 160):
@@ -328,6 +365,8 @@ class TestTransformFreePaths:
             for s in sample_matrices(rng, 4, max_dim=4, rows=m.rows):
                 got = preimage_basis(m, s)
                 assert got == two_pass_preimage(m, s), (m, s)
+                # its own Hermite basis, which abelian.kernel reads against
+                assert column_basis(got) == got, (m, s)
                 assert span_contains(s, m @ got)
                 proper += got != IntMatrix.identity(m.cols)
         assert proper > 150

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 
 from dfw.abelian import PresentedGroup, direct_sum
 from dfw.derived import NestedPresentation, Presentation, l1_sp, l2_superlie3
-from dfw.linalg import IntMatrix
+from dfw.linalg import IntMatrix, column_basis
 from dfw.theorems import (
     CHECKS,
     SUITE_NAMES,
@@ -85,7 +86,7 @@ def exponent_trials(cfg):
 
 
 def nested(r, inner_cols, outer_cols):
-    return NestedPresentation.build(
+    return NestedPresentation(
         r,
         IntMatrix.from_cols(inner_cols, rows=r),
         IntMatrix.from_cols(outer_cols, rows=r),
@@ -131,11 +132,45 @@ class TestThm31:
         assert proper > 30, proper
 
 
+def random_unimodular(rng, n):
+    """An n x n integer matrix of determinant +-1: column additions and a
+    sign change applied to the identity."""
+    cols = IntMatrix.identity(n).to_rows()
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-2, 2)
+            cols[i] = [a + c * b for a, b in zip(cols[i], cols[j])]
+    if n:
+        cols[0] = [-a for a in cols[0]]
+    return IntMatrix.from_cols(cols, rows=n)
+
+
+class TestNestedOuterBasis:
+    def test_any_basis_of_the_outer_lattice(self):
+        # a nested pair given another basis of the same outer lattice
+        # keeps the Hermite basis, with the same witness and theorem sides
+        cfg = TrialConfig()
+        rng = random.Random("outer-basis")
+        other_basis = 0
+        for i in range(60):
+            x = SUITES["thm31"].sample(_trial_rng(cfg, "thm31", i), cfg)
+            np = NestedPresentation.from_dict(x["nested"])
+            raw = np.outer @ random_unimodular(rng, np.outer.cols)
+            again = NestedPresentation(np.ambient_rank, np.inner, raw)
+            assert again.outer == np.outer == column_basis(raw), np.to_dict()
+            assert again.witness == np.witness and np.outer @ np.witness == np.inner
+            assert thm_3_1_instance(again) == thm_3_1_instance(np)
+            assert thm_3_2_instance(again) == thm_3_2_instance(np)
+            other_basis += raw != np.outer
+        assert other_basis > 30, other_basis
+
+
 class TestThm32:
     def test_zero_inner_lattice(self):
         r = 2
         outer = [[2, 0], [0, 2]]
-        np = NestedPresentation.build(
+        np = NestedPresentation(
             r,
             IntMatrix.zeros(r, 0),
             IntMatrix.from_cols(outer, rows=r),
@@ -144,7 +179,7 @@ class TestThm32:
         assert lhs == rhs
 
     def test_free_case_both_sides_trivial(self):
-        np = NestedPresentation.build(2, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
+        np = NestedPresentation(2, IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 0))
         lhs, rhs = thm_3_2_instance(np)
         assert lhs == rhs == "0"
 
