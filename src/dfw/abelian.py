@@ -6,7 +6,11 @@ cokernels and subquotients all come down to Hermite reductions of
 relation lattices, so everything here is exact: kernels and images are
 preimages (linalg.preimage_basis), containments are span tests
 (linalg.span_contains), and coordinates are read against a Hermite
-basis (linalg.coordinates) except in a subquotient, which solves.
+basis (linalg.coordinates), in a subquotient too.  Kernels,
+containments and subquotients read the target's relations through
+their Hermite basis (purified_relations, that is linalg.column_basis),
+which the Hom check that came first has usually cached, so no pass sees
+their dependent columns.
 """
 
 from collections.abc import Sequence
@@ -21,7 +25,6 @@ from .linalg import (
     kron,
     preimage_basis,
     smith_diagonal,
-    solve_matrix,
     span_contains,
 )
 
@@ -31,6 +34,23 @@ _tuple_new = tuple.__new__
 
 class ContainmentError(ValueError):
     """A claimed subgroup containment does not hold."""
+
+
+# str() refuses an int of more digits than sys.get_int_max_str_digits(),
+# which is 4300 by default and can be lowered to 640, so factors are
+# written _CHUNK_DIGITS digits at a time.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n >= 0, read off in chunks of _CHUNK_DIGITS."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 class CanonicalForm(tuple):
@@ -70,7 +90,7 @@ class CanonicalForm(tuple):
             parts.append("Z")
         elif free_rank > 1:
             parts.append(f"Z^{free_rank}")
-        parts.extend(f"Z/{d}" for d in self[1])
+        parts.extend(f"Z/{_decimal(d)}" for d in self[1])
         return " + ".join(parts) if parts else "0"
 
 
@@ -201,10 +221,11 @@ def kernel(f: Hom) -> tuple[PresentedGroup, Hom]:
     """Kernel subgroup with its injective inclusion into the source.
 
     The generators are the Hermite basis of {x : f(x) = 0 in the target}
-    (one preimage_basis pass), so the relations are the coordinates of the
-    source relations in them; ValueError if some relation is not in the kernel.
+    (one preimage_basis pass against the Hermite basis of the target's
+    relations), so the relations are the coordinates of the source
+    relations in them; ValueError if some relation is not in the kernel.
     """
-    gens = preimage_basis(f.matrix, f.target.relations)
+    gens = preimage_basis(f.matrix, purified_relations(f.target))
     rels = coordinates(gens, f.source.relations)
     if rels is None:
         raise ValueError("matrix does not respect relations (not well defined)")
@@ -228,27 +249,29 @@ def image(f: Hom) -> tuple[PresentedGroup, Hom, Hom]:
 
 
 def subquotient(k: Hom, j: Hom) -> PresentedGroup:
-    """K/J for subgroups j: J >-> A and k: K >-> A with J contained in K.
+    """K/J for subgroups k: K >-> A and j: J -> A with J contained in K.
 
-    j may be any map into A: J is its image.  Presented on K's generators
-    with J's generators adjoined as relations;
-    raises ContainmentError when some generator of J is not in K.
+    k must be a mono (kernel inclusions are); j may be any map into A: J
+    is its image.  With H the Hermite basis of A's relations, K and J are
+    the lattices L_K = span[k | H] and L_J = span[j | H] modulo span H,
+    so K/J is L_K/L_J: it is presented on the Hermite basis of L_K, with
+    the coordinates of [j | H] in that basis as relations.  Raises
+    ContainmentError when some generator of J is not in K.
     """
     if k.target != j.target:
         raise ValueError("subgroups of different ambient groups")
-    amb = k.target
-    sol = solve_matrix(hstack(k.matrix, amb.relations), j.matrix)
-    if sol is None:
+    h = purified_relations(k.target)
+    rels = coordinates(hstack(k.matrix, h), hstack(j.matrix, h))
+    if rels is None:
         raise ContainmentError("second subgroup is not contained in the first")
-    coords = sol.top_rows(k.source.rank)
-    return PresentedGroup(k.source.rank, hstack(k.source.relations, coords))
+    return PresentedGroup(rels.rows, rels)
 
 
 def subgroup_leq(f: Hom, g: Hom) -> bool:
     """Is the image of f contained in the image of g (same target)?"""
     if f.target != g.target:
         raise ValueError("subgroups of different ambient groups")
-    return span_contains(hstack(g.matrix, f.target.relations), f.matrix)
+    return span_contains(hstack(g.matrix, purified_relations(f.target)), f.matrix)
 
 
 def direct_sum(*groups: PresentedGroup) -> PresentedGroup:

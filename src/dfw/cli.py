@@ -65,7 +65,7 @@ def load_relations(path: str) -> PresentedGroup:
                 try:
                     rows.append([int(tok) for tok in body.split()])
                 except ValueError:
-                    raise UsageError(f"{path}:{lineno}: not an integer row: {body!r}")
+                    raise UsageError(f"{path}:{lineno}: {_bad_row(body)}") from None
     except OSError as exc:
         raise UsageError(f"cannot read relations file: {exc}")
     except UnicodeDecodeError:
@@ -74,6 +74,27 @@ def load_relations(path: str) -> PresentedGroup:
         raise UsageError(f"{path}: rows have differing lengths")
     matrix = IntMatrix.from_rows(rows)
     return PresentedGroup(matrix.rows, matrix)
+
+
+# A rejected row is echoed up to this many characters.
+_ECHO_LIMIT = 60
+
+
+def _bad_row(body: str) -> str:
+    """Why int() rejects some token of the row body.  A signed run of
+    decimal digits fails only when it has more digits than int()
+    converts; any other row is echoed, cut to _ECHO_LIMIT characters."""
+    for tok in body.split():
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if digits.isdecimal():
+            try:
+                int(digits)
+            except ValueError:
+                return (f"integer of {len(digits)} digits is over the limit of "
+                        f"{sys.get_int_max_str_digits()} digits")
+    if len(body) > _ECHO_LIMIT:
+        body = body[:_ECHO_LIMIT] + "..."
+    return f"not an integer row: {body!r}"
 
 
 def _default_seed() -> int:

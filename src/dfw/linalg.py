@@ -26,12 +26,12 @@ A lattice is reduced only as far as the caller reads, and
 _k.hermite_cols keeps no transform.  The column Hermite form is unique
 for a lattice, so column_basis reads it from a pass over the matrix
 alone; its columns are independent, so coordinates (and span_contains)
-read vectors against it by back substitution.  Against dependent
-columns a coordinate is read off a kernel lattice: preimage_basis
-reduces [m span; I 0] (_stacked_pass), kernel_basis is the preimage of
-0, and solve_matrix reads X off the kernel of [b | m].  column_echelon,
-the transform of a pass over [m; I], is on no path of the package; the
-tests hold these paths to it.
+read vectors against it by back substitution.  A preimage is read off
+a kernel lattice: preimage_basis reduces [m span; I 0] (_stacked_pass),
+and kernel_basis is the preimage of 0.  Two references are on no path
+of the package, and the tests hold these paths to them: column_echelon,
+the transform of a pass over [m; I], and solve_matrix, which reads X
+with m X = b off the kernel of [b | m] for dependent columns of m.
 """
 
 import functools
@@ -338,20 +338,32 @@ def coordinates(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Y with column_basis(m) @ Y == b, or None if some column of b is
     not in the span of m: each column is reduced against the Hermite form
     of m by back substitution (Cohen, 1993, 2.4), and Y is unique since
-    the columns of that form are independent."""
+    the columns of that form are independent.  A zero quotient is
+    skipped, and a step touches only the nonzero entries of the pivot
+    column, listed the first time it is needed."""
     if b.rows != m.rows:
         raise ValueError("shape mismatch")
     h, pivot_rows = _hermite_basis(m)
     r, he, e = m.rows, h.entries, b.entries
+    # the nonzero entries (row, entry) of pivot column k, from its pivot on
+    nonzeros: list[list[tuple[int, int]] | None] = [None] * len(pivot_rows)
     out: list[int] = []
     for j in range(b.cols):
         res = list(e[j * r:(j + 1) * r])
         for k, row in enumerate(pivot_rows):
-            q, rem = divmod(res[row], he[k * r + row])
+            v = res[row]
+            if not v:
+                out.append(0)
+                continue
+            nz = nonzeros[k]
+            if nz is None:
+                c = he[k * r:(k + 1) * r]
+                nz = nonzeros[k] = [(i, c[i]) for i in compress(range(row, r), c[row:])]
+            q, rem = divmod(v, nz[0][1])
             if rem:
                 return None
-            if q:
-                res[row:] = [a - q * c for a, c in zip(res[row:], he[k * r + row:(k + 1) * r])]
+            for i, x in nz:
+                res[i] -= q * x
             out.append(q)
         if any(res):
             return None
@@ -368,6 +380,8 @@ def span_contains(m: IntMatrix, b: IntMatrix) -> bool:
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Integer X with m @ X = b, or None if any column is unsolvable.
+    No path of the package calls it; it is the tests' reference for
+    coordinates and for the presentations of abelian.subquotient.
 
     With k = b.cols, the Hermite basis K of the kernel of [b | m] (the
     preimage of 0) projects onto {t : b t in span m} in its first k

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,14 @@ from dfw.abelian import (
     subquotient,
     tensor,
 )
-from dfw.linalg import IntMatrix, column_basis, preimage_basis, smith_diagonal, solve_matrix
+from dfw.linalg import (
+    IntMatrix,
+    column_basis,
+    hstack,
+    preimage_basis,
+    smith_diagonal,
+    solve_matrix,
+)
 
 
 def identity_hom(g):
@@ -34,6 +42,17 @@ def is_injective(f):
     target's relations is a relation of the source."""
     pre = preimage_basis(f.matrix, f.target.relations)
     return solve_matrix(f.source.relations, pre) is not None
+
+
+def solve_subquotient(k, j):
+    """K/J by the formula that subquotient replaced, or None when J is not
+    in K: J's generators solved in [k | R] for A's relations R, and their
+    coordinates in K's generators adjoined to K's relations."""
+    sol = solve_matrix(hstack(k.matrix, k.target.relations), j.matrix)
+    if sol is None:
+        return None
+    rank = k.source.rank
+    return PresentedGroup(rank, hstack(k.source.relations, sol.top_rows(rank)))
 
 
 def random_homs(rng, count):
@@ -143,6 +162,27 @@ class TestCanonicalForm:
         assert str(CanonicalForm(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
         assert f"{CanonicalForm(1, (3,))}" == "Z + Z/3"
         assert repr(CanonicalForm(1, (3,))) == "CanonicalForm(free_rank=1, torsion=(3,))"
+        # factors of one and of several chunks, with runs of zeros inside
+        # and at the ends of the chunks, are written as str() writes them;
+        # with the digit limit at its floor of 640, a factor of 1200 digits
+        # is still written, where str() refuses it
+        chunk = 10**abelian._CHUNK_DIGITS
+        chains = ((chunk - 1,), (chunk,), (chunk + 1,), (10**4299,), (2, 2 * 10**4299 + 14))
+        for t in chains:
+            assert str(CanonicalForm(0, t)) == " + ".join(f"Z/{d}" for d in t)
+        expected = {t: str(CanonicalForm(0, t)) for t in chains}
+        long = (3, 3 * (10**1199 + 7))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError):
+                str(long[1])
+            for t in chains:
+                assert str(CanonicalForm(0, t)) == expected[t]
+            printed = str(CanonicalForm(0, long))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert printed == f"Z/3 + Z/{long[1]}"
 
     def test_compares_like_its_tuple(self):
         cf = PresentedGroup.from_invariants(1, (2, 4)).canonical
@@ -208,6 +248,9 @@ class TestKernel:
             k, incl = kernel(f)
             assert column_basis(incl.matrix) == incl.matrix
             assert incl.matrix @ k.relations == f.source.relations
+            # the preimage of the Hermite basis of the target's relations
+            # is the preimage of the relations themselves, entry for entry
+            assert incl.matrix == preimage_basis(f.matrix, f.target.relations)
             assert column_basis(k.relations) == preimage_basis(incl.matrix, f.source.relations)
 
     def test_ill_defined_map_raises(self):
@@ -289,6 +332,33 @@ class TestSubquotient:
         with pytest.raises(ContainmentError):
             subquotient(k, j)
 
+    def test_against_the_solve(self):
+        # K is a kernel inclusion or the identity of a random Hom's source;
+        # J is generated by elements of K (K's generators times a random
+        # matrix) or by random elements, which may leave K.  subquotient
+        # gives the canonical form of the solve-based formula, and raises
+        # ContainmentError exactly where that formula finds no solution.
+        rng = random.Random("subquotient")
+        seen = {True: 0, False: 0}
+        for f in random_homs(rng, 60):
+            src = f.source
+            for k in (kernel(f)[1], identity_hom(src)):
+                c = rng.randint(0, 3)
+                inside = IntMatrix.from_rows(
+                    [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k.source.rank)], cols=c)
+                anywhere = IntMatrix.from_rows(
+                    [[rng.randint(-3, 3) for _ in range(c)] for _ in range(src.rank)], cols=c)
+                for gens in (k.matrix @ inside, anywhere):
+                    j = Hom(PresentedGroup.free(c), src, gens)
+                    ref = solve_subquotient(k, j)
+                    if ref is None:
+                        with pytest.raises(ContainmentError):
+                            subquotient(k, j)
+                    else:
+                        assert subquotient(k, j).canonical == ref.canonical, (k, j)
+                    seen[ref is not None] += 1
+        assert min(seen.values()) > 10, seen
+
 
 class TestSums:
     def test_cyclic_sum_merges(self):
@@ -331,6 +401,7 @@ class TestFirstIsomorphismTheorem:
             # source / kernel is isomorphic to the image
             q = subquotient(identity_hom(src), incl)
             assert q.canonical == img.canonical
+            assert q.canonical == solve_subquotient(identity_hom(src), incl).canonical
             assert subgroup_leq(mono, identity_hom(tgt))
 
     def test_purified_relations_span(self):

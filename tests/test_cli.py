@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -70,6 +71,42 @@ class TestEval:
         code, out, err = run(capsys, "eval", "G", "--relations", str(path))
         assert code == 2 and out == ""
         assert err.startswith("dfw: error: ") and str(path) in err and "UTF-8" in err
+
+    def test_relations_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # the error names the file, the line and the limit, and echoes
+        # nothing of the 5000-digit token
+        path = tmp_path / "g.txt"
+        path.write_text("1 2\n3 " + "7" * 5000 + "\n")
+        code, out, err = run(capsys, "eval", "G", "--relations", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"dfw: error: {path}:2: integer of 5000 digits")
+        assert str(sys.get_int_max_str_digits()) in err and len(err) < 200
+
+    def test_non_integer_row_is_echoed_cut(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("1 x" + "7" * 5000 + "\n")
+        code, out, err = run(capsys, "eval", "G", "--relations", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}:1: not an integer row: '1 x777" in err and len(err) < 200
+
+    @pytest.mark.parametrize("b", [3 * 10**3000 + 1, 3 * 10**3000 + 2], ids=["coprime", "gcd-2"])
+    def test_factors_past_the_digit_limit(self, capsys, b):
+        # two 3001-digit orders whose lcm has about 6000 digits, more than
+        # str() converts; the printed digits are read back in chunks
+        a = 2 * 10**3000
+        code, out, _ = run(capsys, "eval", f"Z/{a} + Z/{b}")
+        assert code == 0 and out.endswith("\n")
+        printed = []
+        for part in out[:-1].split(" + "):
+            digits = part.removeprefix("Z/")
+            value = 0
+            for i in range(0, len(digits), 1000):
+                chunk = digits[i:i + 1000]
+                value = value * 10**len(chunk) + int(chunk)
+            printed.append(value)
+        g = math.gcd(a, b)
+        assert printed == [d for d in (g, math.lcm(a, b)) if d > 1]
+        assert printed[-1] > 10**4300
 
 
 class TestCheck:

@@ -258,6 +258,28 @@ def transform_solve(m, b):
     return ech.transform.select_columns(range(k)) @ y
 
 
+def dense_coordinates(m, b):
+    """Y with column_basis(m) @ Y == b, or None, by the dense back
+    substitution that the sparse walk of coordinates replaced: every
+    step, zero quotients included, rewrites the whole tail of the residual
+    from the pivot row on."""
+    h = column_basis(m)
+    r, he, e = h.rows, h.entries, b.entries
+    pivot_rows = [next(i for i in range(r) if h.entry(i, k)) for k in range(h.cols)]
+    out = []
+    for j in range(b.cols):
+        res = list(e[j * r:(j + 1) * r])
+        for k, row in enumerate(pivot_rows):
+            q, rem = divmod(res[row], he[k * r + row])
+            if rem:
+                return None
+            res[row:] = [a - q * c for a, c in zip(res[row:], he[k * r + row:(k + 1) * r])]
+            out.append(q)
+        if any(res):
+            return None
+    return IntMatrix(h.cols, b.cols, out)
+
+
 def two_pass_preimage(m, span):
     """The preimage {x : m x in span(span)} by the formula that the stacked
     pass of preimage_basis replaced: the kernel of [m | span], from the
@@ -331,18 +353,25 @@ class TestTransformFreePaths:
     def test_coordinates_against_product_and_solve(self):
         # the Hermite basis has independent columns, so the coordinates
         # are unique: None exactly when solve_matrix finds no solution
-        # against it, and otherwise its one solution, multiplied back to b
+        # against it, and otherwise its one solution, multiplied back to b;
+        # the sparse walk agrees with the dense back substitution.  Empty,
+        # zero, full-rank and rank-deficient matrices, each also with
+        # entries near 2**70, against right-hand sides in the span, random,
+        # and in the span but for one column
         rng = random.Random("coordinates")
         seen = {True: 0, False: 0}
         for m in sample_matrices(rng, 160):
-            h = column_basis(m)
-            for b in in_and_out_of_span(rng, m):
-                got, ref = coordinates(m, b), solve_matrix(h, b)
-                assert (got is None) == (ref is None), (m, b)
-                if got is not None:
-                    assert h @ got == b and got == ref, (m, b)
-                seen[got is not None] += 1
-        assert min(seen.values()) > 50, seen
+            big = IntMatrix(m.rows, m.cols, [v * (2**70 + rng.randint(-1, 1)) for v in m.entries])
+            for a in (m, big):
+                h = column_basis(a)
+                for b in in_and_out_of_span(rng, a):
+                    got, ref = coordinates(a, b), solve_matrix(h, b)
+                    assert (got is None) == (ref is None), (a, b)
+                    assert got == dense_coordinates(a, b), (a, b)
+                    if got is not None:
+                        assert h @ got == b and got == ref, (a, b)
+                    seen[got is not None] += 1
+        assert min(seen.values()) > 100, seen
 
     def test_coordinates_empty_shapes(self):
         assert coordinates(IntMatrix.zeros(2, 0), IntMatrix.zeros(2, 3)) == IntMatrix.zeros(0, 3)
